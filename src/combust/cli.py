@@ -19,7 +19,9 @@ from combust.timestepper import RunConfig, StepFailed, TimeSeries, run
 DEFAULT_RECORD_TIMES = (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)
 
 _GRID_KEYS = {"domain_length", "m_subintervals", "time_step", "t_end", "record_times", "method"}
-_SOLVER_KEYS = {"tol", "max_iter", "sigma_c", "eta_armijo", "nu_backtrack", "eps_interior"}
+_SOLVER_KEYS = {
+    "tol", "max_iter", "sigma_c", "eta_armijo", "nu_backtrack", "eps_interior", "max_restore",
+}
 _DIMLESS_KEYS = {"pe_t", "beta", "e_act", "theta0", "u"}
 _DIMENSIONAL_KEYS = {
     "t_res", "c_m", "c_g", "lambda_th", "q_r", "u_inj", "e_r", "k_p",
@@ -139,6 +141,7 @@ def parse_config(path) -> RunConfig:
         eta_armijo=_to_float(entries.get("eta_armijo", "0.1"), "eta_armijo", lines.get("eta_armijo", 0)),
         nu_backtrack=_to_float(entries.get("nu_backtrack", "0.8"), "nu_backtrack", lines.get("nu_backtrack", 0)),
         eps_interior=_to_float(entries.get("eps_interior", "1e-6"), "eps_interior", lines.get("eps_interior", 0)),
+        max_restore=_to_int(entries.get("max_restore", "60"), "max_restore", lines.get("max_restore", 0)),
     )
 
     grid = Grid(length=length, m=m, k=k, n_steps=n_steps)

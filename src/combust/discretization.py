@@ -13,15 +13,16 @@ LDQ = 2 eta^n + k Phi^n are frozen at level n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
-from combust.bandmat import BandedMatrix
+from combust.mncp import SolverError
 from combust.model import DimensionlessParams, flux, flux_d, phi, phi_deta, phi_dtheta
 
 
-class NumericError(RuntimeError):
+class NumericError(SolverError):
     """Non-finite value produced during residual evaluation."""
 
     def __init__(self, message: str, node: int):
@@ -236,11 +237,79 @@ def residual(
     return StepResiduals(g=g, q=q)
 
 
-def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache) -> BandedMatrix:
-    """Analytic Jacobian of (G, Q) in interleaved ordering.
+@dataclass
+class StepJacobian:
+    """Analytic Jacobian of (G, Q), stored by block.
 
-    Unknowns and rows are ordered (theta_1, eta_1, theta_2, eta_2, ...), so
-    the matrix has bandwidth 2 on each side:
+    Only dG/dtheta couples neighbouring nodes; the other three blocks are
+    diagonal:
+        dG/dtheta = tridiag(sub, diag, sup)    sub, sup of length M-1
+        dG/deta   = diag(g_eta)
+        dQ/dtheta = diag(q_theta)
+        dQ/deta   = diag(q_eta)
+    Rows and unknowns are interleaved, (theta_1, eta_1, theta_2, eta_2, ...),
+    in to_dense() and in the vectors newton_solve() takes and returns.
+    """
+
+    sub: np.ndarray
+    diag: np.ndarray
+    sup: np.ndarray
+    g_eta: np.ndarray
+    q_theta: np.ndarray
+    q_eta: np.ndarray
+
+    def to_dense(self) -> np.ndarray:
+        """The full 2M x 2M matrix in interleaved ordering (for verification)."""
+        m = self.diag.size
+        dense = np.zeros((2 * m, 2 * m))
+        dense[0::2, 0::2] = _tri_dense(np.r_[0.0, self.sub], self.diag, np.r_[self.sup, 0.0])
+        t, e = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
+        dense[t, e] = self.g_eta
+        dense[e, t] = self.q_theta
+        dense[e, e] = self.q_eta
+        return dense
+
+    def newton_solve(self, scale: np.ndarray, diag_add: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve (diag(scale) J + diag(diag_add)) d = rhs.
+
+        Each node's eta correction is eliminated in closed form, leaving a
+        tridiagonal Schur complement in theta for LAPACK dgtsv.  The eta
+        pivot scale_eta q_eta + diag_add_eta is 2 + k beta e^(...) >= 2 on
+        equality rows and eta (2 + k beta e^(...)) + Q > 0 on pair rows at a
+        strictly interior iterate.  On a zero pivot or a non-finite result
+        the solve is retried once with 1e-12 (1 + |d_ii|) added to every
+        diagonal entry; np.linalg.LinAlgError is raised if that fails too.
+        """
+        s_t = scale[0::2]
+        s_e = scale[1::2]
+        diag_t = s_t * self.diag + diag_add[0::2]
+        diag_e = s_e * self.q_eta + diag_add[1::2]
+        try:
+            return self._eliminate(s_t, s_e, diag_t, diag_e, rhs)
+        except np.linalg.LinAlgError:
+            diag_t += 1e-12 * (1.0 + np.abs(diag_t))
+            diag_e += 1e-12 * (1.0 + np.abs(diag_e))
+            return self._eliminate(s_t, s_e, diag_t, diag_e, rhs)
+
+    def _eliminate(self, s_t, s_e, diag_t, diag_e, rhs):
+        f_t = rhs[0::2]
+        f_e = rhs[1::2]
+        coupling = s_e * self.q_theta
+        ratio = s_t * self.g_eta / diag_e
+        _, _, _, x_t, info = dgtsv(
+            s_t[1:] * self.sub, diag_t - ratio * coupling, s_t[:-1] * self.sup,
+            f_t - ratio * f_e, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+        )
+        d = np.empty(rhs.size)
+        d[0::2] = x_t
+        d[1::2] = (f_e - coupling * x_t) / diag_e
+        if info != 0 or not np.all(np.isfinite(d)):
+            raise np.linalg.LinAlgError("singular Newton matrix")
+        return d
+
+
+def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache) -> StepJacobian:
+    """Analytic Jacobian of the step residuals (G, Q):
         dG/dtheta = A + lambda_s dP/dtheta - 2k diag(phi_theta)
         dG/deta   = -2k diag(phi_eta)
         dQ/dtheta = -k diag(phi_theta)
@@ -258,23 +327,17 @@ def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache) -
     pe = phi_deta(theta_next, p)
     fd = flux_d(theta_next, p)
 
-    dgdt_diag = cache.a_diag - 2.0 * k * pt
     # entry (row im, col im+1), im = 0..m-2; rows 1..M-1 of dP/dtheta are live
-    dgdt_sup = cache.a_sup[: m - 1] + lam * fd[1:]
+    sup = cache.a_sup[: m - 1] + lam * fd[1:]
     # entry (row im, col im-1), im = 1..m-1; last row has no flux contribution
-    dgdt_sub = cache.a_sub[1:].copy()
-    dgdt_sub[: m - 2] -= lam * fd[: m - 2]
+    sub = cache.a_sub[1:].copy()
+    sub[: m - 2] -= lam * fd[: m - 2]
 
-    dgde_diag = -2.0 * k * pe
-    dqdt_diag = -k * pt
-    dqde_diag = 2.0 - k * pe
-
-    n = 2 * m
-    ab = np.zeros((5, n))
-    ab[2, 0::2] = dgdt_diag
-    ab[2, 1::2] = dqde_diag
-    ab[1, 1::2] = dgde_diag              # (theta-row, eta-col) same node
-    ab[3, 0::2] = dqdt_diag              # (eta-row, theta-col) same node
-    ab[0, 2::2] = dgdt_sup               # theta-theta super-diagonal
-    ab[4, 0 : n - 2 : 2] = dgdt_sub      # theta-theta sub-diagonal
-    return BandedMatrix(ab, lower=2, upper=2)
+    return StepJacobian(
+        sub=sub,
+        diag=cache.a_diag - 2.0 * k * pt,
+        sup=sup,
+        g_eta=-2.0 * k * pe,
+        q_theta=-k * pt,
+        q_eta=2.0 - k * pe,
+    )

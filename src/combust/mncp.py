@@ -14,12 +14,10 @@ merit function S = 0.5 ||H||^2.  Every accepted iterate is strictly interior.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from combust.bandmat import BandedMatrix
 
 MNCP = "mncp"
 NCP = "ncp"
@@ -76,7 +74,9 @@ class MncpProblem:
     """Evaluation contract for one complementarity problem.
 
     residual maps z to the full residual vector; jacobian maps z to its
-    derivative, either a dense ndarray or a BandedMatrix.  comp_index lists
+    derivative J, an object whose newton_solve(scale, diag_add, rhs) returns
+    the solution d of (diag(scale) J + diag(diag_add)) d = rhs and raises
+    np.linalg.LinAlgError when that matrix is singular.  comp_index lists
     the rows/variables forming complementarity pairs (pair i couples z_i
     with residual row i); it defaults to the first n1 indices in mncp mode
     and to all indices in ncp mode.
@@ -141,47 +141,6 @@ def merit(z: np.ndarray, problem: MncpProblem):
     return 0.5 * float(h @ h), h
 
 
-def _newton_matrix(z, r, jac, problem):
-    """Jacobian of H: pair rows get z_i * (dr_i/dz) + e_i r_i, others dr_j/dz."""
-    ci = problem.comp_index
-    n = problem.size
-    scale = np.ones(n)
-    scale[ci] = z[ci]
-    diag_add = np.zeros(n)
-    diag_add[ci] = r[ci]
-    if isinstance(jac, BandedMatrix):
-        jh = jac.copy()
-        jh.scale_rows(scale)
-        jh.add_diagonal(diag_add)
-        return jh
-    jh = np.asarray(jac, dtype=float) * scale[:, None]
-    jh[np.arange(n), np.arange(n)] += diag_add
-    return jh
-
-
-def _solve_linear(jh, rhs):
-    if isinstance(jh, BandedMatrix):
-        return jh.solve(rhs)
-    return np.linalg.solve(jh, rhs)
-
-
-def _matvec(jh, x):
-    if isinstance(jh, BandedMatrix):
-        return jh.matvec(x)
-    return jh @ x
-
-
-def _perturb_diagonal(jh):
-    if isinstance(jh, BandedMatrix):
-        diag = jh.diagonal()
-        jh.add_diagonal(1e-12 * (1.0 + np.abs(diag)))
-        return jh
-    n = jh.shape[0]
-    idx = np.arange(n)
-    jh[idx, idx] += 1e-12 * (1.0 + np.abs(jh[idx, idx]))
-    return jh
-
-
 def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None):
     """Feasible descent direction: solve J_H d = -H + rho w.
 
@@ -195,25 +154,23 @@ def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None):
     if r is None:
         r = problem.residual(z)
     h = merit_vector(z, r, problem)
-    jh = _newton_matrix(z, r, problem.jacobian(z), problem)
+    jac = problem.jacobian(z)
     ci = problem.comp_index
+    # Jacobian of H: pair rows are z_i (dr_i/dz) + e_i r_i, the others dr_j/dz
+    scale = np.ones(problem.size)
+    scale[ci] = z[ci]
+    diag_add = np.zeros(problem.size)
+    diag_add[ci] = r[ci]
     norm_h = float(np.linalg.norm(h))
     rho_c = opts.sigma_c * min(1.0, norm_h) * norm_h / np.sqrt(ci.size)
     rhs = -h
     rhs[ci] += rho_c
     try:
-        d = _solve_linear(jh, rhs)
-        if not np.all(np.isfinite(d)):
-            raise np.linalg.LinAlgError("non-finite direction")
-    except np.linalg.LinAlgError:
-        jh = _perturb_diagonal(jh)
-        try:
-            d = _solve_linear(jh, rhs)
-        except np.linalg.LinAlgError as err:
-            raise SingularJacobian("Newton matrix is singular", iterate=z) from err
-        if not np.all(np.isfinite(d)):
-            raise SingularJacobian("Newton matrix is singular", iterate=z)
-    g_dot_d = float(h @ _matvec(jh, d))
+        d = jac.newton_solve(scale, diag_add, rhs)
+    except np.linalg.LinAlgError as err:
+        raise SingularJacobian("Newton matrix is singular", iterate=z) from err
+    # grad(S)^T d = h^T J_H d = h^T rhs for the matrix actually solved
+    g_dot_d = float(h @ rhs)
     return d, g_dot_d
 
 
@@ -277,7 +234,7 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
     t_start = time.perf_counter()
     try:
         z, r, n_evals = restore_feasibility(z0, problem, opts)
-    except InfeasibleStart as err:
+    except SolverError as err:
         report.wall_time = time.perf_counter() - t_start
         err.report = report
         raise

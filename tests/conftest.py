@@ -14,6 +14,24 @@ FIG_TIMES = (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)
 TABLE_TIMES = tuple(round(0.001 * i, 6) for i in range(1, 11))
 
 
+class DenseJacobian:
+    """Dense matrix with the newton_solve contract of MncpProblem.jacobian."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=float)
+
+    def newton_solve(self, scale, diag_add, rhs):
+        d = np.linalg.solve(self.matrix * scale[:, None] + np.diag(diag_add), rhs)
+        if not np.all(np.isfinite(d)):
+            raise np.linalg.LinAlgError("non-finite direction")
+        return d
+
+
+def dense(jacobian):
+    """Wrap a z -> ndarray Jacobian of a toy problem as a DenseJacobian."""
+    return lambda z: DenseJacobian(jacobian(z))
+
+
 def base_config(m: int, method: str = MNCP, record_times=FIG_TIMES) -> RunConfig:
     grid = Grid(length=BASE_LENGTH, m=m, k=BASE_K, n_steps=1000)
     return RunConfig(grid=grid, params=BASE_PARAMS, method=method, record_times=record_times)

@@ -24,7 +24,7 @@ from combust.mncp import (
 from combust.model import BASE_PARAMS, DimensionlessParams
 from combust.timestepper import RunConfig, initial_state, run
 
-from conftest import TABLE_TIMES, base_config
+from conftest import TABLE_TIMES, base_config, dense
 from test_discretization import dense_jacobian_fd
 
 
@@ -37,25 +37,25 @@ def acceptance_toys():
     mixed1 = MncpProblem(
         n1=1, n2=1,
         residual=lambda z: np.array([z[0] + z[1] - 2.0, z[1] - 1.0]),
-        jacobian=lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]),
+        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
         mode=MNCP,
     )
     mixed2 = MncpProblem(
         n1=1, n2=1,
         residual=lambda z: np.array([z[0] + z[1], z[1] - 1.0]),
-        jacobian=lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]),
+        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
         mode=MNCP,
     )
     scalar1 = MncpProblem(
         n1=1, n2=0,
         residual=lambda z: z - 2.0,
-        jacobian=lambda z: np.eye(1),
+        jacobian=dense(lambda z: np.eye(1)),
         mode=NCP,
     )
     scalar2 = MncpProblem(
         n1=1, n2=0,
         residual=lambda z: z + 2.0,
-        jacobian=lambda z: np.eye(1),
+        jacobian=dense(lambda z: np.eye(1)),
         mode=NCP,
     )
     return [
@@ -94,7 +94,7 @@ def test_criterion_1_solver_toys():
 
 
 def test_criterion_2_jacobian_fd():
-    """Banded Jacobian matches central differences on 100 random states, M = 10."""
+    """Analytic Jacobian matches central differences on 100 random states, M = 10."""
     rng = np.random.default_rng(2024)
     grid = Grid(length=0.05, m=10, k=1e-5, n_steps=1)
     cache = assemble_matrices(grid, BASE_PARAMS)

@@ -66,6 +66,12 @@ class TestParseConfig:
         assert config.record_times == (0.0, 1e-4, 2e-4)
         assert config.solver_opts.tol == 1e-10
 
+    def test_max_restore(self, tmp_path):
+        config = parse_config(write_config(tmp_path, "max_restore = 5\n"))
+        assert config.solver_opts.max_restore == 5
+        with pytest.raises(ConfigError, match="integer"):
+            parse_config(write_config(tmp_path, "max_restore = 2.5\n"))
+
     def test_dimensionless_override(self, tmp_path):
         config = parse_config(write_config(tmp_path, "e_act = 90.0\n"))
         assert config.params.e_act == 90.0
@@ -198,3 +204,10 @@ class TestMain:
         err = capsys.readouterr().err
         assert "solver failure" in err
         assert "time step" in err
+
+    def test_non_finite_residual_exit_code(self, tmp_path, capsys):
+        # the reaction term overflows, so the first residual is non-finite
+        cfg = write_config(tmp_path, "beta = 1e308\ntime_step = 1\nt_end = 3\nm_subintervals = 10\n")
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "solver failure (NumericError) at time step 0" in capsys.readouterr().err

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from combust import mncp
 from combust.discretization import (
     Grid,
     State,
+    StepJacobian,
     assemble_LD,
     assemble_LDQ,
     assemble_matrices,
@@ -11,6 +13,7 @@ from combust.discretization import (
     jacobian,
     residual,
 )
+from combust.mncp import MncpProblem, SolverOptions, direction
 from combust.model import BASE_PARAMS, DimensionlessParams, flux, phi
 
 # grid with h = 1, k = 0.2, h_diff = 0.5 -> mu * h_diff = 0.1
@@ -214,3 +217,70 @@ class TestJacobian:
         p = BASE_PARAMS
         expected = 2.0 + grid.k * p.beta * np.exp(-p.e_act / p.theta0)
         np.testing.assert_allclose(np.diag(jac)[1::2], np.full(4, expected), rtol=1e-14)
+
+
+def dense_newton_solve(jac, scale, diag_add, rhs):
+    """Reference: LAPACK dense solve of diag(scale) J + diag(diag_add)."""
+    jh = jac.to_dense() * scale[:, None] + np.diag(diag_add)
+    return np.linalg.solve(jh, rhs)
+
+
+def zero_pivot_jacobian(g_eta=0.0):
+    """M = 2 with dG/dtheta = diag(0, 1): node 1's theta column is zero but for
+    dG_1/deta_1 = g_eta, so the first pivot is exactly zero."""
+    return StepJacobian(sub=np.zeros(1), diag=np.array([0.0, 1.0]), sup=np.zeros(1),
+                        g_eta=np.array([g_eta, 0.0]), q_theta=np.zeros(2), q_eta=np.ones(2))
+
+
+class TestNewtonSolve:
+    @pytest.mark.parametrize("m", [2, 3, 50])
+    @pytest.mark.parametrize("mode", [mncp.MNCP, mncp.NCP])
+    def test_matches_dense_solve(self, m, mode):
+        # at a strictly interior iterate the pair variables and the pair
+        # residuals (row scale and diagonal addend) are positive
+        rng = np.random.default_rng(m)
+        cache = assemble_matrices(base_grid(m), BASE_PARAMS)
+        pairs = np.arange(0, 2 * m, 2) if mode == mncp.MNCP else np.arange(2 * m)
+        for _ in range(20):
+            theta = rng.uniform(0.01, 2.0, m)
+            eta = rng.uniform(0.01, 0.99, m)
+            z = np.empty(2 * m)
+            z[0::2] = theta
+            z[1::2] = eta
+            scale = np.ones(2 * m)
+            scale[pairs] = z[pairs]
+            diag_add = np.zeros(2 * m)
+            diag_add[pairs] = rng.uniform(1e-6, 1.0, pairs.size)
+            rhs = rng.normal(size=2 * m)
+            jac = jacobian(theta, eta, cache)
+            d = jac.newton_solve(scale, diag_add, rhs)
+            ref = dense_newton_solve(jac, scale, diag_add, rhs)
+            assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_zero_pivot_retries_perturbed(self):
+        jac = zero_pivot_jacobian()
+        rhs = np.array([1.0, 2.0, 3.0, 4.0])
+        d = jac.newton_solve(np.ones(4), np.zeros(4), rhs)
+        # the retry solves the matrix with 1e-12 (1 + |d_ii|) on its diagonal
+        diag = np.array([0.0, 1.0, 1.0, 1.0])
+        perturbed = jac.to_dense() + np.diag(1e-12 * (1.0 + diag))
+        np.testing.assert_allclose(d, np.linalg.solve(perturbed, rhs), rtol=1e-14)
+        assert d[0] == pytest.approx(1e12)
+
+    def test_singular_after_retry_raises(self):
+        # after the retry the zero pivot is 1e-12, and eliminating eta_1
+        # moves 1e200 * 1e100 onto it: theta_1 overflows
+        jac = zero_pivot_jacobian(g_eta=1e200)
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            jac.newton_solve(np.ones(4), np.zeros(4), np.array([0.0, 1e100, 0.0, 0.0]))
+
+        # the same through the solver: theta_2 is the only pair, so the
+        # right-hand side on the eta_1 row is again 1e100
+        prob = MncpProblem(
+            n1=1, n2=3,
+            residual=lambda z: np.array([0.0, -1e100, 1.0, 0.0]),
+            jacobian=lambda z: jac,
+            comp_index=np.array([2]),
+        )
+        with np.errstate(all="ignore"), pytest.raises(mncp.SingularJacobian):
+            direction(np.ones(4), prob, SolverOptions())

@@ -16,6 +16,8 @@ from combust.mncp import (
     solve,
 )
 
+from conftest import dense
+
 
 def scalar_affine(slope=1.0, offset=2.0, mode=mncp.NCP):
     """One-dimensional problem r(z) = slope*z + offset."""
@@ -23,7 +25,7 @@ def scalar_affine(slope=1.0, offset=2.0, mode=mncp.NCP):
         n1=1,
         n2=0,
         residual=lambda z: slope * z + offset,
-        jacobian=lambda z: np.array([[slope]]),
+        jacobian=dense(lambda z: np.array([[slope]])),
         mode=mode,
     )
 
@@ -62,7 +64,7 @@ class TestMeritAndResidual:
         prob = MncpProblem(
             n1=1, n2=1,
             residual=lambda z: np.array([z[0] - 1.0, z[1] + 5.0]),
-            jacobian=lambda z: np.eye(2),
+            jacobian=dense(lambda z: np.eye(2)),
             mode=mncp.MNCP,
         )
         h = merit_vector(np.array([2.0, 3.0]), prob.residual(np.array([2.0, 3.0])), prob)
@@ -84,7 +86,7 @@ class TestMeritAndResidual:
         prob = MncpProblem(
             n1=0, n2=1,
             residual=lambda z: z - 1.0,
-            jacobian=lambda z: np.eye(1),
+            jacobian=dense(lambda z: np.eye(1)),
             mode=mncp.MNCP,
         )
         assert natural_residual(np.array([4.0]), np.array([3.0]), prob) == 0.0
@@ -112,7 +114,7 @@ class TestDirection:
         prob = MncpProblem(
             n1=2, n2=0,
             residual=lambda z: np.array([z[0] ** 2 + z[1] + 0.5, z[0] + 2.0 * z[1] + 1.0]),
-            jacobian=lambda z: np.array([[2.0 * z[0], 1.0], [1.0, 2.0]]),
+            jacobian=dense(lambda z: np.array([[2.0 * z[0], 1.0], [1.0, 2.0]])),
             mode=mncp.NCP,
         )
         for sigma in (0.1, 0.5, 0.9):
@@ -128,7 +130,7 @@ class TestDirection:
         prob = MncpProblem(
             n1=2, n2=0,
             residual=lambda z: np.array([1.0, 1.0]),
-            jacobian=lambda z: np.full((2, 2), np.inf),
+            jacobian=dense(lambda z: np.full((2, 2), np.inf)),
             mode=mncp.NCP,
         )
         with pytest.raises(mncp.SingularJacobian):
@@ -161,7 +163,7 @@ class TestLineSearch:
         prob = MncpProblem(
             n1=1, n2=0,
             residual=lambda z: 10.0 * z - 1.0,
-            jacobian=lambda z: np.array([[10.0]]),
+            jacobian=dense(lambda z: np.array([[10.0]])),
             mode=mncp.NCP,
         )
         opts = SolverOptions()
@@ -203,7 +205,7 @@ class TestRestoreFeasibility:
         prob = MncpProblem(
             n1=1, n2=0,
             residual=lambda z: np.full(1, -1.0),
-            jacobian=lambda z: np.eye(1),
+            jacobian=dense(lambda z: np.eye(1)),
             mode=mncp.NCP,
         )
         with pytest.raises(InfeasibleStart):
@@ -233,7 +235,7 @@ def toy_problems():
         MncpProblem(
             n1=2, n2=0,
             residual=lambda z: np.array([z[0] - 0.5, z[0] + z[1] - 1.0]),
-            jacobian=lambda z: np.array([[1.0, 0.0], [1.0, 1.0]]),
+            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]])),
             mode=mncp.NCP,
         ),
         np.array([2.0, 2.0]),
@@ -245,7 +247,7 @@ def toy_problems():
         MncpProblem(
             n1=1, n2=1,
             residual=lambda z: np.array([z[0] + z[1] - 2.0, z[1] - 1.0]),
-            jacobian=lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]),
+            jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
             mode=mncp.MNCP,
         ),
         np.array([2.0, 2.0]),
