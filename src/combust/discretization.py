@@ -19,7 +19,9 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from combust.mncp import SolverError
-from combust.model import DimensionlessParams, flux, flux_d, phi, phi_deta, phi_dtheta
+from combust.model import DimensionlessParams, closure_derivatives, flux, phi
+# Unused here; kept so the benchmark's trace points on this module still resolve.
+from combust.model import flux_d, phi_deta, phi_dtheta  # noqa: F401
 
 
 class NumericError(SolverError):
@@ -75,21 +77,14 @@ class State:
     eta_b: float = 1.0
     n: int = 0
 
-    def validate(self) -> None:
-        if self.theta.shape != self.eta.shape:
-            raise ValueError("theta and eta must have the same shape")
-        if np.any(self.theta < 0.0):
-            raise ValueError("theta must be nonnegative")
-        if np.any(self.eta < 0.0) or np.any(self.eta > 1.0 + 1e-8):
-            raise ValueError("eta must lie in [0, 1 + 1e-8]")
-
     def copy(self) -> "State":
         return State(self.theta.copy(), self.eta.copy(), self.theta_b, self.eta_b, self.n)
 
 
 @dataclass
 class SchemeCache:
-    """Immutable per-run algebra: the tridiagonal matrices A, B and the UR vector.
+    """Immutable per-run algebra: the tridiagonal matrices A, B, the UR vector
+    and the boundary flux F(theta_b).
 
     A and B are stored as (sub, diag, sup) arrays of length M; sub[0] and
     sup[M-1] are unused and kept at zero.
@@ -104,11 +99,9 @@ class SchemeCache:
     ur: np.ndarray
     grid: Grid
     params: DimensionlessParams
+    flux_b: float
     theta_b: float = 0.0
     eta_b: float = 1.0
-
-    def a_matvec(self, x: np.ndarray) -> np.ndarray:
-        return _tri_matvec(self.a_sub, self.a_diag, self.a_sup, x)
 
     def b_matvec(self, x: np.ndarray) -> np.ndarray:
         return _tri_matvec(self.b_sub, self.b_diag, self.b_sup, x)
@@ -120,14 +113,8 @@ class SchemeCache:
         return _tri_dense(self.b_sub, self.b_diag, self.b_sup)
 
 
-@dataclass
-class StepResiduals:
-    g: np.ndarray
-    q: np.ndarray
-
-
-def _tri_matvec(sub, diag, sup, x):
-    y = diag * x
+def _tri_matvec(sub, diag, sup, x, out=None):
+    y = np.multiply(diag, x, out=out)
     y[1:] += sub[1:] * x[:-1]
     y[:-1] += sup[:-1] * x[1:]
     return y
@@ -176,7 +163,8 @@ def assemble_matrices(
     return SchemeCache(
         a_sub=a_sub, a_diag=a_diag, a_sup=a_sup,
         b_sub=b_sub, b_diag=b_diag, b_sup=b_sup,
-        ur=ur, grid=grid, params=params, theta_b=theta_b, eta_b=eta_b,
+        ur=ur, grid=grid, params=params, flux_b=flux(theta_b, params),
+        theta_b=theta_b, eta_b=eta_b,
     )
 
 
@@ -220,21 +208,35 @@ def residual(
     cache: SchemeCache,
     ld: np.ndarray,
     ldq: np.ndarray,
-) -> StepResiduals:
-    """Evaluate the step residuals G and Q at a candidate level-(n+1) point."""
+) -> np.ndarray:
+    """Evaluate the step residual at a candidate level-(n+1) point.
+
+    Returns the interleaved vector (G_1, Q_1, G_2, Q_2, ...).  G and Q are
+    written into its two strided halves with the operations of
+    A theta + lambda_s P(theta) - 2k Phi - LD and 2 eta - k Phi - LDQ, in
+    that order, so each entry is rounded as in those expressions.
+    """
     grid = cache.grid
+    k = grid.k
+    lam = grid.lambda_s
     phi_next = phi(theta_next, eta_next, cache.params)
-    g = (
-        cache.a_matvec(theta_next)
-        + grid.lambda_s * assemble_P(theta_next, cache.theta_b, cache.params)
-        - 2.0 * grid.k * phi_next
-        - ld
-    )
-    q = 2.0 * eta_next - grid.k * phi_next - ldq
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(q))):
-        bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(q)))
-        raise NumericError(f"non-finite residual at node {bad[0] + 1}", node=int(bad[0] + 1))
-    return StepResiduals(g=g, q=q)
+    f = flux(theta_next, cache.params)
+    out = np.empty(2 * theta_next.size)
+    g = out[0::2]
+    q = out[1::2]
+    _tri_matvec(cache.a_sub, cache.a_diag, cache.a_sup, theta_next, out=g)
+    # lambda_s P: row 1 differences against the boundary flux, row M is zero
+    g[0] += lam * (f[1] - cache.flux_b)
+    g[1:-1] += lam * (f[2:] - f[:-2])
+    g -= 2.0 * k * phi_next
+    g -= ld
+    np.multiply(2.0, eta_next, out=q)
+    q -= k * phi_next
+    q -= ldq
+    if not np.isfinite(out).all():
+        bad = int(np.flatnonzero(~np.isfinite(out))[0]) // 2 + 1
+        raise NumericError(f"non-finite residual at node {bad}", node=bad)
+    return out
 
 
 @dataclass
@@ -303,7 +305,7 @@ class StepJacobian:
         d = np.empty(rhs.size)
         d[0::2] = x_t
         d[1::2] = (f_e - coupling * x_t) / diag_e
-        if info != 0 or not np.all(np.isfinite(d)):
+        if info != 0 or not np.isfinite(d).all():
             raise np.linalg.LinAlgError("singular Newton matrix")
         return d
 
@@ -323,9 +325,7 @@ def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache) -
     k = grid.k
     lam = grid.lambda_s
 
-    pt = phi_dtheta(theta_next, eta_next, p)
-    pe = phi_deta(theta_next, p)
-    fd = flux_d(theta_next, p)
+    pt, pe, fd = closure_derivatives(theta_next, eta_next, p)
 
     # entry (row im, col im+1), im = 0..m-2; rows 1..M-1 of dP/dtheta are live
     sup = cache.a_sup[: m - 1] + lam * fd[1:]

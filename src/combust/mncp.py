@@ -13,6 +13,7 @@ merit function S = 0.5 ||H||^2.  Every accepted iterate is strictly interior.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -67,6 +68,14 @@ class SolverOptions:
             raise ValueError(f"nu_backtrack must be in (0, 1), got {self.nu_backtrack}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.eta_armijo < 1.0:
+            raise ValueError(f"eta_armijo must be in (0, 1), got {self.eta_armijo}")
+        if not self.eps_interior > 0.0:
+            raise ValueError(f"eps_interior must be positive, got {self.eps_interior}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.max_restore < 0:
+            raise ValueError(f"max_restore must be nonnegative, got {self.max_restore}")
 
 
 @dataclass
@@ -131,7 +140,7 @@ def natural_residual(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> floa
     ci = problem.comp_index
     if ci.size == 0:
         return 0.0
-    return float(np.max(np.minimum(z[ci], r[ci])))
+    return float(np.minimum(z[ci], r[ci]).max())
 
 
 def merit(z: np.ndarray, problem: MncpProblem):
@@ -141,19 +150,21 @@ def merit(z: np.ndarray, problem: MncpProblem):
     return 0.5 * float(h @ h), h
 
 
-def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None):
+def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None, h=None):
     """Feasible descent direction: solve J_H d = -H + rho w.
 
     w is 1 on complementarity rows and 0 on equality rows;
     rho = sigma_c min(1, ||H||_2) ||H||_2 / sqrt(n_pairs), which guarantees
     grad(S)^T d <= -(1 - sigma_c) ||H||^2 while fading the centering away
     near the solution so the tail of the iteration is an undamped Newton
-    step (quadratic local convergence).
+    step (quadratic local convergence); rho = 0 when there are no pairs.
+    The residual r and the merit vector h at z are computed when not given.
     Returns (d, grad_S_dot_d).
     """
     if r is None:
         r = problem.residual(z)
-    h = merit_vector(z, r, problem)
+    if h is None:
+        h = merit_vector(z, r, problem)
     jac = problem.jacobian(z)
     ci = problem.comp_index
     # Jacobian of H: pair rows are z_i (dr_i/dz) + e_i r_i, the others dr_j/dz
@@ -161,10 +172,10 @@ def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None):
     scale[ci] = z[ci]
     diag_add = np.zeros(problem.size)
     diag_add[ci] = r[ci]
-    norm_h = float(np.linalg.norm(h))
-    rho_c = opts.sigma_c * min(1.0, norm_h) * norm_h / np.sqrt(ci.size)
     rhs = -h
-    rhs[ci] += rho_c
+    if ci.size:
+        norm_h = math.sqrt(h @ h)
+        rhs[ci] += opts.sigma_c * min(1.0, norm_h) * norm_h / math.sqrt(ci.size)
     try:
         d = jac.newton_solve(scale, diag_add, rhs)
     except np.linalg.LinAlgError as err:
@@ -186,12 +197,12 @@ def line_search(z, d, g_dot_d, s0, problem: MncpProblem, opts: SolverOptions):
     n_evals = 0
     while t >= _STEP_FLOOR:
         z_t = z + t * d
-        if np.all(z_t[ci] > 0.0):
+        if (z_t[ci] > 0.0).all():
             r_t = problem.residual(z_t)
             h_t = merit_vector(z_t, r_t, problem)
             s_t = 0.5 * float(h_t @ h_t)
             n_evals += 1
-            if np.all(r_t[ci] > 0.0) and s_t <= s0 + opts.eta_armijo * t * g_dot_d:
+            if (r_t[ci] > 0.0).all() and s_t <= s0 + opts.eta_armijo * t * g_dot_d:
                 return t, z_t, r_t, h_t, s_t, n_evals
         t *= opts.nu_backtrack
     raise LineSearchStall(f"line search stalled below t={_STEP_FLOOR} (S={s0:.3e})", iterate=z)
@@ -211,7 +222,7 @@ def restore_feasibility(z0, problem: MncpProblem, opts: SolverOptions):
     n_evals = 1
     delta = opts.eps_interior
     doublings = 0
-    while np.any(r[ci] <= 0.0):
+    while (r[ci] <= 0.0).any():
         if doublings >= opts.max_restore:
             bad = [int(i) for i in problem.comp_index[r[ci] <= 0.0]]
             raise InfeasibleStart(f"could not restore interiority; violated rows {bad}", iterate=z)
@@ -243,7 +254,7 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
     s = 0.5 * float(h @ h)
 
     while True:
-        report.h_inf = float(np.max(np.abs(h)))
+        report.h_inf = float(np.abs(h).max())
         # Stop on max|H| <= tol, sharpened by the natural residual so tiny
         # variables cannot mask large raw residuals on their pair rows.
         if report.h_inf <= opts.tol and natural_residual(z, r, problem) <= opts.tol:
@@ -257,7 +268,7 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
                 iterate=z, report=report,
             )
         try:
-            d, g_dot_d = direction(z, problem, opts, r=r)
+            d, g_dot_d = direction(z, problem, opts, r=r, h=h)
             report.js_evals += 1
             t, z, r, h, s, n_evals = line_search(z, d, g_dot_d, s, problem, opts)
         except SolverError as err:

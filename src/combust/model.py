@@ -149,3 +149,15 @@ def phi_dtheta(theta, eta, p: DimensionlessParams):
 def phi_deta(theta, p: DimensionlessParams):
     """Partial of phi with respect to eta; independent of eta (phi is affine in eta)."""
     return -p.beta * np.exp(-p.e_act / (theta + p.theta0))
+
+
+def closure_derivatives(theta, eta, p: DimensionlessParams):
+    """(phi_dtheta, phi_deta, flux_d) at one point from a single exponential.
+
+    Each factor repeats the operations of its single-purpose function in the
+    same order, so the three results equal theirs bit for bit.
+    """
+    s = theta + p.theta0
+    e = np.exp(-p.e_act / s)
+    s2 = s**2
+    return p.beta * (1.0 - eta) * e * p.e_act / s2, -p.beta * e, p.u * p.theta0**2 / s2

@@ -76,11 +76,7 @@ def build_step_problem(state: State, cache: SchemeCache, method: str):
     ldq = assemble_LDQ(state, cache.grid, cache.params)
 
     def eval_residual(z):
-        res = residual(z[0::2], z[1::2], cache, ld, ldq)
-        out = np.empty(2 * m)
-        out[0::2] = res.g
-        out[1::2] = res.q
-        return out
+        return residual(z[0::2], z[1::2], cache, ld, ldq)
 
     def eval_jacobian(z):
         return jacobian(z[0::2], z[1::2], cache)

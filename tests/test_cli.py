@@ -194,6 +194,15 @@ class TestMain:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "eps_interior = 0", "eps_interior = -1e-6", "max_iter = 0",
+        "eta_armijo = -5", "eta_armijo = 1", "max_restore = -1",
+    ])
+    def test_invalid_solver_option_exit_code(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, f"t_end = 0.0002\n{line}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
     def test_missing_config_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o.csv")]) == 1

@@ -4,6 +4,7 @@ import pytest
 from combust import mncp
 from combust.discretization import (
     Grid,
+    NumericError,
     State,
     StepJacobian,
     assemble_LD,
@@ -14,7 +15,15 @@ from combust.discretization import (
     residual,
 )
 from combust.mncp import MncpProblem, SolverOptions, direction
-from combust.model import BASE_PARAMS, DimensionlessParams, flux, phi
+from combust.model import (
+    BASE_PARAMS,
+    DimensionlessParams,
+    flux,
+    flux_d,
+    phi,
+    phi_deta,
+    phi_dtheta,
+)
 
 # grid with h = 1, k = 0.2, h_diff = 0.5 -> mu * h_diff = 0.1
 UNIT_PARAMS = DimensionlessParams(pe_t=2.0, beta=1.0, e_act=1.0, theta0=1.0, u=1.0)
@@ -124,8 +133,9 @@ class TestResidual:
         ld = assemble_LD(state, cache)
         ldq = assemble_LDQ(state, grid, BASE_PARAMS)
         res = residual(np.zeros(6), np.ones(6), cache, ld, ldq)
-        np.testing.assert_allclose(res.g, np.zeros(6), atol=1e-15)
-        np.testing.assert_allclose(res.q, np.zeros(6), atol=1e-15)
+        assert res.shape == (12,)
+        np.testing.assert_allclose(res[0::2], np.zeros(6), atol=1e-15)
+        np.testing.assert_allclose(res[1::2], np.zeros(6), atol=1e-15)
 
     def test_same_level_identity(self):
         # evaluating G at the state used to build LD must reduce to
@@ -146,8 +156,8 @@ class TestResidual:
                 - 4.0 * grid.k * phi(theta, eta, BASE_PARAMS)
                 - cache.ur
             )
-            np.testing.assert_allclose(res.g, direct_g, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(res.q, -2.0 * grid.k * phi(theta, eta, BASE_PARAMS),
+            np.testing.assert_allclose(res[0::2], direct_g, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(res[1::2], -2.0 * grid.k * phi(theta, eta, BASE_PARAMS),
                                        rtol=1e-10, atol=1e-15)
 
     def test_stationary_point_infeasibility_sign(self):
@@ -158,7 +168,47 @@ class TestResidual:
         ld = assemble_LD(state, cache)
         ldq = assemble_LDQ(state, grid, BASE_PARAMS)
         res = residual(state.theta, state.eta, cache, ld, ldq)
-        assert np.all(res.q < 0.0)
+        assert np.all(res[1::2] < 0.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 17])
+    @pytest.mark.parametrize("theta_b", [0.0, 0.7])
+    def test_matches_unfused_expressions_bit_for_bit(self, m, theta_b):
+        # G = A theta + lambda_s P - 2k Phi - LD and Q = 2 eta - k Phi - LDQ,
+        # evaluated as separate whole-vector expressions
+        rng = np.random.default_rng(m)
+        grid = base_grid(m)
+        cache = assemble_matrices(grid, BASE_PARAMS, theta_b=theta_b)
+        assert cache.flux_b == flux(theta_b, BASE_PARAMS)
+        for _ in range(20):
+            state = State(theta=rng.uniform(0.0, 3.0, m), eta=rng.uniform(0.0, 1.0, m))
+            ld = assemble_LD(state, cache)
+            ldq = assemble_LDQ(state, grid, BASE_PARAMS)
+            theta = rng.uniform(0.0, 3.0, m)
+            eta = rng.uniform(0.0, 1.0, m)
+            a_theta = cache.a_diag * theta
+            a_theta[1:] += cache.a_sub[1:] * theta[:-1]
+            a_theta[:-1] += cache.a_sup[:-1] * theta[1:]
+            phi_next = phi(theta, eta, BASE_PARAMS)
+            g = (a_theta + grid.lambda_s * assemble_P(theta, theta_b, BASE_PARAMS)
+                 - 2.0 * grid.k * phi_next - ld)
+            q = 2.0 * eta - grid.k * phi_next - ldq
+            res = residual(theta, eta, cache, ld, ldq)
+            np.testing.assert_array_equal(res[0::2], g)
+            np.testing.assert_array_equal(res[1::2], q)
+
+    @pytest.mark.parametrize("row, node", [(0, 1), (5, 3), (6, 4), (9, 5)])
+    def test_non_finite_entry_names_its_node(self, row, node):
+        # rows 2i-2 and 2i-1 are G_i and Q_i; the non-finite level-n data
+        # reaches exactly one of them
+        cache = assemble_matrices(base_grid(5), BASE_PARAMS)
+        state = State(theta=np.full(5, 0.5), eta=np.full(5, 0.5))
+        ld = assemble_LD(state, cache)
+        ldq = assemble_LDQ(state, cache.grid, BASE_PARAMS)
+        (ld if row % 2 == 0 else ldq)[row // 2] = np.nan
+        with pytest.raises(NumericError) as err:
+            residual(state.theta, state.eta, cache, ld, ldq)
+        assert err.value.node == node
+        assert f"node {node}" in str(err.value)
 
 
 def dense_jacobian_fd(theta, eta, cache, step=1e-6):
@@ -170,11 +220,7 @@ def dense_jacobian_fd(theta, eta, cache, step=1e-6):
     ldq = assemble_LDQ(state, grid, cache.params)
 
     def f(z):
-        res = residual(z[0::2], z[1::2], cache, ld, ldq)
-        out = np.empty(2 * m)
-        out[0::2] = res.g
-        out[1::2] = res.q
-        return out
+        return residual(z[0::2], z[1::2], cache, ld, ldq)
 
     z0 = np.empty(2 * m)
     z0[0::2] = theta
@@ -217,6 +263,27 @@ class TestJacobian:
         p = BASE_PARAMS
         expected = 2.0 + grid.k * p.beta * np.exp(-p.e_act / p.theta0)
         np.testing.assert_allclose(np.diag(jac)[1::2], np.full(4, expected), rtol=1e-14)
+
+    def test_pointwise_factors_match_model_bit_for_bit(self):
+        # the Jacobian shares one exponential between phi_theta, phi_eta and
+        # F'; the result must equal the single-purpose model functions exactly
+        rng = np.random.default_rng(5)
+        m = 40
+        grid = base_grid(m)
+        cache = assemble_matrices(grid, BASE_PARAMS)
+        k, p = grid.k, BASE_PARAMS
+        for _ in range(20):
+            theta = rng.uniform(0.0, 5.0, m)
+            eta = rng.uniform(0.0, 1.0, m)
+            jac = jacobian(theta, eta, cache)
+            pt = phi_dtheta(theta, eta, p)
+            pe = phi_deta(theta, p)
+            fd = flux_d(theta, p)
+            np.testing.assert_array_equal(jac.diag, cache.a_diag - 2.0 * k * pt)
+            np.testing.assert_array_equal(jac.g_eta, -2.0 * k * pe)
+            np.testing.assert_array_equal(jac.q_theta, -k * pt)
+            np.testing.assert_array_equal(jac.q_eta, 2.0 - k * pe)
+            np.testing.assert_array_equal(jac.sup, cache.a_sup[: m - 1] + grid.lambda_s * fd[1:])
 
 
 def dense_newton_solve(jac, scale, diag_add, rhs):

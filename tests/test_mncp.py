@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,20 @@ class TestMeritAndResidual:
             mode=mncp.MNCP,
         )
         assert natural_residual(np.array([4.0]), np.array([3.0]), prob) == 0.0
+
+    def test_solve_without_pairs(self):
+        # a pure equality system has no centering term to spread over pairs
+        prob = MncpProblem(
+            n1=0, n2=1,
+            residual=lambda z: z - 1.0,
+            jacobian=dense(lambda z: np.eye(1)),
+            mode=mncp.MNCP,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, report = solve(prob, np.array([4.0]))
+        assert report.converged
+        assert z[0] == pytest.approx(1.0, abs=1e-8)
 
 
 class TestDirection:
