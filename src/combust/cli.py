@@ -298,7 +298,8 @@ def main(argv=None) -> int:
             emit_bench(rows, args.out)
     except StepFailed as err:
         kind = type(err.cause).__name__
-        print(f"combust: solver failure ({kind}) at time step {err.time_index}", file=sys.stderr)
+        print(f"combust: solver failure ({kind}) at time step {err.time_index}: {err.reason}",
+              file=sys.stderr)
         return 2
 
     if args.plot_script is not None:

@@ -24,6 +24,9 @@ MNCP = "mncp"
 NCP = "ncp"
 
 _STEP_FLOOR = 1e-12
+# Floor of each pair's centering target as a fraction of its own product:
+# one Newton step shrinks a product z_i r_i by at most 1 / (sigma_c * _KAPPA).
+_KAPPA = 0.02
 
 
 class SolverError(RuntimeError):
@@ -119,6 +122,8 @@ class SolverReport:
     js_evals: int = 0      # Jacobian builds / factorizations
     last_step: float = 1.0
     h_inf: float = np.inf
+    worst_pair: Optional[tuple] = None  # on failure: (row, z_row, r_row) with the largest min(z, r)
+    shift: float = 0.0     # total restoration shift added to the pair variables
     wall_time: float = 0.0
 
 
@@ -151,13 +156,28 @@ def merit(z: np.ndarray, problem: MncpProblem):
 
 
 def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None, h=None):
-    """Feasible descent direction: solve J_H d = -H + rho w.
+    """Feasible descent direction: solve J_H d = -H + sigma_c rho.
 
-    w is 1 on complementarity rows and 0 on equality rows;
-    rho = sigma_c min(1, ||H||_2) ||H||_2 / sqrt(n_pairs), which guarantees
-    grad(S)^T d <= -(1 - sigma_c) ||H||^2 while fading the centering away
-    near the solution so the tail of the iteration is an undamped Newton
-    step (quadratic local convergence); rho = 0 when there are no pairs.
+    rho is 0 on equality rows and, on pair row i,
+    rho_i = max(min(1, ||H||_2) mu, kappa h_i) with the complementarity gap
+    mu = mean(h_i) over the pairs and kappa = _KAPPA.  The gap term centres
+    the pairs and fades as ||H|| -> 0, so the tail of the iteration is an
+    undamped Newton step (quadratic local convergence).  The floor
+    kappa h_i keeps one step from shrinking any product z_i r_i by more than
+    1 / (sigma_c kappa); without it a pair whose product is already far
+    below the gap is driven at once toward z_i = r_i = 0, where the
+    curvature of r flips the sign of r_i and the line search collapses.
+
+    Descent: grad(S)^T d = h^T rhs = -||H||^2 + sigma_c sum_i h_i rho_i, the
+    sum over the pairs, where h_i > 0 at interior points.  As
+    min(1, ||H||) <= 1,
+        sum_i h_i rho_i <= sum_i h_i max(mu, kappa h_i)
+                         = mu sum_i h_i + sum_{kappa h_i > mu} h_i (kappa h_i - mu)
+                        <= mu sum_i h_i + sum_i (h_i - mu)^2
+                         = sum_i h_i^2 <= ||H||^2,
+    because for kappa <= 1/2 each (h_i - mu)^2 - h_i (kappa h_i - mu) =
+    (1 - kappa) h_i^2 - h_i mu + mu^2 >= ((h_i - mu)^2 + mu^2) / 2 >= 0.
+    Hence grad(S)^T d <= -(1 - sigma_c) ||H||^2 for every kappa <= 1/2.
     The residual r and the merit vector h at z are computed when not given.
     Returns (d, grad_S_dot_d).
     """
@@ -175,7 +195,9 @@ def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None, 
     rhs = -h
     if ci.size:
         norm_h = math.sqrt(h @ h)
-        rhs[ci] += opts.sigma_c * min(1.0, norm_h) * norm_h / math.sqrt(ci.size)
+        h_ci = h[ci]
+        mu = h_ci.sum() / ci.size
+        rhs[ci] += opts.sigma_c * np.maximum(min(1.0, norm_h) * mu, _KAPPA * h_ci)
     try:
         d = jac.newton_solve(scale, diag_add, rhs)
     except np.linalg.LinAlgError as err:
@@ -208,19 +230,22 @@ def line_search(z, d, g_dot_d, s0, problem: MncpProblem, opts: SolverOptions):
     raise LineSearchStall(f"line search stalled below t={_STEP_FLOOR} (S={s0:.3e})", iterate=z)
 
 
-def restore_feasibility(z0, problem: MncpProblem, opts: SolverOptions):
+def restore_feasibility(z0, problem: MncpProblem, opts: SolverOptions, shift: float = 0.0):
     """Move a warm start into the strict interior.
 
-    Clamp pair variables to eps_interior, then add a doubling shift delta to
-    them until every pair residual is strictly positive.
-    Returns (z, r, n_residual_evals).
+    Clamp pair variables to eps_interior and add shift to them, then add a
+    doubling increment, starting at shift (at eps_interior when shift is 0),
+    until every pair residual is strictly positive.  Passing the total shift
+    of the previous time step lets a run find its shift once instead of
+    replaying the doublings every step.
+    Returns (z, r, n_residual_evals, total_shift).
     """
     ci = problem.comp_index
     z = np.array(z0, dtype=float)
-    z[ci] = np.maximum(z[ci], opts.eps_interior)
+    z[ci] = np.maximum(z[ci], opts.eps_interior) + shift
     r = problem.residual(z)
     n_evals = 1
-    delta = opts.eps_interior
+    delta = shift if shift > 0.0 else opts.eps_interior
     doublings = 0
     while (r[ci] <= 0.0).any():
         if doublings >= opts.max_restore:
@@ -229,22 +254,44 @@ def restore_feasibility(z0, problem: MncpProblem, opts: SolverOptions):
         z[ci] += delta
         r = problem.residual(z)
         n_evals += 1
+        shift += delta
         delta *= 2.0
         doublings += 1
-    return z, r, n_evals
+    return z, r, n_evals, shift
 
 
-def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = None):
+def _record_failure(report: SolverReport, z, r, problem: MncpProblem) -> str:
+    """Set report.worst_pair from the last iterate; describe its residual levels.
+
+    The worst pair is the one with the largest min(z_i, r_i), so that minimum
+    is the natural residual.
+    """
+    text = f"max|H| = {report.h_inf:.3e}"
+    ci = problem.comp_index
+    if ci.size:
+        row = int(ci[np.minimum(z[ci], r[ci]).argmax()])
+        report.worst_pair = (row, float(z[row]), float(r[row]))
+        text += (f", natural residual = {min(z[row], r[row]):.3e}, worst pair row {row}: "
+                 f"z = {z[row]:.3e}, r = {r[row]:.3e}")
+    return text
+
+
+def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = None,
+          shift: float = 0.0):
     """Run the feasible-interior-point iteration from z0.
 
+    shift is the restoration shift to start from (see restore_feasibility);
+    the total shift used is returned in the report.
     Returns (z_star, SolverReport) on convergence (max|H| <= tol); raises a
     SolverError subclass carrying the last iterate and report otherwise.
+    A failure inside the iteration reports max|H|, the natural residual and
+    the pair with the largest min(z_i, r_i) in its message and report.
     """
     opts = opts if opts is not None else SolverOptions()
     report = SolverReport()
     t_start = time.perf_counter()
     try:
-        z, r, n_evals = restore_feasibility(z0, problem, opts)
+        z, r, n_evals, report.shift = restore_feasibility(z0, problem, opts, shift)
     except SolverError as err:
         report.wall_time = time.perf_counter() - t_start
         err.report = report
@@ -261,19 +308,16 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
             report.converged = True
             report.wall_time = time.perf_counter() - t_start
             return z, report
-        if report.iterations >= opts.max_iter:
-            report.wall_time = time.perf_counter() - t_start
-            raise MaxIterations(
-                f"no convergence in {opts.max_iter} iterations (max|H|={report.h_inf:.3e})",
-                iterate=z, report=report,
-            )
         try:
+            if report.iterations >= opts.max_iter:
+                raise MaxIterations(f"no convergence in {opts.max_iter} iterations", iterate=z)
             d, g_dot_d = direction(z, problem, opts, r=r, h=h)
             report.js_evals += 1
             t, z, r, h, s, n_evals = line_search(z, d, g_dot_d, s, problem, opts)
         except SolverError as err:
             report.wall_time = time.perf_counter() - t_start
             err.report = report
+            err.args = (f"{err}; {_record_failure(report, z, r, problem)}",)
             raise
         report.s_evals += n_evals
         report.iterations += 1

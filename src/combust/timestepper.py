@@ -40,6 +40,7 @@ class StepStats:
     s_evals: int
     js_evals: int
     wall_time: float
+    shift: float = 0.0       # restoration shift, passed on to the next step
 
 
 @dataclass
@@ -49,10 +50,15 @@ class TimeSeries:
 
 
 class StepFailed(RuntimeError):
-    """A per-step complementarity solve failed; carries the time index."""
+    """A per-step complementarity solve failed; carries the time index.
 
-    def __init__(self, message: str, time_index: int, cause: SolverError, partial=None):
-        super().__init__(message)
+    reason is the solver's message, with the worst pair's row named by its
+    1-based node and variable when the solver reported one.
+    """
+
+    def __init__(self, reason: str, time_index: int, cause: SolverError, partial=None):
+        super().__init__(f"solver failed at time step {time_index}: {reason}")
+        self.reason = reason
         self.time_index = time_index
         self.cause = cause
         self.partial = partial
@@ -99,16 +105,28 @@ def build_step_problem(state: State, cache: SchemeCache, method: str):
     return problem, z0
 
 
-def step(state: State, cache: SchemeCache, config: RunConfig):
-    """Advance one time level; returns (next_state, StepStats)."""
+def _failure_reason(err: SolverError) -> str:
+    """The solver's message, naming the worst pair's interleaved row by node."""
+    reason = str(err)
+    if err.report is not None and err.report.worst_pair is not None:
+        row = err.report.worst_pair[0]
+        var, res = ("theta", "G") if row % 2 == 0 else ("eta", "Q")
+        reason += f"; row {row} is {var} at node {row // 2 + 1}, paired with {res}"
+    return reason
+
+
+def step(state: State, cache: SchemeCache, config: RunConfig, shift: float = 0.0):
+    """Advance one time level from the restoration shift `shift`.
+
+    Returns (next_state, StepStats); StepStats.shift is the shift to pass to
+    the next step.
+    """
     problem, z0 = build_step_problem(state, cache, config.method)
     t_start = time.perf_counter()
     try:
-        z, report = solve(problem, z0, config.solver_opts)
+        z, report = solve(problem, z0, config.solver_opts, shift)
     except SolverError as err:
-        raise StepFailed(
-            f"solver failed at time step {state.n}: {err}", time_index=state.n, cause=err
-        ) from err
+        raise StepFailed(_failure_reason(err), time_index=state.n, cause=err) from err
     wall = time.perf_counter() - t_start
     next_state = State(
         theta=z[0::2].copy(), eta=z[1::2].copy(),
@@ -122,6 +140,7 @@ def step(state: State, cache: SchemeCache, config: RunConfig):
         s_evals=report.s_evals,
         js_evals=report.js_evals,
         wall_time=wall,
+        shift=report.shift,
     )
     return next_state, stats
 
@@ -151,15 +170,17 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
 
     snapshots = []
     per_step = []
+    shift = 0.0
     if 0 in snap_at:
         snapshots.append((0.0, state.copy()))
     for n in range(grid.n_steps):
         try:
-            state, stats = step(state, cache, config)
+            state, stats = step(state, cache, config, shift)
         except StepFailed as err:
             err.partial = TimeSeries(snapshots=snapshots, per_step=per_step)
             raise
         per_step.append(stats)
+        shift = stats.shift
         if state.n in snap_at:
             snapshots.append((state.n * grid.k, state.copy()))
     return TimeSeries(snapshots=snapshots, per_step=per_step)

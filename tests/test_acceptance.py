@@ -71,7 +71,7 @@ def test_criterion_1_solver_toys():
     opts = SolverOptions(tol=1e-8)
     for prob, z0, z_star in acceptance_toys():
         # instrumented replay of the solve loop
-        z, r, _ = restore_feasibility(z0, prob, opts)
+        z, r, _, _ = restore_feasibility(z0, prob, opts)
         h = merit_vector(z, r, prob)
         s = 0.5 * float(h @ h)
         iterations = 0

@@ -204,7 +204,7 @@ class TestRestoreFeasibility:
     def test_clamps_to_interior(self):
         prob = scalar_affine()
         opts = SolverOptions(eps_interior=1e-6)
-        z, r, _ = restore_feasibility(np.array([-3.0]), prob, opts)
+        z, r, _, _ = restore_feasibility(np.array([-3.0]), prob, opts)
         assert z[0] == pytest.approx(1e-6)
         assert r[0] > 0.0
 
@@ -212,7 +212,7 @@ class TestRestoreFeasibility:
         # r(z) = z - 1 is non-positive at the clamped start, so the shift
         # must walk z past 1
         prob = scalar_affine(offset=-1.0)
-        z, r, n_evals = restore_feasibility(np.array([0.0]), prob, SolverOptions())
+        z, r, n_evals, _ = restore_feasibility(np.array([0.0]), prob, SolverOptions())
         assert z[0] > 1.0
         assert r[0] > 0.0
         assert n_evals > 1
@@ -286,7 +286,7 @@ class TestSolve:
     def test_iterates_stay_interior_and_merit_decreases(self):
         prob, z0, _ = toy_problems()[2]
         opts = SolverOptions()
-        z, r, _ = restore_feasibility(z0, prob, opts)
+        z, r, _, _ = restore_feasibility(z0, prob, opts)
         s, h = 0.5 * float(merit_vector(z, r, prob) @ merit_vector(z, r, prob)), None
         for _ in range(15):
             r = prob.residual(z)

@@ -1,0 +1,89 @@
+"""The restoration shift: warm-started from the previous time step."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from combust import mncp
+from combust.mncp import InfeasibleStart, MncpProblem, SolverOptions, restore_feasibility, solve
+from combust.timestepper import run
+
+from conftest import base_config, dense
+
+
+def counted(residual):
+    """One NCP pair with the given residual; returns (problem, list of calls)."""
+    calls = []
+
+    def counting(z):
+        calls.append(1)
+        return residual(z)
+
+    prob = MncpProblem(n1=1, n2=0, residual=counting,
+                       jacobian=dense(lambda z: np.eye(1)), mode=mncp.NCP)
+    return prob, calls
+
+
+def shifted_line(offset=-1.0):
+    """r(z) = z + offset."""
+    return counted(lambda z: z + offset)
+
+
+class TestRestoreFeasibility:
+    def test_large_shift_takes_one_evaluation(self):
+        prob, calls = shifted_line()
+        z, r, n_evals, shift = restore_feasibility(np.array([0.0]), prob, SolverOptions(), 2.0)
+        assert n_evals == 1 and len(calls) == 1
+        assert shift == 2.0
+        assert z[0] == 1e-6 + 2.0
+        assert r[0] > 0.0
+
+    def test_doubling_continues_from_shift(self):
+        # 1e-6 + 0.25 and 1e-6 + 0.5 are infeasible; adding 0.5 then reaches 1e-6 + 1
+        prob, _ = shifted_line()
+        z, r, n_evals, shift = restore_feasibility(np.array([0.0]), prob, SolverOptions(), 0.25)
+        assert n_evals == 3
+        assert shift == 1.0
+        assert z[0] == pytest.approx(1e-6 + 1.0, rel=1e-15)
+
+    def test_zero_shift_doubles_from_eps_interior(self):
+        prob, _ = shifted_line(offset=-3.5e-6)
+        z, _, n_evals, shift = restore_feasibility(np.array([0.0]), prob, SolverOptions())
+        # 1e-6 + (1 + 2) * 1e-6 > 3.5e-6 after two doublings
+        assert n_evals == 3
+        assert shift == pytest.approx(3e-6, rel=1e-15)
+        assert z[0] == pytest.approx(4e-6, rel=1e-15)
+
+    def test_unrestorable_raises_after_max_restore(self):
+        prob, calls = counted(lambda z: np.full(1, -1.0))
+        with pytest.raises(InfeasibleStart):
+            restore_feasibility(np.array([1.0]), prob, SolverOptions(max_restore=8), 1.0)
+        assert len(calls) == 1 + 8
+
+    def test_solve_reports_shift(self):
+        prob, _ = shifted_line()
+        z, report = solve(prob, np.array([0.0]), shift=0.25)
+        assert report.converged
+        assert report.shift == 1.0
+        assert z[0] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_run_finds_its_shift_once(monkeypatch):
+    # the first step doubles the shift to 7e-6 (4 evaluations); every later
+    # step starts from it and needs one evaluation
+    counts = []
+    original = mncp.restore_feasibility
+
+    def counting(*args, **kwargs):
+        out = original(*args, **kwargs)
+        counts.append(out[2])
+        return out
+
+    monkeypatch.setattr(mncp, "restore_feasibility", counting)
+    config = base_config(50, record_times=())
+    config = replace(config, grid=replace(config.grid, n_steps=50))
+    series = run(config)
+    assert len(counts) == 50
+    assert sum(counts) <= 53
+    assert all(s.shift > 0.0 for s in series.per_step)
