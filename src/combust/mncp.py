@@ -161,12 +161,15 @@ def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None, 
     rho is 0 on equality rows and, on pair row i,
     rho_i = max(min(1, ||H||_2) mu, kappa h_i) with the complementarity gap
     mu = mean(h_i) over the pairs and kappa = _KAPPA.  The gap term centres
-    the pairs and fades as ||H|| -> 0, so the tail of the iteration is an
-    undamped Newton step (quadratic local convergence).  The floor
-    kappa h_i keeps one step from shrinking any product z_i r_i by more than
+    the pairs and fades as ||H|| -> 0; the floor kappa h_i does not.  It
+    keeps one step from shrinking any product z_i r_i by more than
     1 / (sigma_c kappa); without it a pair whose product is already far
     below the gap is driven at once toward z_i = r_i = 0, where the
     curvature of r flips the sign of r_i and the line search collapses.
+    Near the solution the floor binds, so a full step shrinks each product
+    by sigma_c kappa (1/100 at the defaults): local convergence is linear,
+    not quadratic, and the distance of the start point from the solution
+    sets the number of iterations.
 
     Descent: grad(S)^T d = h^T rhs = -||H||^2 + sigma_c sum_i h_i rho_i, the
     sum over the pairs, where h_i > 0 at interior points.  As

@@ -111,16 +111,6 @@ def nondimensionalize(dim: DimensionalParams, scales: Scales) -> DimensionlessPa
     )
 
 
-def reaction_rate_dimensional(temperature, rho_fuel, dim: DimensionalParams):
-    """Arrhenius reaction rate k_p rho_f exp(-E_r/(R T)), dimensional form.
-
-    Documentation-level helper; the time loop only ever uses phi().
-    """
-    if np.any(np.asarray(temperature) <= 0.0):
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    return dim.k_p * rho_fuel * np.exp(-dim.e_r / (dim.r_gas * temperature))
-
-
 def rho(theta, p: DimensionlessParams):
     """Dimensionless gas density theta0/(theta + theta0), in (0, 1] for theta >= 0."""
     return p.theta0 / (theta + p.theta0)

@@ -16,7 +16,6 @@ from combust.model import (
     phi,
     phi_deta,
     phi_dtheta,
-    reaction_rate_dimensional,
     rho,
 )
 
@@ -44,24 +43,6 @@ class TestNondimensionalize:
 
     def test_h_diff_inverse_of_peclet(self):
         assert BASE_PARAMS.h_diff * BASE_PARAMS.pe_t == pytest.approx(1.0, rel=1e-15)
-
-
-class TestReactionRateDimensional:
-    def test_zero_fuel(self):
-        assert reaction_rate_dimensional(300.0, 0.0, TYPICAL_RESERVOIR) == 0.0
-
-    def test_high_temperature_asymptote(self):
-        rate = reaction_rate_dimensional(1e12, 372.0, TYPICAL_RESERVOIR)
-        assert rate == pytest.approx(TYPICAL_RESERVOIR.k_p * 372.0, rel=1e-6)
-
-    def test_scalar_oracle(self):
-        d = TYPICAL_RESERVOIR
-        expected = 500.0 * 372.0 * math.exp(-58000.0 / (8.314 * 300.0))
-        assert reaction_rate_dimensional(300.0, 372.0, d) == pytest.approx(expected, rel=1e-12)
-
-    def test_nonpositive_temperature(self):
-        with pytest.raises(ValueError):
-            reaction_rate_dimensional(-5.0, 372.0, TYPICAL_RESERVOIR)
 
 
 class TestClosures:

@@ -31,6 +31,18 @@ def test_base_case_m1600_reaches_t_0_003(method):
     assert np.all((final.eta >= 0.0) & (final.eta <= 1.0 + 1e-8))
 
 
+@pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
+def test_base_case_m6400_reaches_t_0_001(method):
+    config = base_config(6400, method, record_times=(0.001,))
+    config = replace(config, grid=replace(config.grid, n_steps=100))
+    series = run(config)
+    assert len(series.per_step) == 100
+    assert max(s.iterations for s in series.per_step) <= 16
+    _, final = series.snapshots[-1]
+    assert np.all(final.theta >= 0.0)
+    assert np.all((final.eta >= 0.0) & (final.eta <= 1.0 + 1e-8))
+
+
 def test_refine_from_m125_cli(tmp_path):
     # grids M = 125, 250, 500, 1000 on the default record times
     out = tmp_path / "errors.csv"

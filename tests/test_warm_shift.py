@@ -1,11 +1,11 @@
-"""The restoration shift: warm-started from the previous time step."""
+"""The restoration shift: warm-started from the previous time step, and decaying."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from combust import mncp
+from combust import mncp, timestepper
 from combust.mncp import InfeasibleStart, MncpProblem, SolverOptions, restore_feasibility, solve
 from combust.timestepper import run
 
@@ -71,7 +71,8 @@ class TestRestoreFeasibility:
 
 def test_run_finds_its_shift_once(monkeypatch):
     # the first step doubles the shift to 7e-6 (4 evaluations); every later
-    # step starts from it and needs one evaluation
+    # step starts from the extrapolated level with half the previous shift,
+    # floored at tol, and needs one evaluation
     counts = []
     original = mncp.restore_feasibility
 
@@ -87,3 +88,31 @@ def test_run_finds_its_shift_once(monkeypatch):
     assert len(counts) == 50
     assert sum(counts) <= 53
     assert all(s.shift > 0.0 for s in series.per_step)
+
+
+def test_run_halves_the_shift_down_to_tol(monkeypatch):
+    # each step is handed max(s / 2, tol), where s is the previous step's
+    # shift; step 5's shift is forced to 0 to check that 0 is passed on as 0
+    passed, used = [], []
+    original = timestepper.step
+
+    def recording(state, cache, config, shift=0.0, previous=None):
+        passed.append(shift)
+        next_state, stats = original(state, cache, config, shift, previous)
+        if stats.time_index == 5:
+            stats = replace(stats, shift=0.0)
+        used.append(stats.shift)
+        return next_state, stats
+
+    monkeypatch.setattr(timestepper, "step", recording)
+    config = base_config(50, record_times=())
+    config = replace(config, grid=replace(config.grid, n_steps=30))
+    tol = config.solver_opts.tol
+    run(config)
+    assert passed[0] == 0.0
+    assert passed[5] == 0.0
+    for shift, next_shift in zip(used, passed[1:]):
+        assert next_shift == (max(0.5 * shift, tol) if shift > 0.0 else 0.0)
+    # both sides of the floor are reached
+    assert any(s > tol for s in passed[1:5])
+    assert passed[-1] == tol
