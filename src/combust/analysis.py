@@ -106,7 +106,10 @@ def refine_errors(base_config: RunConfig, times) -> ErrorTable:
     """Self-convergence study on grids M, 2M, 4M, 8M with the time step fixed.
 
     E at level L is the relative L2 distance between the level-L solution
-    and the next-finer solution restricted to the level-L grid.
+    and the next-finer solution restricted to the level-L grid.  Rows follow
+    the runs' snapshots, which share one time step: times that round to the
+    same step give one row, times past the end give the final step's row,
+    and each row is labelled with its snapshot time.
     """
     times = tuple(times)
     base_grid = base_config.grid
@@ -119,11 +122,12 @@ def refine_errors(base_config: RunConfig, times) -> ErrorTable:
         series.append(run(cfg))
 
     rows = []
-    for i_t, t in enumerate(times):
+    for snapshots in zip(*(ts.snapshots for ts in series)):
+        t = snapshots[0][0]
         errors = {"theta": [], "eta": []}
         for level in range(3):
-            coarse = series[level].snapshots[i_t][1]
-            fine = series[level + 1].snapshots[i_t][1]
+            coarse = snapshots[level][1]
+            fine = snapshots[level + 1][1]
             ref = restrict(fine, grids[level + 1], grids[level])
             errors["theta"].append(_relative_error(coarse.theta, ref.theta))
             errors["eta"].append(_relative_error(coarse.eta, ref.eta))

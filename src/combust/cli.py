@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +18,6 @@ from combust.timestepper import RunConfig, StepFailed, TimeSeries, run
 
 DEFAULT_RECORD_TIMES = (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)
 
-_GRID_KEYS = {"domain_length", "m_subintervals", "time_step", "t_end", "record_times", "method"}
-_SOLVER_KEYS = {
-    "tol", "max_iter", "sigma_c", "eta_armijo", "nu_backtrack", "eps_interior", "max_restore",
-}
-_DIMLESS_KEYS = {"pe_t", "beta", "e_act", "theta0", "u"}
-_DIMENSIONAL_KEYS = {
-    "t_res", "c_m", "c_g", "lambda_th", "q_r", "u_inj", "e_r", "k_p",
-    "r_gas", "pressure", "rho_f_res", "x_star", "t_star", "dt_star",
-}
-_ALL_KEYS = _GRID_KEYS | _SOLVER_KEYS | _DIMLESS_KEYS | _DIMENSIONAL_KEYS
-
 
 class ConfigError(ValueError):
     """Configuration file problem, annotated with the offending line."""
@@ -38,24 +27,14 @@ class ConfigError(ValueError):
         self.line = line
 
 
-def _parse_pairs(path):
-    """Yield (line_number, key, raw_value) from a key = value file with # comments."""
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
-        key, value = line.split("=", 1)
-        yield lineno, key.strip(), value.strip()
-
-
 def _to_float(value, key, lineno):
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"cannot parse number {value!r} for key {key}", lineno) from None
+    if not np.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}", lineno)
+    return number
 
 
 def _to_int(value, key, lineno):
@@ -65,88 +44,102 @@ def _to_int(value, key, lineno):
         raise ConfigError(f"cannot parse integer {value!r} for key {key}", lineno) from None
 
 
+def _to_times(value, key, lineno):
+    return tuple(_to_float(tok.strip(), key, lineno) for tok in value.split(",") if tok.strip())
+
+
+def _to_method(value, key, lineno):
+    method = value.lower()
+    if method not in (MNCP, NCP):
+        raise ConfigError(f"method must be 'mncp' or 'ncp', got {method!r}", lineno)
+    return method
+
+
+# Every key and its converter: the grid keys, then the fields of the solver
+# options and of the two parameter blocks, an int field taking _to_int.
+_CONVERTERS = {
+    "domain_length": _to_float,
+    "m_subintervals": _to_int,
+    "time_step": _to_float,
+    "t_end": _to_float,
+    "record_times": _to_times,
+    "method": _to_method,
+} | {
+    f.name: _to_int if f.type in (int, "int") else _to_float
+    for cls in (SolverOptions, DimensionlessParams, DimensionalParams, Scales)
+    for f in fields(cls)
+}
+
+
+def _given(values, cls) -> dict:
+    """The entries of values that name fields of cls."""
+    return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
+
+def _read_config(path):
+    """Convert a key = value file with # comments, line by line in file order.
+
+    Returns (values, lines): the converted value and the line of each key.
+    """
+    values = {}
+    lines = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONVERTERS:
+            raise ConfigError(f"unknown key {key!r}", lineno)
+        if key in values:
+            raise ConfigError(f"duplicate key {key!r}", lineno)
+        values[key] = _CONVERTERS[key](value, key, lineno)
+        lines[key] = lineno
+    return values, lines
+
+
+def _build_config(values, lines) -> RunConfig:
+    """Build the RunConfig from converted values; a missing key keeps the base case.
+
+    The dimensionless parameter block and the dimensional block are mutually
+    exclusive; a dimensional block is converted through nondimensionalize().
+    """
+    dimless = _given(values, DimensionlessParams)
+    dim = _given(values, DimensionalParams)
+    scales = _given(values, Scales)
+    dim_used = sorted(dim.keys() | scales.keys())
+    if dim_used:
+        line = min(lines.get(key, 0) for key in dim_used)
+        if dimless:
+            raise ConfigError(
+                f"dimensionless keys {sorted(dimless)} and dimensional keys {dim_used} "
+                "are mutually exclusive",
+                line,
+            )
+        missing = sorted(f.name for f in fields(DimensionalParams) + fields(Scales) if f.name not in values)
+        if missing:
+            raise ConfigError(f"dimensional block incomplete, missing {missing}", line)
+        params = nondimensionalize(DimensionalParams(**dim), Scales(**scales))
+    else:
+        params = replace(BASE_PARAMS, **dimless)
+
+    k = values.get("time_step", 1e-5)
+    t_end = values.get("t_end", 0.01)
+    # Grid rejects k <= 0, so n_steps must not divide by it first.
+    grid = Grid(length=values.get("domain_length", 0.05), m=values.get("m_subintervals", 50),
+                k=k, n_steps=round(t_end / k) if k > 0.0 else 0)
+    return RunConfig(grid=grid, params=params, method=values.get("method", MNCP),
+                     solver_opts=SolverOptions(**_given(values, SolverOptions)),
+                     record_times=values.get("record_times", DEFAULT_RECORD_TIMES))
+
+
 def parse_config(path) -> RunConfig:
     """Parse a key = value configuration file into a RunConfig.
 
-    An empty file yields the default base-case setup.  The dimensionless
-    parameter block and the dimensional block are mutually exclusive; a
-    dimensional block is converted through nondimensionalize().
+    An empty file yields the default base-case setup.
     """
-    entries = {}
-    lines = {}
-    for lineno, key, value in _parse_pairs(path):
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown key {key!r}", lineno)
-        if key in entries:
-            raise ConfigError(f"duplicate key {key!r}", lineno)
-        entries[key] = value
-        lines[key] = lineno
-
-    dimless_used = sorted(_DIMLESS_KEYS & entries.keys())
-    dim_used = sorted(_DIMENSIONAL_KEYS & entries.keys())
-    if dimless_used and dim_used:
-        raise ConfigError(
-            f"dimensionless keys {dimless_used} and dimensional keys {dim_used} "
-            "are mutually exclusive",
-            lines[dim_used[0]],
-        )
-
-    if dim_used:
-        missing = sorted(_DIMENSIONAL_KEYS - entries.keys())
-        if missing:
-            raise ConfigError(f"dimensional block incomplete, missing {missing}", lines[dim_used[0]])
-        fvals = {k: _to_float(entries[k], k, lines[k]) for k in _DIMENSIONAL_KEYS}
-        dim = DimensionalParams(
-            t_res=fvals["t_res"], c_m=fvals["c_m"], c_g=fvals["c_g"],
-            lambda_th=fvals["lambda_th"], q_r=fvals["q_r"], u_inj=fvals["u_inj"],
-            e_r=fvals["e_r"], k_p=fvals["k_p"], r_gas=fvals["r_gas"],
-            pressure=fvals["pressure"], rho_f_res=fvals["rho_f_res"],
-        )
-        scales = Scales(x_star=fvals["x_star"], t_star=fvals["t_star"], dt_star=fvals["dt_star"])
-        params = nondimensionalize(dim, scales)
-    elif dimless_used:
-        params = DimensionlessParams(
-            pe_t=_to_float(entries.get("pe_t", BASE_PARAMS.pe_t), "pe_t", lines.get("pe_t", 0)),
-            beta=_to_float(entries.get("beta", BASE_PARAMS.beta), "beta", lines.get("beta", 0)),
-            e_act=_to_float(entries.get("e_act", BASE_PARAMS.e_act), "e_act", lines.get("e_act", 0)),
-            theta0=_to_float(entries.get("theta0", BASE_PARAMS.theta0), "theta0", lines.get("theta0", 0)),
-            u=_to_float(entries.get("u", BASE_PARAMS.u), "u", lines.get("u", 0)),
-        )
-    else:
-        params = BASE_PARAMS
-
-    length = _to_float(entries.get("domain_length", "0.05"), "domain_length", lines.get("domain_length", 0))
-    m = _to_int(entries.get("m_subintervals", "50"), "m_subintervals", lines.get("m_subintervals", 0))
-    k = _to_float(entries.get("time_step", "1e-5"), "time_step", lines.get("time_step", 0))
-    t_end = _to_float(entries.get("t_end", "0.01"), "t_end", lines.get("t_end", 0))
-    n_steps = int(round(t_end / k))
-
-    if "record_times" in entries:
-        lineno = lines["record_times"]
-        record_times = tuple(
-            _to_float(tok.strip(), "record_times", lineno)
-            for tok in entries["record_times"].split(",") if tok.strip()
-        )
-    else:
-        record_times = DEFAULT_RECORD_TIMES
-
-    method = entries.get("method", MNCP).lower()
-    if method not in (MNCP, NCP):
-        raise ConfigError(f"method must be 'mncp' or 'ncp', got {method!r}", lines.get("method", 0))
-
-    opts = SolverOptions(
-        tol=_to_float(entries.get("tol", "1e-8"), "tol", lines.get("tol", 0)),
-        max_iter=_to_int(entries.get("max_iter", "200"), "max_iter", lines.get("max_iter", 0)),
-        sigma_c=_to_float(entries.get("sigma_c", "0.5"), "sigma_c", lines.get("sigma_c", 0)),
-        eta_armijo=_to_float(entries.get("eta_armijo", "0.1"), "eta_armijo", lines.get("eta_armijo", 0)),
-        nu_backtrack=_to_float(entries.get("nu_backtrack", "0.8"), "nu_backtrack", lines.get("nu_backtrack", 0)),
-        eps_interior=_to_float(entries.get("eps_interior", "1e-6"), "eps_interior", lines.get("eps_interior", 0)),
-        max_restore=_to_int(entries.get("max_restore", "60"), "max_restore", lines.get("max_restore", 0)),
-    )
-
-    grid = Grid(length=length, m=m, k=k, n_steps=n_steps)
-    return RunConfig(grid=grid, params=params, method=method, solver_opts=opts,
-                     record_times=record_times)
+    return _build_config(*_read_config(path))
 
 
 def emit_profiles(ts: TimeSeries, grid: Grid, path) -> None:
@@ -239,19 +232,12 @@ def emit_plot_script(csv_paths, path) -> None:
 
 
 def _load_config(args) -> RunConfig:
-    if args.config is not None:
-        config = parse_config(args.config)
-    else:
-        grid = Grid(length=0.05, m=50, k=1e-5, n_steps=1000)
-        config = RunConfig(grid=grid, params=BASE_PARAMS, record_times=DEFAULT_RECORD_TIMES)
-    if args.method is not None:
-        config = replace(config, method=args.method)
-    if args.m is not None:
-        config = replace(config, grid=replace(config.grid, m=args.m))
-    if args.tend is not None:
-        n_steps = int(round(args.tend / config.grid.k))
-        config = replace(config, grid=replace(config.grid, n_steps=n_steps))
-    return config
+    """The --config file's values with --method, --m and --tend put in, then one build."""
+    values, lines = _read_config(args.config) if args.config is not None else ({}, {})
+    for key, flag in (("method", args.method), ("m_subintervals", args.m), ("t_end", args.tend)):
+        if flag is not None:
+            values[key] = _CONVERTERS[key](flag, key, 0)
+    return _build_config(values, lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -278,7 +264,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except (ConfigError, OSError, ValueError) as err:
+    except (ConfigError, OSError, ValueError, OverflowError) as err:
         print(f"combust: configuration error: {err}", file=sys.stderr)
         return 1
 

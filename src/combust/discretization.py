@@ -44,8 +44,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError(f"need at least 2 interior nodes, got m={self.m}")
-        if self.length <= 0.0 or self.k <= 0.0:
-            raise ValueError("grid length and time step must be positive")
+        if not (0.0 < self.length < np.inf and 0.0 < self.k < np.inf):
+            raise ValueError("grid length and time step must be positive and finite")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
 

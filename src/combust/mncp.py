@@ -83,35 +83,23 @@ class SolverOptions:
 
 @dataclass
 class MncpProblem:
-    """Evaluation contract for one complementarity problem.
+    """Evaluation contract for one complementarity problem in `size` unknowns.
 
     residual maps z to the full residual vector; jacobian maps z to its
     derivative J, an object whose newton_solve(scale, diag_add, rhs) returns
     the solution d of (diag(scale) J + diag(diag_add)) d = rhs and raises
     np.linalg.LinAlgError when that matrix is singular.  comp_index lists
     the rows/variables forming complementarity pairs (pair i couples z_i
-    with residual row i); it defaults to the first n1 indices in mncp mode
-    and to all indices in ncp mode.
+    with residual row i); every other row is an equality.
     """
 
-    n1: int
-    n2: int
+    size: int
+    comp_index: np.ndarray
     residual: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], object]
-    mode: str = MNCP
-    comp_index: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in (MNCP, NCP):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.comp_index is None:
-            n_pairs = self.n1 if self.mode == MNCP else self.n1 + self.n2
-            self.comp_index = np.arange(n_pairs)
         self.comp_index = np.asarray(self.comp_index, dtype=int)
-
-    @property
-    def size(self) -> int:
-        return self.n1 + self.n2
 
 
 @dataclass

@@ -92,16 +92,12 @@ def build_step_problem(state: State, cache: SchemeCache, method: str,
         return jacobian(z[0::2], z[1::2], cache)
 
     if method == MNCP:
-        problem = MncpProblem(
-            n1=m, n2=m, residual=eval_residual, jacobian=eval_jacobian,
-            mode=MNCP, comp_index=np.arange(0, 2 * m, 2),
-        )
+        comp_index = np.arange(0, 2 * m, 2)
     elif method == NCP:
-        problem = MncpProblem(
-            n1=2 * m, n2=0, residual=eval_residual, jacobian=eval_jacobian, mode=NCP,
-        )
+        comp_index = np.arange(2 * m)
     else:
         raise ValueError(f"unknown method {method!r}")
+    problem = MncpProblem(2 * m, comp_index, eval_residual, eval_jacobian)
 
     z0 = np.empty(2 * m)
     if previous is None:

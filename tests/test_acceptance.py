@@ -12,7 +12,6 @@ from combust.cli import emit_profiles
 from combust.discretization import Grid, State, assemble_matrices, jacobian
 from combust.mncp import (
     MNCP,
-    NCP,
     MncpProblem,
     SolverOptions,
     direction,
@@ -35,28 +34,24 @@ def _passed(number, label):
 def acceptance_toys():
     """The four analytic complementarity problems with their starts."""
     mixed1 = MncpProblem(
-        n1=1, n2=1,
+        size=2, comp_index=[0],
         residual=lambda z: np.array([z[0] + z[1] - 2.0, z[1] - 1.0]),
         jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
-        mode=MNCP,
     )
     mixed2 = MncpProblem(
-        n1=1, n2=1,
+        size=2, comp_index=[0],
         residual=lambda z: np.array([z[0] + z[1], z[1] - 1.0]),
         jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
-        mode=MNCP,
     )
     scalar1 = MncpProblem(
-        n1=1, n2=0,
+        size=1, comp_index=[0],
         residual=lambda z: z - 2.0,
         jacobian=dense(lambda z: np.eye(1)),
-        mode=NCP,
     )
     scalar2 = MncpProblem(
-        n1=1, n2=0,
+        size=1, comp_index=[0],
         residual=lambda z: z + 2.0,
         jacobian=dense(lambda z: np.eye(1)),
-        mode=NCP,
     )
     return [
         (mixed1, np.array([2.0, 2.0]), np.array([1.0, 1.0])),

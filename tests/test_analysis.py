@@ -110,6 +110,16 @@ class TestRefineErrors:
             assert row.ratio1 == pytest.approx(row.e_h / row.e_h2)
             assert row.ratio2 == pytest.approx(row.e_h2 / row.e_h4)
 
+    @pytest.mark.parametrize("times, labels", [
+        ((5e-4, 5e-4), [5e-4]),      # both times round to step 50
+        ((5e-4, 5e-3), [5e-4, 1e-3]),  # 5e-3 is past the end: the final step
+    ])
+    def test_rows_follow_snapshots(self, times, labels):
+        config = tiny_config(m=4, n_steps=100, record_times=())
+        table = refine_errors(config, times=times)
+        assert [row.time for row in table.rows] == pytest.approx(np.repeat(labels, 2))
+        assert [row.variable for row in table.rows] == ["theta", "eta"] * len(labels)
+
     def test_initial_time_is_nan(self):
         # at t = 0 every grid holds the same zero state, so the relative
         # error is undefined

@@ -12,10 +12,9 @@ from conftest import dense
 def diagonal_problem(slope, offset):
     """NCP with r(z) = slope * z + offset, one pair per entry."""
     return MncpProblem(
-        n1=slope.size, n2=0,
+        size=slope.size, comp_index=np.arange(slope.size),
         residual=lambda z: slope * z + offset,
         jacobian=dense(lambda z: np.diag(slope)),
-        mode=mncp.NCP,
     )
 
 

@@ -1,12 +1,24 @@
 import csv
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from combust import cli
 from combust.cli import ConfigError, main, parse_config
-from combust.mncp import MNCP, NCP
-from combust.model import BASE_PARAMS, TYPICAL_RESERVOIR, TYPICAL_SCALES
+from combust.mncp import MNCP, NCP, SolverOptions
+from combust.model import (
+    BASE_PARAMS,
+    TYPICAL_RESERVOIR,
+    TYPICAL_SCALES,
+    DimensionalParams,
+    DimensionlessParams,
+    Scales,
+)
 
 
 def write_config(tmp_path, text, name="case.cfg"):
@@ -95,6 +107,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="incomplete"):
             parse_config(write_config(tmp_path, "t_res = 300.0\n"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("x_star = 1.0\nt_res = 300.0\n", "line 1: dimensional block incomplete"),
+        ("u = 3.0\nx_star = 1.0\nc_g = 27.0\n", "line 2: dimensionless keys"),
+    ])
+    def test_block_error_names_first_dimensional_line(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path, text))
+
     def test_unknown_key_reports_line(self, tmp_path):
         text = "m_subintervals = 10\nbogus_key = 3\n"
         with pytest.raises(ConfigError, match="line 2"):
@@ -112,6 +132,58 @@ class TestParseConfig:
     def test_bad_method(self, tmp_path):
         with pytest.raises(ConfigError, match="method"):
             parse_config(write_config(tmp_path, "method = simplex\n"))
+
+    def test_keys_are_grid_keys_and_dataclass_fields(self):
+        grid_keys = {"domain_length", "m_subintervals", "time_step", "t_end", "record_times", "method"}
+        field_names = {f.name for cls in (SolverOptions, DimensionlessParams, DimensionalParams, Scales)
+                       for f in fields(cls)}
+        assert set(cli._CONVERTERS) == grid_keys | field_names
+
+    def test_every_solver_option_round_trips(self, tmp_path):
+        given = {"tol": 1e-9, "max_iter": 17, "sigma_c": 0.3, "eta_armijo": 0.2,
+                 "nu_backtrack": 0.7, "eps_interior": 1e-5, "max_restore": 9}
+        defaults = SolverOptions()
+        assert set(given) == {f.name for f in fields(SolverOptions)}
+        assert all(value != getattr(defaults, key) for key, value in given.items())
+        text = "".join(f"{key} = {value!r}\n" for key, value in given.items())
+        opts = parse_config(write_config(tmp_path, text)).solver_opts
+        for key, value in given.items():
+            assert getattr(opts, key) == value
+            assert type(getattr(opts, key)) is type(value)
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        with pytest.raises(ConfigError, match="^line 1: cannot parse number 'x' for key tol$"):
+            parse_config(write_config(tmp_path, "tol = x\nm_subintervals = y\n"))
+
+    def test_first_bad_dimensional_line_for_every_hash_seed(self, tmp_path):
+        # t_res on line 1 and u_inj on line 6 are both malformed
+        lines = DIMENSIONAL_BLOCK.splitlines()
+        lines[0] = "t_res = warm"
+        lines[5] = "u_inj = slow"
+        cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for seed in ("1", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "combust.cli", "run", "--config", cfg,
+                 "--out", str(tmp_path / "o.csv")],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 1
+            assert "configuration error: line 1: cannot parse number 'warm' for key t_res" in proc.stderr
+
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_flags_equal_file_keys(self, tmp_path, with_file):
+        base = "time_step = 1e-5\nrecord_times = 0.0, 3e-5\ntol = 1e-9\n" if with_file else ""
+        flags = write_config(tmp_path, base + "m_subintervals = 8\n", name="flags.cfg")
+        keys = write_config(tmp_path, base + "method = ncp\nm_subintervals = 6\nt_end = 3e-5\n",
+                            name="keys.cfg")
+        argv = ["run", "--out", "o.csv", "--method", "ncp", "--m", "6", "--tend", "3e-5"]
+        if with_file:
+            argv += ["--config", flags]
+        config = cli._load_config(cli._build_parser().parse_args(argv))
+        assert config == parse_config(keys)
+        assert (config.grid.m, config.grid.n_steps, config.method) == (6, 3, NCP)
 
 
 SMALL_RUN = """
@@ -202,6 +274,21 @@ class TestMain:
         cfg = write_config(tmp_path, f"t_end = 0.0002\n{line}\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, flags", [
+        ("domain_length = nan\n", []),
+        ("domain_length = inf\n", []),
+        ("time_step = inf\n", []),
+        ("time_step = 0\n", []),
+        ("t_end = inf\n", []),
+        ("t_end = nan\n", []),
+        ("t_end = 1e300\ntime_step = 1e-300\n", []),
+        ("t_end = 0.0002\n", ["--tend", "inf"]),
+    ])
+    def test_non_finite_grid_exit_code(self, tmp_path, capsys, text, flags):
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"), *flags]) == 1
+        assert "combust: configuration error" in capsys.readouterr().err
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),

@@ -45,6 +45,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(length=1.0, m=1, k=0.1, n_steps=1)
 
+    @pytest.mark.parametrize("length, k", [
+        (np.nan, 0.1), (np.inf, 0.1), (0.0, 0.1), (1.0, np.nan), (1.0, np.inf), (1.0, 0.0),
+    ])
+    def test_length_and_step_positive_and_finite(self, length, k):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(length=length, m=4, k=k, n_steps=1)
+
 
 class TestAssembleMatrices:
     def test_small_instance(self):
@@ -344,7 +351,7 @@ class TestNewtonSolve:
         # the same through the solver: theta_2 is the only pair, so the
         # right-hand side on the eta_1 row is again 1e100
         prob = MncpProblem(
-            n1=1, n2=3,
+            size=4,
             residual=lambda z: np.array([0.0, -1e100, 1.0, 0.0]),
             jacobian=lambda z: jac,
             comp_index=np.array([2]),

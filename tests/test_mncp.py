@@ -21,30 +21,16 @@ from combust.mncp import (
 from conftest import dense
 
 
-def scalar_affine(slope=1.0, offset=2.0, mode=mncp.NCP):
+def scalar_affine(slope=1.0, offset=2.0):
     """One-dimensional problem r(z) = slope*z + offset."""
     return MncpProblem(
-        n1=1,
-        n2=0,
+        size=1, comp_index=[0],
         residual=lambda z: slope * z + offset,
         jacobian=dense(lambda z: np.array([[slope]])),
-        mode=mode,
     )
 
 
 class TestProblemSetup:
-    def test_default_pair_index_mncp(self):
-        p = MncpProblem(n1=3, n2=2, residual=None, jacobian=None, mode=mncp.MNCP)
-        np.testing.assert_array_equal(p.comp_index, [0, 1, 2])
-
-    def test_default_pair_index_ncp(self):
-        p = MncpProblem(n1=3, n2=2, residual=None, jacobian=None, mode=mncp.NCP)
-        np.testing.assert_array_equal(p.comp_index, np.arange(5))
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            MncpProblem(n1=1, n2=0, residual=None, jacobian=None, mode="newton")
-
     def test_option_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(sigma_c=1.5)
@@ -64,10 +50,9 @@ class TestMeritAndResidual:
 
     def test_equality_rows_pass_through(self):
         prob = MncpProblem(
-            n1=1, n2=1,
+            size=2, comp_index=[0],
             residual=lambda z: np.array([z[0] - 1.0, z[1] + 5.0]),
             jacobian=dense(lambda z: np.eye(2)),
-            mode=mncp.MNCP,
         )
         h = merit_vector(np.array([2.0, 3.0]), prob.residual(np.array([2.0, 3.0])), prob)
         np.testing.assert_array_equal(h, [2.0, 8.0])
@@ -86,20 +71,18 @@ class TestMeritAndResidual:
 
     def test_natural_residual_no_pairs(self):
         prob = MncpProblem(
-            n1=0, n2=1,
+            size=1, comp_index=[],
             residual=lambda z: z - 1.0,
             jacobian=dense(lambda z: np.eye(1)),
-            mode=mncp.MNCP,
         )
         assert natural_residual(np.array([4.0]), np.array([3.0]), prob) == 0.0
 
     def test_solve_without_pairs(self):
         # a pure equality system has no centering term to spread over pairs
         prob = MncpProblem(
-            n1=0, n2=1,
+            size=1, comp_index=[],
             residual=lambda z: z - 1.0,
             jacobian=dense(lambda z: np.eye(1)),
-            mode=mncp.MNCP,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -128,10 +111,9 @@ class TestDirection:
         # grad(S)^T d <= -(1 - sigma_c) ||H||^2 must hold at any interior point
         rng = np.random.default_rng(5)
         prob = MncpProblem(
-            n1=2, n2=0,
+            size=2, comp_index=[0, 1],
             residual=lambda z: np.array([z[0] ** 2 + z[1] + 0.5, z[0] + 2.0 * z[1] + 1.0]),
             jacobian=dense(lambda z: np.array([[2.0 * z[0], 1.0], [1.0, 2.0]])),
-            mode=mncp.NCP,
         )
         for sigma in (0.1, 0.5, 0.9):
             opts = SolverOptions(sigma_c=sigma)
@@ -144,10 +126,9 @@ class TestDirection:
 
     def test_singular_jacobian_raises(self):
         prob = MncpProblem(
-            n1=2, n2=0,
+            size=2, comp_index=[0, 1],
             residual=lambda z: np.array([1.0, 1.0]),
             jacobian=dense(lambda z: np.full((2, 2), np.inf)),
-            mode=mncp.NCP,
         )
         with pytest.raises(mncp.SingularJacobian):
             direction(np.array([1.0, 1.0]), prob, SolverOptions())
@@ -177,10 +158,9 @@ class TestLineSearch:
 
     def test_step_is_on_ladder(self):
         prob = MncpProblem(
-            n1=1, n2=0,
+            size=1, comp_index=[0],
             residual=lambda z: 10.0 * z - 1.0,
             jacobian=dense(lambda z: np.array([[10.0]])),
-            mode=mncp.NCP,
         )
         opts = SolverOptions()
         z = np.array([2.0])
@@ -219,10 +199,9 @@ class TestRestoreFeasibility:
 
     def test_unrestorable_raises(self):
         prob = MncpProblem(
-            n1=1, n2=0,
+            size=1, comp_index=[0],
             residual=lambda z: np.full(1, -1.0),
             jacobian=dense(lambda z: np.eye(1)),
-            mode=mncp.NCP,
         )
         with pytest.raises(InfeasibleStart):
             restore_feasibility(np.array([1.0]), prob, SolverOptions(max_restore=8))
@@ -249,10 +228,9 @@ def toy_problems():
     # two coupled pairs, both ending at interior roots z* = (0.5, 0.5)
     cases.append((
         MncpProblem(
-            n1=2, n2=0,
+            size=2, comp_index=[0, 1],
             residual=lambda z: np.array([z[0] - 0.5, z[0] + z[1] - 1.0]),
             jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]])),
-            mode=mncp.NCP,
         ),
         np.array([2.0, 2.0]),
         lambda z: np.allclose(z, [0.5, 0.5], atol=1e-6),
@@ -261,10 +239,9 @@ def toy_problems():
     # mixed: one pair plus one equality row, z* = (1, 1)
     cases.append((
         MncpProblem(
-            n1=1, n2=1,
+            size=2, comp_index=[0],
             residual=lambda z: np.array([z[0] + z[1] - 2.0, z[1] - 1.0]),
             jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
-            mode=mncp.MNCP,
         ),
         np.array([2.0, 2.0]),
         lambda z: np.allclose(z, [1.0, 1.0], atol=1e-6),

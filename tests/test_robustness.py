@@ -57,10 +57,9 @@ def test_refine_from_m125_cli(tmp_path):
 class TestFailureMessages:
     def test_max_iterations_names_worst_pair(self):
         prob = MncpProblem(
-            n1=2, n2=0,
+            size=2, comp_index=[0, 1],
             residual=lambda z: np.array([z[0] - 0.5, z[0] + z[1] - 1.0]),
             jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]])),
-            mode=mncp.NCP,
         )
         with pytest.raises(MaxIterations) as excinfo:
             solve(prob, np.array([2.0, 2.0]), SolverOptions(max_iter=1))
@@ -78,10 +77,9 @@ class TestFailureMessages:
     def test_line_search_stall_names_worst_pair(self):
         # a Jacobian of the wrong sign turns every Newton step uphill
         prob = MncpProblem(
-            n1=1, n2=0,
+            size=1, comp_index=[0],
             residual=lambda z: z + 2.0,
             jacobian=dense(lambda z: np.array([[-10.0]])),
-            mode=mncp.NCP,
         )
         with pytest.raises(LineSearchStall) as excinfo:
             solve(prob, np.array([5.0]))

@@ -20,8 +20,8 @@ def counted(residual):
         calls.append(1)
         return residual(z)
 
-    prob = MncpProblem(n1=1, n2=0, residual=counting,
-                       jacobian=dense(lambda z: np.eye(1)), mode=mncp.NCP)
+    prob = MncpProblem(size=1, comp_index=[0], residual=counting,
+                       jacobian=dense(lambda z: np.eye(1)))
     return prob, calls
 
 
