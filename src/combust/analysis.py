@@ -44,18 +44,6 @@ class ErrorTable:
     rows: list
 
 
-@dataclass
-class BenchRow:
-    time: float
-    wall_time: float
-    iterations: int
-    last_step: float
-    s_evals: int
-    js_evals: int
-    method: str
-    m: int
-
-
 def diff_series(a: TimeSeries, b: TimeSeries) -> DiffReport:
     """Node-wise differences between two time series on the same grid."""
     rows = []
@@ -141,25 +129,14 @@ def refine_errors(base_config: RunConfig, times) -> ErrorTable:
     return ErrorTable(rows=rows)
 
 
-def bench(configs) -> list:
-    """Per-snapshot iteration statistics for each configuration under both methods."""
+def bench(config: RunConfig) -> list:
+    """(snapshot time, method, SolverReport) for each snapshot after step 0, both methods.
+
+    The report is that of the step that reached the snapshot.
+    """
     rows = []
-    for config in configs:
-        for method in (MNCP, NCP):
-            ts = run(dataclasses.replace(config, method=method))
-            stats_by_index = {s.time_index: s for s in ts.per_step}
-            for t_snap, state in ts.snapshots:
-                stats = stats_by_index.get(state.n)
-                if stats is None:
-                    continue
-                rows.append(BenchRow(
-                    time=t_snap,
-                    wall_time=stats.wall_time,
-                    iterations=stats.iterations,
-                    last_step=stats.last_step,
-                    s_evals=stats.s_evals,
-                    js_evals=stats.js_evals,
-                    method=method,
-                    m=config.grid.m,
-                ))
+    for method in (MNCP, NCP):
+        ts = run(dataclasses.replace(config, method=method))
+        rows += [(t_snap, method, ts.per_step[state.n - 1])
+                 for t_snap, state in ts.snapshots if state.n > 0]
     return rows

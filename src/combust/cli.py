@@ -178,35 +178,19 @@ def emit_bench(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "wall_time", "iter", "bl_t", "s_evals", "js_evals", "method"])
-        for row in rows:
-            writer.writerow([repr(row.time), repr(row.wall_time), row.iterations,
-                             repr(row.last_step), row.s_evals, row.js_evals, row.method])
+        for t_snap, method, report in rows:
+            writer.writerow([repr(t_snap), repr(report.wall_time), report.iterations,
+                             repr(report.last_step), report.s_evals, report.js_evals, method])
 
 
-def emit_plot_script(csv_paths, path) -> None:
-    """Write a gnuplot script drawing profile panels and error-vs-time curves.
-
-    CSV files are classified by their header line: profile files start with
-    'time,x', error tables with 't,E_h'.
-    """
-    profiles = []
-    errors = []
-    for csv_path in csv_paths:
-        try:
-            header = Path(csv_path).read_text().splitlines()[0]
-        except (OSError, IndexError):
-            header = ""
-        if header.startswith("t,E_h"):
-            errors.append(csv_path)
-        else:
-            profiles.append(csv_path)
-
+def emit_plot_script(command, csv_path, path) -> None:
+    """Write a gnuplot script for the CSV of `run` (profile panels) or `refine` (E_h curves)."""
     lines = [
         "# gnuplot script",
         "set datafile separator ','",
         "set key top left",
     ]
-    for csv_path in profiles:
+    if command == "run":
         lines += [
             f"# profiles from {csv_path}",
             "set multiplot layout 2,1",
@@ -218,7 +202,7 @@ def emit_plot_script(csv_paths, path) -> None:
             "unset multiplot",
             "pause -1",
         ]
-    for csv_path in errors:
+    else:
         lines += [
             f"# relative errors from {csv_path}",
             "set xlabel 't'",
@@ -256,12 +240,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=[MNCP, NCP], default=None)
         p.add_argument("--m", type=int, default=None, help="override interior node count")
         p.add_argument("--tend", type=float, default=None, help="override final time")
-        p.add_argument("--plot-script", default=None, help="also emit a gnuplot script here")
+        if name in ("run", "refine"):
+            p.add_argument("--plot-script", default=None, help="also emit a gnuplot script here")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exit_:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is kept
+        # for solver failures, so a usage error exits 1.
+        return 0 if exit_.code == 0 else 1
     try:
         config = _load_config(args)
     except (ConfigError, OSError, ValueError, OverflowError) as err:
@@ -280,7 +270,7 @@ def main(argv=None) -> int:
             table = analysis.refine_errors(config, times)
             emit_error_table(table, args.out)
         elif args.command == "bench":
-            rows = analysis.bench([config])
+            rows = analysis.bench(config)
             emit_bench(rows, args.out)
     except StepFailed as err:
         kind = type(err.cause).__name__
@@ -288,8 +278,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    if args.plot_script is not None:
-        emit_plot_script([args.out], args.plot_script)
+    if getattr(args, "plot_script", None) is not None:
+        emit_plot_script(args.command, args.out, args.plot_script)
     return 0
 
 

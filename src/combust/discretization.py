@@ -101,7 +101,6 @@ class SchemeCache:
     params: DimensionlessParams
     flux_b: float
     theta_b: float = 0.0
-    eta_b: float = 1.0
 
     def b_matvec(self, x: np.ndarray) -> np.ndarray:
         return _tri_matvec(self.b_sub, self.b_diag, self.b_sup, x)
@@ -132,7 +131,6 @@ def assemble_matrices(
     grid: Grid,
     params: DimensionlessParams,
     theta_b: float = 0.0,
-    eta_b: float = 1.0,
 ) -> SchemeCache:
     """Build A, B and UR for the Crank-Nicolson step.
 
@@ -164,7 +162,7 @@ def assemble_matrices(
         a_sub=a_sub, a_diag=a_diag, a_sup=a_sup,
         b_sub=b_sub, b_diag=b_diag, b_sup=b_sup,
         ur=ur, grid=grid, params=params, flux_b=flux(theta_b, params),
-        theta_b=theta_b, eta_b=eta_b,
+        theta_b=theta_b,
     )
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,21 +31,9 @@ class RunConfig:
 
 
 @dataclass
-class StepStats:
-    time: float
-    time_index: int
-    iterations: int
-    last_step: float
-    s_evals: int
-    js_evals: int
-    wall_time: float
-    shift: float = 0.0       # total restoration shift; run passes max(shift / 2, tol) on
-
-
-@dataclass
 class TimeSeries:
     snapshots: list          # (time, State) pairs, times strictly increasing
-    per_step: list           # StepStats per completed step
+    per_step: list           # the solver's report of each completed step
 
 
 class StepFailed(RuntimeError):
@@ -125,31 +112,19 @@ def step(state: State, cache: SchemeCache, config: RunConfig, shift: float = 0.0
 
     With the previous level, the solve starts from the extrapolation
     2 z^n - z^(n-1) instead of z^n (see build_step_problem).
-    Returns (next_state, StepStats); StepStats.shift is the total
-    restoration shift the solve used.
+    Returns (next_state, report), the SolverReport of the solve; its
+    shift is the total restoration shift the solve used.
     """
     problem, z0 = build_step_problem(state, cache, config.method, previous)
-    t_start = time.perf_counter()
     try:
         z, report = solve(problem, z0, config.solver_opts, shift)
     except SolverError as err:
         raise StepFailed(_failure_reason(err), time_index=state.n, cause=err) from err
-    wall = time.perf_counter() - t_start
     next_state = State(
         theta=z[0::2].copy(), eta=z[1::2].copy(),
         theta_b=state.theta_b, eta_b=state.eta_b, n=state.n + 1,
     )
-    stats = StepStats(
-        time=(state.n + 1) * cache.grid.k,
-        time_index=state.n + 1,
-        iterations=report.iterations,
-        last_step=report.last_step,
-        s_evals=report.s_evals,
-        js_evals=report.js_evals,
-        wall_time=wall,
-        shift=report.shift,
-    )
-    return next_state, stats
+    return next_state, report
 
 
 def snapshot_indices(grid: Grid, record_times) -> dict:
@@ -192,13 +167,13 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
         snapshots.append((0.0, state.copy()))
     for n in range(grid.n_steps):
         try:
-            next_state, stats = step(state, cache, config, shift, previous)
+            next_state, report = step(state, cache, config, shift, previous)
         except StepFailed as err:
             err.partial = TimeSeries(snapshots=snapshots, per_step=per_step)
             raise
-        per_step.append(stats)
+        per_step.append(report)
         previous, state = state, next_state
-        shift = max(0.5 * stats.shift, config.solver_opts.tol) if stats.shift > 0.0 else 0.0
+        shift = max(0.5 * report.shift, config.solver_opts.tol) if report.shift > 0.0 else 0.0
         if state.n in snap_at:
             snapshots.append((state.n * grid.k, state.copy()))
     return TimeSeries(snapshots=snapshots, per_step=per_step)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,17 +134,29 @@ class TestRefineErrors:
 class TestBench:
     def test_rows_cover_methods_and_snapshots(self):
         config = tiny_config(m=6, n_steps=4, record_times=(2e-5, 4e-5))
-        rows = bench([config])
+        rows = bench(config)
         assert len(rows) == 4
-        assert sorted({r.method for r in rows}) == [MNCP, NCP]
-        for row in rows:
-            assert row.m == 6
-            assert row.iterations >= 1
-            assert 0.0 < row.last_step <= 1.0
-            assert row.wall_time > 0.0
-            assert row.time in (2e-5, 4e-5)
+        assert sorted({method for _, method, _ in rows}) == [MNCP, NCP]
+        for t_snap, _, report in rows:
+            assert report.iterations >= 1
+            assert 0.0 < report.last_step <= 1.0
+            assert t_snap in (2e-5, 4e-5)
+
+    @pytest.mark.parametrize("method", [MNCP, NCP])
+    def test_rows_match_their_steps(self, method):
+        config = tiny_config(m=6, n_steps=4, record_times=(2e-5, 4e-5))
+        per_step = run(replace(config, method=method)).per_step
+        rows = [(t, report) for t, m, report in bench(config) if m == method]
+        assert [t for t, _ in rows] == [2e-5, 4e-5]
+        for (_, report), n in zip(rows, (2, 4)):
+            expected = per_step[n - 1]
+            assert report.iterations == expected.iterations
+            assert report.s_evals == expected.s_evals
+            assert report.js_evals == expected.js_evals
+            assert report.last_step == expected.last_step
+            assert report.wall_time > 0.0
 
     def test_initial_snapshot_has_no_stats(self):
         config = tiny_config(m=5, n_steps=2, record_times=(0.0, 2e-5))
-        rows = bench([config])
-        assert all(row.time == 2e-5 for row in rows)
+        rows = bench(config)
+        assert all(t_snap == 2e-5 for t_snap, _, _ in rows)

@@ -261,6 +261,34 @@ class TestMain:
         assert out in text
         assert "plot" in text
 
+    def test_refine_plot_script_draws_error_curves(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = str(tmp_path / "errors.csv")
+        script = str(tmp_path / "eplots.gp")
+        assert main(["refine", "--config", cfg, "--out", out, "--plot-script", script]) == 0
+        text = open(script).read()
+        assert f"'{out}' using 1:2 with linespoints title 'E_h'" in text
+        assert "title 'E_h/4'" in text
+        assert "multiplot" not in text
+        assert "ylabel 'theta'" not in text
+
+    @pytest.mark.parametrize("command", ["compare", "bench"])
+    def test_plot_script_only_on_run_and_refine(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, SMALL_RUN)
+        script = tmp_path / "plots.gp"
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                     "--plot-script", str(script)]) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not script.exists()
+
+    def test_usage_error_exit_code(self, capsys):
+        assert main(["run"]) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        assert main(["run", "--help"]) == 0
+        assert "--plot-script" in capsys.readouterr().out
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bogus = 1\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1

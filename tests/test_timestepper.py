@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from combust import timestepper
 from combust.discretization import Grid, State, assemble_matrices
-from combust.mncp import MNCP, NCP, SolverOptions, merit_vector
+from combust.mncp import MNCP, NCP, SolverOptions, merit_vector, solve
 from combust.model import BASE_PARAMS, phi
 from combust.timestepper import (
     RunConfig,
@@ -65,12 +66,27 @@ class TestStep:
         # from the cold unburned start, eta grows by roughly k * Phi(0, 0)
         config = tiny_config(m=8)
         cache = assemble_matrices(config.grid, config.params)
-        next_state, stats = step(initial_state(config.grid), cache, config)
+        next_state, report = step(initial_state(config.grid), cache, config)
         expected = config.grid.k * phi(0.0, 0.0, config.params)
         np.testing.assert_allclose(next_state.eta, np.full(8, expected), rtol=0.01)
-        assert stats.time_index == 1
-        assert stats.time == pytest.approx(config.grid.k)
-        assert stats.iterations >= 1
+        assert next_state.n == 1
+        assert report.iterations >= 1
+
+    def test_returns_the_solvers_report(self, monkeypatch):
+        reports = []
+
+        def recording(*args):
+            z, report = solve(*args)
+            reports.append(report)
+            return z, report
+
+        monkeypatch.setattr(timestepper, "solve", recording)
+        config = tiny_config(m=6, n_steps=3)
+        cache = assemble_matrices(config.grid, config.params)
+        _, report = step(initial_state(config.grid), cache, config)
+        assert report is reports[-1]
+        series = run(config)
+        assert all(a is b for a, b in zip(series.per_step, reports[1:], strict=True))
 
     def test_failure_carries_time_index(self):
         config = tiny_config(m=6)

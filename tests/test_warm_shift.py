@@ -98,11 +98,11 @@ def test_run_halves_the_shift_down_to_tol(monkeypatch):
 
     def recording(state, cache, config, shift=0.0, previous=None):
         passed.append(shift)
-        next_state, stats = original(state, cache, config, shift, previous)
-        if stats.time_index == 5:
-            stats = replace(stats, shift=0.0)
-        used.append(stats.shift)
-        return next_state, stats
+        next_state, report = original(state, cache, config, shift, previous)
+        if next_state.n == 5:
+            report = replace(report, shift=0.0)
+        used.append(report.shift)
+        return next_state, report
 
     monkeypatch.setattr(timestepper, "step", recording)
     config = base_config(50, record_times=())
