@@ -260,6 +260,10 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
+            peclet = config.params.u * config.grid.h * config.params.pe_t
+            if peclet > 2.0:
+                print(f"combust: warning: cell Peclet number u h Pe_t = {peclet:.3g} exceeds 2; "
+                      "the centred convection difference may oscillate", file=sys.stderr)
             ts = run(config)
             emit_profiles(ts, config.grid, args.out)
         elif args.command == "compare":

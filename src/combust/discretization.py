@@ -8,7 +8,16 @@ One time step solves, in the unknowns (theta, eta) at level n+1,
     Q = 2 eta - k Phi(theta, eta) - LDQ                          (equality)
 
 where LD = B theta^n - lambda_s P^n + 2k Phi^n + UR and
-LDQ = 2 eta^n + k Phi^n are frozen at level n.
+LDQ = 2 eta^n + k Phi^n are frozen at level n.  assemble_LD and
+assemble_LDQ build them from a state; they run for the first step only.
+As A + B = 8 I, the residual (G, Q) at the solution of a step gives the
+next level's data in O(M), with no exponential and no flux:
+LD' = 8 theta' - G - LD + UR and LDQ' = 4 eta' - Q - LDQ
+(timestepper.StepEquations.next_level).
+
+Each point's Arrhenius exponential is formed once: residual() takes Phi
+and F from the closure (s, e, Phi, F) of its point and returns it, and
+jacobian() at that same point takes it instead of a second exponential.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from combust.mncp import SolverError
-from combust.model import DimensionlessParams, closure_derivatives, flux, phi
+from combust.model import DimensionlessParams, closure, closure_derivatives, flux, phi
 # Unused here; kept so the benchmark's trace points on this module still resolve.
 from combust.model import flux_d, phi_deta, phi_dtheta  # noqa: F401
 
@@ -206,19 +215,22 @@ def residual(
     cache: SchemeCache,
     ld: np.ndarray,
     ldq: np.ndarray,
-) -> np.ndarray:
+):
     """Evaluate the step residual at a candidate level-(n+1) point.
 
-    Returns the interleaved vector (G_1, Q_1, G_2, Q_2, ...).  G and Q are
-    written into its two strided halves with the operations of
-    A theta + lambda_s P(theta) - 2k Phi - LD and 2 eta - k Phi - LDQ, in
-    that order, so each entry is rounded as in those expressions.
+    Returns (r, terms): r is the interleaved vector (G_1, Q_1, G_2, Q_2, ...)
+    and terms the closure (s, e, Phi, F) of the point (model.closure), which
+    jacobian() takes to build the Jacobian there without a second
+    exponential.  G and Q are written into the two strided halves of r with
+    the operations of A theta + lambda_s P(theta) - 2k Phi - LD and
+    2 eta - k Phi - LDQ, in that order, so each entry is rounded as in those
+    expressions.
     """
     grid = cache.grid
     k = grid.k
     lam = grid.lambda_s
-    phi_next = phi(theta_next, eta_next, cache.params)
-    f = flux(theta_next, cache.params)
+    terms = closure(theta_next, eta_next, cache.params)
+    _, _, phi_next, f = terms
     out = np.empty(2 * theta_next.size)
     g = out[0::2]
     q = out[1::2]
@@ -234,7 +246,7 @@ def residual(
     if not np.isfinite(out).all():
         bad = int(np.flatnonzero(~np.isfinite(out))[0]) // 2 + 1
         raise NumericError(f"non-finite residual at node {bad}", node=bad)
-    return out
+    return out, terms
 
 
 @dataclass
@@ -308,7 +320,8 @@ class StepJacobian:
         return d
 
 
-def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache) -> StepJacobian:
+def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache,
+             terms=None) -> StepJacobian:
     """Analytic Jacobian of the step residuals (G, Q):
         dG/dtheta = A + lambda_s dP/dtheta - 2k diag(phi_theta)
         dG/deta   = -2k diag(phi_eta)
@@ -316,6 +329,8 @@ def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache) -
         dQ/deta   = 2 I - k diag(phi_eta)
     with dP/dtheta row m holding +F'(theta_{m+1}) and -F'(theta_{m-1})
     (row M zero, boundary column dropped).
+    terms, the closure that residual() returned at this same point, spares
+    the exponential; without it the closure is formed afresh.
     """
     grid = cache.grid
     p = cache.params
@@ -323,7 +338,7 @@ def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache) -
     k = grid.k
     lam = grid.lambda_s
 
-    pt, pe, fd = closure_derivatives(theta_next, eta_next, p)
+    pt, pe, fd = closure_derivatives(theta_next, eta_next, p, terms)
 
     # entry (row im, col im+1), im = 0..m-2; rows 1..M-1 of dP/dtheta are live
     sup = cache.a_sup[: m - 1] + lam * fd[1:]

@@ -91,6 +91,11 @@ class MncpProblem:
     np.linalg.LinAlgError when that matrix is singular.  comp_index lists
     the rows/variables forming complementarity pairs (pair i couples z_i
     with residual row i); every other row is an equality.
+
+    solve() calls jacobian only with the array it last passed to residual,
+    unmodified since (the restored start or the accepted probe), and returns
+    that array, so a problem may key values it shares between the two on
+    `z is last_z`.
     """
 
     size: int

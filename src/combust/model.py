@@ -111,11 +111,6 @@ def nondimensionalize(dim: DimensionalParams, scales: Scales) -> DimensionlessPa
     )
 
 
-def rho(theta, p: DimensionlessParams):
-    """Dimensionless gas density theta0/(theta + theta0), in (0, 1] for theta >= 0."""
-    return p.theta0 / (theta + p.theta0)
-
-
 def flux(theta, p: DimensionlessParams):
     """Convective flux F(theta) = u rho(theta) theta = u theta0 theta / (theta + theta0)."""
     return p.u * p.theta0 * theta / (theta + p.theta0)
@@ -141,13 +136,26 @@ def phi_deta(theta, p: DimensionlessParams):
     return -p.beta * np.exp(-p.e_act / (theta + p.theta0))
 
 
-def closure_derivatives(theta, eta, p: DimensionlessParams):
-    """(phi_dtheta, phi_deta, flux_d) at one point from a single exponential.
+def closure(theta, eta, p: DimensionlessParams):
+    """The closure at one point from one exponential: (s, e, phi, flux) with
+    s = theta + theta0 and e = exp(-e_act/s).
 
-    Each factor repeats the operations of its single-purpose function in the
-    same order, so the three results equal theirs bit for bit.
+    phi and flux are formed with the operations of phi() and flux() in the
+    same order, so they equal those functions' values bit for bit.
     """
     s = theta + p.theta0
     e = np.exp(-p.e_act / s)
+    return s, e, p.beta * (1.0 - eta) * e, p.u * p.theta0 * theta / s
+
+
+def closure_derivatives(theta, eta, p: DimensionlessParams, terms=None):
+    """(phi_dtheta, phi_deta, flux_d) at one point from a single exponential.
+
+    terms is closure(theta, eta, p) when already formed at this point; it is
+    computed when not given.  Each factor repeats the operations of its
+    single-purpose function in the same order, so the three results equal
+    theirs bit for bit.
+    """
+    s, e, phi_, _ = closure(theta, eta, p) if terms is None else terms
     s2 = s**2
-    return p.beta * (1.0 - eta) * e * p.e_act / s2, -p.beta * e, p.u * p.theta0**2 / s2
+    return phi_ * p.e_act / s2, -p.beta * e, p.u * p.theta0**2 / s2

@@ -57,26 +57,67 @@ def initial_state(grid: Grid) -> State:
     return State(theta=np.zeros(m), eta=np.zeros(m), theta_b=0.0, eta_b=1.0, n=0)
 
 
+class StepEquations:
+    """Residual and Jacobian of one time step in the interleaved unknowns
+    z = (theta_1, eta_1, theta_2, eta_2, ...), given the level-n data LD, LDQ.
+
+    The latest residual evaluation is kept with its point: the residual and
+    the closure terms (s, e, Phi, F).  The solver builds each Jacobian at, and
+    returns, the point of its latest residual evaluation (see MncpProblem),
+    so the Jacobian there reuses the exponential and the next level's data
+    follow from the residual alone.  At any other point both are formed
+    afresh.
+    """
+
+    def __init__(self, cache: SchemeCache, ld: np.ndarray, ldq: np.ndarray):
+        self.cache = cache
+        self.ld = ld
+        self.ldq = ldq
+        self._last = (None, None, None)   # (z, r, terms) of the latest residual
+
+    def residual(self, z):
+        r, terms = residual(z[0::2], z[1::2], self.cache, self.ld, self.ldq)
+        self._last = (z, r, terms)
+        return r
+
+    def jacobian(self, z):
+        last_z, _, terms = self._last
+        return jacobian(z[0::2], z[1::2], self.cache, terms if z is last_z else None)
+
+    def next_level(self, z):
+        """(LD, LDQ) of the level that z holds, once z solves this step.
+
+        A + B = 8 I, so with the residual (G, Q) at z
+            LD' = B theta' - lambda_s P' + 2k Phi' + UR = 8 theta' - G - LD + UR
+            LDQ' = 2 eta' + k Phi' = 4 eta' - Q - LDQ
+        in O(M), with no exponential and no flux.
+        """
+        last_z, r, _ = self._last
+        cache = self.cache
+        theta, eta = z[0::2], z[1::2]
+        if z is not last_z:
+            state = State(theta=theta, eta=eta, theta_b=cache.theta_b)
+            return assemble_LD(state, cache), assemble_LDQ(state, cache.grid, cache.params)
+        return 8.0 * theta - r[0::2] - self.ld + cache.ur, 4.0 * eta - r[1::2] - self.ldq
+
+
 def build_step_problem(state: State, cache: SchemeCache, method: str,
-                       previous: Optional[State] = None):
+                       previous: Optional[State] = None, level: Optional[tuple] = None):
     """Wrap one time step as an MncpProblem on the interleaved unknowns.
 
     z = (theta_1, eta_1, theta_2, eta_2, ...); in mncp mode the theta
     entries (even indices) are the complementarity pairs against G, in ncp
-    mode every entry is a pair.  The start point z0 is the state itself or,
+    mode every entry is a pair.  level is the (LD, LDQ) of `state`; it is
+    assembled when not given.  The start point z0 is the state itself or,
     given the previous level, the linear extrapolation 2 z^n - z^(n-1) on
     both theta and eta.  It is not clipped: restoration clamps the pair
-    variables.
+    variables.  Returns (problem, z0, equations), the StepEquations whose
+    residual and jacobian the problem evaluates.
     """
     m = cache.grid.m
-    ld = assemble_LD(state, cache)
-    ldq = assemble_LDQ(state, cache.grid, cache.params)
-
-    def eval_residual(z):
-        return residual(z[0::2], z[1::2], cache, ld, ldq)
-
-    def eval_jacobian(z):
-        return jacobian(z[0::2], z[1::2], cache)
+    if level is None:
+        level = assemble_LD(state, cache), assemble_LDQ(state, cache.grid, cache.params)
+    equations = StepEquations(cache, *level)
 
     if method == MNCP:
         comp_index = np.arange(0, 2 * m, 2)
@@ -84,7 +125,7 @@ def build_step_problem(state: State, cache: SchemeCache, method: str,
         comp_index = np.arange(2 * m)
     else:
         raise ValueError(f"unknown method {method!r}")
-    problem = MncpProblem(2 * m, comp_index, eval_residual, eval_jacobian)
+    problem = MncpProblem(2 * m, comp_index, equations.residual, equations.jacobian)
 
     z0 = np.empty(2 * m)
     if previous is None:
@@ -93,7 +134,7 @@ def build_step_problem(state: State, cache: SchemeCache, method: str,
     else:
         z0[0::2] = 2.0 * state.theta - previous.theta
         z0[1::2] = 2.0 * state.eta - previous.eta
-    return problem, z0
+    return problem, z0, equations
 
 
 def _failure_reason(err: SolverError) -> str:
@@ -107,15 +148,17 @@ def _failure_reason(err: SolverError) -> str:
 
 
 def step(state: State, cache: SchemeCache, config: RunConfig, shift: float = 0.0,
-         previous: Optional[State] = None):
+         previous: Optional[State] = None, level: Optional[tuple] = None):
     """Advance one time level from the restoration shift `shift`.
 
     With the previous level, the solve starts from the extrapolation
-    2 z^n - z^(n-1) instead of z^n (see build_step_problem).
-    Returns (next_state, report), the SolverReport of the solve; its
-    shift is the total restoration shift the solve used.
+    2 z^n - z^(n-1) instead of z^n (see build_step_problem).  level is the
+    (LD, LDQ) of `state`, assembled when not given.
+    Returns (next_state, report, next_level): report is the SolverReport of
+    the solve, whose shift is the total restoration shift the solve used,
+    and next_level the (LD, LDQ) of next_state.
     """
-    problem, z0 = build_step_problem(state, cache, config.method, previous)
+    problem, z0, equations = build_step_problem(state, cache, config.method, previous, level)
     try:
         z, report = solve(problem, z0, config.solver_opts, shift)
     except SolverError as err:
@@ -124,7 +167,7 @@ def step(state: State, cache: SchemeCache, config: RunConfig, shift: float = 0.0
         theta=z[0::2].copy(), eta=z[1::2].copy(),
         theta_b=state.theta_b, eta_b=state.eta_b, n=state.n + 1,
     )
-    return next_state, report
+    return next_state, report, equations.next_level(z)
 
 
 def snapshot_indices(grid: Grid, record_times) -> dict:
@@ -143,7 +186,9 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     """Run the full time loop, snapshotting at the requested record times.
 
     A custom initial state may be supplied (used by verification runs);
-    by default the reservoir initial condition is used.
+    by default the reservoir initial condition is used.  The level data
+    (LD, LDQ) are assembled for the first step only; each later step takes
+    them from the step before (see StepEquations.next_level).
 
     Every step after the first starts from the extrapolation of the last
     two levels, and its restoration starts from max(s / 2, tol), where s is
@@ -163,11 +208,12 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     per_step = []
     shift = 0.0
     previous = None
+    level = None
     if 0 in snap_at:
         snapshots.append((0.0, state.copy()))
     for n in range(grid.n_steps):
         try:
-            next_state, report = step(state, cache, config, shift, previous)
+            next_state, report, level = step(state, cache, config, shift, previous, level)
         except StepFailed as err:
             err.partial = TimeSeries(snapshots=snapshots, per_step=per_step)
             raise

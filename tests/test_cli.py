@@ -281,6 +281,21 @@ class TestMain:
         assert "usage:" in capsys.readouterr().err
         assert not script.exists()
 
+    @pytest.mark.parametrize("text, m, peclet", [
+        ("", "50", "5.29"),                       # the paper's base case
+        ("domain_length = 5\n", "100", "264"),     # the igniting case
+        ("", "400", None),                        # u h Pe_t = 0.66
+    ])
+    def test_run_warns_on_cell_peclet_above_2(self, tmp_path, capsys, text, m, peclet):
+        cfg = write_config(tmp_path, text + "t_end = 1e-5\nrecord_times = 1e-5\n")
+        out = str(tmp_path / "p.csv")
+        assert main(["run", "--config", cfg, "--out", out, "--m", m]) == 0
+        err = capsys.readouterr().err
+        if peclet is None:
+            assert "Peclet" not in err
+        else:
+            assert f"warning: cell Peclet number u h Pe_t = {peclet} exceeds 2" in err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["run"]) == 1
         assert "usage:" in capsys.readouterr().err

@@ -139,7 +139,7 @@ class TestResidual:
         state = State(theta=np.zeros(6), eta=np.ones(6))
         ld = assemble_LD(state, cache)
         ldq = assemble_LDQ(state, grid, BASE_PARAMS)
-        res = residual(np.zeros(6), np.ones(6), cache, ld, ldq)
+        res, _ = residual(np.zeros(6), np.ones(6), cache, ld, ldq)
         assert res.shape == (12,)
         np.testing.assert_allclose(res[0::2], np.zeros(6), atol=1e-15)
         np.testing.assert_allclose(res[1::2], np.zeros(6), atol=1e-15)
@@ -156,7 +156,7 @@ class TestResidual:
             state = State(theta=theta, eta=eta)
             ld = assemble_LD(state, cache)
             ldq = assemble_LDQ(state, grid, BASE_PARAMS)
-            res = residual(theta, eta, cache, ld, ldq)
+            res, _ = residual(theta, eta, cache, ld, ldq)
             direct_g = (
                 (cache.a_dense() - cache.b_dense()) @ theta
                 + 2.0 * grid.lambda_s * assemble_P(theta, cache.theta_b, BASE_PARAMS)
@@ -174,7 +174,7 @@ class TestResidual:
         state = State(theta=np.full(5, 0.5), eta=np.full(5, 0.5))
         ld = assemble_LD(state, cache)
         ldq = assemble_LDQ(state, grid, BASE_PARAMS)
-        res = residual(state.theta, state.eta, cache, ld, ldq)
+        res, _ = residual(state.theta, state.eta, cache, ld, ldq)
         assert np.all(res[1::2] < 0.0)
 
     @pytest.mark.parametrize("m", [2, 3, 17])
@@ -199,7 +199,7 @@ class TestResidual:
             g = (a_theta + grid.lambda_s * assemble_P(theta, theta_b, BASE_PARAMS)
                  - 2.0 * grid.k * phi_next - ld)
             q = 2.0 * eta - grid.k * phi_next - ldq
-            res = residual(theta, eta, cache, ld, ldq)
+            res, _ = residual(theta, eta, cache, ld, ldq)
             np.testing.assert_array_equal(res[0::2], g)
             np.testing.assert_array_equal(res[1::2], q)
 
@@ -227,7 +227,7 @@ def dense_jacobian_fd(theta, eta, cache, step=1e-6):
     ldq = assemble_LDQ(state, grid, cache.params)
 
     def f(z):
-        return residual(z[0::2], z[1::2], cache, ld, ldq)
+        return residual(z[0::2], z[1::2], cache, ld, ldq)[0]
 
     z0 = np.empty(2 * m)
     z0[0::2] = theta

@@ -16,7 +16,6 @@ from combust.model import (
     phi,
     phi_deta,
     phi_dtheta,
-    rho,
 )
 
 
@@ -46,19 +45,6 @@ class TestNondimensionalize:
 
 
 class TestClosures:
-    def test_rho_closed_forms(self):
-        p = BASE_PARAMS
-        assert rho(0.0, p) == 1.0
-        assert rho(p.theta0, p) == pytest.approx(0.5, rel=1e-15)
-        assert rho(3.0 * p.theta0, p) == pytest.approx(0.25, rel=1e-15)
-
-    def test_rho_decreasing_and_bounded(self):
-        p = BASE_PARAMS
-        theta = np.sort(np.random.default_rng(0).uniform(0.0, 50.0, 200))
-        values = rho(theta, p)
-        assert np.all(np.diff(values) < 0.0)
-        assert np.all((values > 0.0) & (values <= 1.0))
-
     def test_flux_closed_forms(self):
         p = BASE_PARAMS
         assert flux(0.0, p) == 0.0

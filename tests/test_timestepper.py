@@ -37,12 +37,12 @@ class TestBuildStepProblem:
         config = tiny_config(m=4)
         cache = assemble_matrices(config.grid, config.params)
         state = initial_state(config.grid)
-        prob, z0 = build_step_problem(state, cache, MNCP)
+        prob, z0, _ = build_step_problem(state, cache, MNCP)
         assert prob.size == 8
         np.testing.assert_array_equal(prob.comp_index, [0, 2, 4, 6])
         np.testing.assert_array_equal(z0, np.zeros(8))
 
-        prob_ncp, _ = build_step_problem(state, cache, NCP)
+        prob_ncp, _, _ = build_step_problem(state, cache, NCP)
         np.testing.assert_array_equal(prob_ncp.comp_index, np.arange(8))
 
     def test_unknown_method(self):
@@ -58,7 +58,7 @@ class TestStep:
         config = tiny_config(m=8)
         cache = assemble_matrices(config.grid, config.params)
         state = State(theta=np.zeros(8), eta=np.ones(8), n=0)
-        next_state, _ = step(state, cache, config)
+        next_state, _, _ = step(state, cache, config)
         assert np.max(np.abs(next_state.theta)) < 1e-7
         assert np.max(np.abs(next_state.eta - 1.0)) < 1e-7
 
@@ -66,7 +66,7 @@ class TestStep:
         # from the cold unburned start, eta grows by roughly k * Phi(0, 0)
         config = tiny_config(m=8)
         cache = assemble_matrices(config.grid, config.params)
-        next_state, report = step(initial_state(config.grid), cache, config)
+        next_state, report, _ = step(initial_state(config.grid), cache, config)
         expected = config.grid.k * phi(0.0, 0.0, config.params)
         np.testing.assert_allclose(next_state.eta, np.full(8, expected), rtol=0.01)
         assert next_state.n == 1
@@ -83,7 +83,7 @@ class TestStep:
         monkeypatch.setattr(timestepper, "solve", recording)
         config = tiny_config(m=6, n_steps=3)
         cache = assemble_matrices(config.grid, config.params)
-        _, report = step(initial_state(config.grid), cache, config)
+        _, report, _ = step(initial_state(config.grid), cache, config)
         assert report is reports[-1]
         series = run(config)
         assert all(a is b for a, b in zip(series.per_step, reports[1:], strict=True))
@@ -163,8 +163,8 @@ class TestRun:
         cache = assemble_matrices(grid, config.params)
         state = initial_state(grid)
         for _ in range(5):
-            prob, _ = build_step_problem(state, cache, MNCP)
-            state, _ = step(state, cache, config)
+            prob, _, _ = build_step_problem(state, cache, MNCP)
+            state, _, _ = step(state, cache, config)
             z = np.empty(2 * grid.m)
             z[0::2] = state.theta
             z[1::2] = state.eta

@@ -96,13 +96,13 @@ def test_run_halves_the_shift_down_to_tol(monkeypatch):
     passed, used = [], []
     original = timestepper.step
 
-    def recording(state, cache, config, shift=0.0, previous=None):
+    def recording(state, cache, config, shift=0.0, previous=None, level=None):
         passed.append(shift)
-        next_state, report = original(state, cache, config, shift, previous)
+        next_state, report, next_level = original(state, cache, config, shift, previous, level)
         if next_state.n == 5:
             report = replace(report, shift=0.0)
         used.append(report.shift)
-        return next_state, report
+        return next_state, report, next_level
 
     monkeypatch.setattr(timestepper, "step", recording)
     config = base_config(50, record_times=())
