@@ -74,13 +74,7 @@ def restrict(fine: State, fine_grid: Grid, coarse_grid: Grid) -> State:
             f"incompatible grids: fine m={fine_grid.m}, coarse m={coarse_grid.m}, "
             f"lengths {fine_grid.length} vs {coarse_grid.length}"
         )
-    return State(
-        theta=fine.theta[1::2].copy(),
-        eta=fine.eta[1::2].copy(),
-        theta_b=fine.theta_b,
-        eta_b=fine.eta_b,
-        n=fine.n,
-    )
+    return State(theta=fine.theta[1::2].copy(), eta=fine.eta[1::2].copy(), n=fine.n)
 
 
 def _relative_error(coarse_vec: np.ndarray, ref_vec: np.ndarray) -> float:

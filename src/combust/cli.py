@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from combust import analysis
-from combust.discretization import Grid
+from combust.discretization import ETA_B, THETA_B, Grid
 from combust.mncp import MNCP, NCP, SolverOptions
 from combust.model import BASE_PARAMS, DimensionalParams, DimensionlessParams, Scales, nondimensionalize
 from combust.timestepper import RunConfig, StepFailed, TimeSeries, run
@@ -142,45 +142,45 @@ def parse_config(path) -> RunConfig:
     return _build_config(*_read_config(path))
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write the header line and then the rows; an unwritable path raises OSError."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def emit_profiles(ts: TimeSeries, grid: Grid, path) -> None:
     """Write snapshot profiles as CSV rows (time, x, theta, eta), boundary node included."""
     x = grid.x_nodes()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "x", "theta", "eta"])
-        for t_snap, state in ts.snapshots:
-            writer.writerow([repr(float(t_snap)), repr(float(x[0])),
-                             repr(float(state.theta_b)), repr(float(state.eta_b))])
-            for i in range(grid.m):
-                writer.writerow([repr(float(t_snap)), repr(float(x[i + 1])),
-                                 repr(float(state.theta[i])), repr(float(state.eta[i]))])
+    _write_csv(path, ["time", "x", "theta", "eta"], (
+        [repr(float(t_snap)), repr(float(x_i)), repr(float(theta)), repr(float(eta))]
+        for t_snap, state in ts.snapshots
+        for x_i, theta, eta in zip(x, np.r_[THETA_B, state.theta], np.r_[ETA_B, state.eta])
+    ))
 
 
 def emit_diff(report: analysis.DiffReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "theta_max", "theta_l2", "eta_max", "eta_l2"])
-        for row in report.rows:
-            writer.writerow([repr(row.time), repr(row.theta_max), repr(row.theta_l2),
-                             repr(row.eta_max), repr(row.eta_l2)])
+    _write_csv(path, ["time", "theta_max", "theta_l2", "eta_max", "eta_l2"], (
+        [repr(row.time), repr(row.theta_max), repr(row.theta_l2), repr(row.eta_max), repr(row.eta_l2)]
+        for row in report.rows
+    ))
 
 
 def emit_error_table(table: analysis.ErrorTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "E_h", "E_h2", "E_h4", "ratio1", "ratio2", "variable"])
-        for row in table.rows:
-            writer.writerow([repr(row.time), repr(row.e_h), repr(row.e_h2), repr(row.e_h4),
-                             repr(row.ratio1), repr(row.ratio2), row.variable])
+    _write_csv(path, ["t", "E_h", "E_h2", "E_h4", "ratio1", "ratio2", "variable"], (
+        [repr(row.time), repr(row.e_h), repr(row.e_h2), repr(row.e_h4),
+         repr(row.ratio1), repr(row.ratio2), row.variable]
+        for row in table.rows
+    ))
 
 
 def emit_bench(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "wall_time", "iter", "bl_t", "s_evals", "js_evals", "method"])
-        for t_snap, method, report in rows:
-            writer.writerow([repr(t_snap), repr(report.wall_time), report.iterations,
-                             repr(report.last_step), report.s_evals, report.js_evals, method])
+    _write_csv(path, ["t", "wall_time", "iter", "bl_t", "s_evals", "js_evals", "method"], (
+        [repr(t_snap), repr(report.wall_time), report.iterations,
+         repr(report.last_step), report.s_evals, report.js_evals, method]
+        for t_snap, method, report in rows
+    ))
 
 
 def emit_plot_script(command, csv_path, path) -> None:
@@ -276,14 +276,16 @@ def main(argv=None) -> int:
         elif args.command == "bench":
             rows = analysis.bench(config)
             emit_bench(rows, args.out)
+        if getattr(args, "plot_script", None) is not None:
+            emit_plot_script(args.command, args.out, args.plot_script)
     except StepFailed as err:
         kind = type(err.cause).__name__
         print(f"combust: solver failure ({kind}) at time step {err.time_index}: {err.reason}",
               file=sys.stderr)
         return 2
-
-    if getattr(args, "plot_script", None) is not None:
-        emit_plot_script(args.command, args.out, args.plot_script)
+    except OSError as err:
+        print(f"combust: cannot write output: {err}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,18 +1,19 @@
 """Crank-Nicolson discretization of the combustion system.
 
-Interior nodes m = 1..M carry the unknowns; node 0 is Dirichlet
-(theta = 0, eta = 1) and node M gets the Neumann mirror F_{M+1} = F_{M-1}.
+Interior nodes m = 1..M carry the unknowns; node 0 is the injection
+boundary, fixed at the constants THETA_B = 0 and ETA_B = 1, and node M gets
+the Neumann mirror F_{M+1} = F_{M-1}.
 One time step solves, in the unknowns (theta, eta) at level n+1,
 
     G = A theta + lambda_s P(theta) - 2k Phi(theta, eta) - LD   (complementarity)
     Q = 2 eta - k Phi(theta, eta) - LDQ                          (equality)
 
-where LD = B theta^n - lambda_s P^n + 2k Phi^n + UR and
+where LD = B theta^n - lambda_s P^n + 2k Phi^n and
 LDQ = 2 eta^n + k Phi^n are frozen at level n.  assemble_LD and
 assemble_LDQ build them from a state; they run for the first step only.
 As A + B = 8 I, the residual (G, Q) at the solution of a step gives the
 next level's data in O(M), with no exponential and no flux:
-LD' = 8 theta' - G - LD + UR and LDQ' = 4 eta' - Q - LDQ
+LD' = 8 theta' - G - LD and LDQ' = 4 eta' - Q - LDQ
 (timestepper.StepEquations.next_level).
 
 Each point's Arrhenius exponential is formed once: residual() takes Phi
@@ -31,6 +32,12 @@ from combust.mncp import SolverError
 from combust.model import DimensionlessParams, closure, closure_derivatives, flux, phi
 # Unused here; kept so the benchmark's trace points on this module still resolve.
 from combust.model import flux_d, phi_deta, phi_dtheta  # noqa: F401
+
+# Dirichlet values at node 0.  The medium is injected cold (theta = 0) and
+# with its full oxygen fraction (eta = 1) in every run.  As THETA_B = 0, the
+# boundary adds nothing to the scheme: the A theta term has no boundary
+# column and F(0) = 0 in row 1 of P.  They appear only in written profiles.
+THETA_B, ETA_B = 0.0, 1.0
 
 
 class NumericError(SolverError):
@@ -78,22 +85,19 @@ class Grid:
 
 @dataclass
 class State:
-    """Interior-node fields at one time level plus the fixed boundary values."""
+    """Interior-node fields at time level n (node 0 is THETA_B, ETA_B)."""
 
     theta: np.ndarray
     eta: np.ndarray
-    theta_b: float = 0.0
-    eta_b: float = 1.0
     n: int = 0
 
     def copy(self) -> "State":
-        return State(self.theta.copy(), self.eta.copy(), self.theta_b, self.eta_b, self.n)
+        return State(self.theta.copy(), self.eta.copy(), self.n)
 
 
 @dataclass
 class SchemeCache:
-    """Immutable per-run algebra: the tridiagonal matrices A, B, the UR vector
-    and the boundary flux F(theta_b).
+    """Immutable per-run algebra: the tridiagonal matrices A and B.
 
     A and B are stored as (sub, diag, sup) arrays of length M; sub[0] and
     sup[M-1] are unused and kept at zero.
@@ -105,11 +109,8 @@ class SchemeCache:
     b_sub: np.ndarray
     b_diag: np.ndarray
     b_sup: np.ndarray
-    ur: np.ndarray
     grid: Grid
     params: DimensionlessParams
-    flux_b: float
-    theta_b: float = 0.0
 
     def b_matvec(self, x: np.ndarray) -> np.ndarray:
         return _tri_matvec(self.b_sub, self.b_diag, self.b_sup, x)
@@ -136,16 +137,13 @@ def _tri_dense(sub, diag, sup):
     return dense
 
 
-def assemble_matrices(
-    grid: Grid,
-    params: DimensionlessParams,
-    theta_b: float = 0.0,
-) -> SchemeCache:
-    """Build A, B and UR for the Crank-Nicolson step.
+def assemble_matrices(grid: Grid, params: DimensionlessParams) -> SchemeCache:
+    """Build A and B for the Crank-Nicolson step.
 
     A is tridiagonal with diagonal 4 + 4 mu H and off-diagonals -2 mu H,
     except the last row whose sub-diagonal is -4 mu H (Neumann mirror);
     B mirrors A with the mu H terms sign-flipped, so A + B = 8 I exactly.
+    Row 1 has no boundary column: it would multiply THETA_B = 0.
     """
     m = grid.m
     muh = grid.mu * params.h_diff
@@ -164,14 +162,10 @@ def assemble_matrices(
     b_sup[m - 1] = 0.0
     b_sub[m - 1] = 4.0 * muh
 
-    ur = np.zeros(m)
-    ur[0] = 4.0 * muh * theta_b
-
     return SchemeCache(
         a_sub=a_sub, a_diag=a_diag, a_sup=a_sup,
         b_sub=b_sub, b_diag=b_diag, b_sup=b_sup,
-        ur=ur, grid=grid, params=params, flux_b=flux(theta_b, params),
-        theta_b=theta_b,
+        grid=grid, params=params,
     )
 
 
@@ -193,14 +187,13 @@ def assemble_P(theta: np.ndarray, theta_b: float, params: DimensionlessParams) -
 
 def assemble_LD(state: State, cache: SchemeCache) -> np.ndarray:
     """Level-n data of the complementarity residual:
-    LD = B theta^n - lambda_s P^n + 2k Phi^n + UR."""
+    LD = B theta^n - lambda_s P^n + 2k Phi^n."""
     grid = cache.grid
     phi_n = phi(state.theta, state.eta, cache.params)
     return (
         cache.b_matvec(state.theta)
-        - grid.lambda_s * assemble_P(state.theta, cache.theta_b, cache.params)
+        - grid.lambda_s * assemble_P(state.theta, THETA_B, cache.params)
         + 2.0 * grid.k * phi_n
-        + cache.ur
     )
 
 
@@ -235,8 +228,8 @@ def residual(
     g = out[0::2]
     q = out[1::2]
     _tri_matvec(cache.a_sub, cache.a_diag, cache.a_sup, theta_next, out=g)
-    # lambda_s P: row 1 differences against the boundary flux, row M is zero
-    g[0] += lam * (f[1] - cache.flux_b)
+    # lambda_s P: row 1 differences against F(THETA_B) = 0, row M is zero
+    g[0] += lam * f[1]
     g[1:-1] += lam * (f[2:] - f[:-2])
     g -= 2.0 * k * phi_next
     g -= ld

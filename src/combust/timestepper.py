@@ -52,9 +52,9 @@ class StepFailed(RuntimeError):
 
 
 def initial_state(grid: Grid) -> State:
-    """Reservoir start: theta = 0 and eta = 0 everywhere, injection boundary eta = 1."""
+    """Reservoir start: theta = 0 and eta = 0 at every interior node."""
     m = grid.m
-    return State(theta=np.zeros(m), eta=np.zeros(m), theta_b=0.0, eta_b=1.0, n=0)
+    return State(theta=np.zeros(m), eta=np.zeros(m), n=0)
 
 
 class StepEquations:
@@ -88,7 +88,7 @@ class StepEquations:
         """(LD, LDQ) of the level that z holds, once z solves this step.
 
         A + B = 8 I, so with the residual (G, Q) at z
-            LD' = B theta' - lambda_s P' + 2k Phi' + UR = 8 theta' - G - LD + UR
+            LD' = B theta' - lambda_s P' + 2k Phi' = 8 theta' - G - LD
             LDQ' = 2 eta' + k Phi' = 4 eta' - Q - LDQ
         in O(M), with no exponential and no flux.
         """
@@ -96,9 +96,9 @@ class StepEquations:
         cache = self.cache
         theta, eta = z[0::2], z[1::2]
         if z is not last_z:
-            state = State(theta=theta, eta=eta, theta_b=cache.theta_b)
+            state = State(theta=theta, eta=eta)
             return assemble_LD(state, cache), assemble_LDQ(state, cache.grid, cache.params)
-        return 8.0 * theta - r[0::2] - self.ld + cache.ur, 4.0 * eta - r[1::2] - self.ldq
+        return 8.0 * theta - r[0::2] - self.ld, 4.0 * eta - r[1::2] - self.ldq
 
 
 def build_step_problem(state: State, cache: SchemeCache, method: str,
@@ -163,10 +163,7 @@ def step(state: State, cache: SchemeCache, config: RunConfig, shift: float = 0.0
         z, report = solve(problem, z0, config.solver_opts, shift)
     except SolverError as err:
         raise StepFailed(_failure_reason(err), time_index=state.n, cause=err) from err
-    next_state = State(
-        theta=z[0::2].copy(), eta=z[1::2].copy(),
-        theta_b=state.theta_b, eta_b=state.eta_b, n=state.n + 1,
-    )
+    next_state = State(theta=z[0::2].copy(), eta=z[1::2].copy(), n=state.n + 1)
     return next_state, report, equations.next_level(z)
 
 

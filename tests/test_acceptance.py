@@ -135,8 +135,7 @@ def test_criterion_4_heat_regression():
     for m, n_steps in ((8, 20), (16, 80), (32, 320)):
         grid = Grid(length=length, m=m, k=t_end / n_steps, n_steps=n_steps)
         x = grid.x_nodes()[1:]
-        init = State(theta=np.sin(np.pi * x / (2.0 * length)), eta=np.ones(m),
-                     theta_b=0.0, eta_b=1.0, n=0)
+        init = State(theta=np.sin(np.pi * x / (2.0 * length)), eta=np.ones(m), n=0)
         config = RunConfig(grid=grid, params=params, method=MNCP,
                            solver_opts=SolverOptions(tol=1e-12), record_times=(t_end,))
         series = run(config, initial=init)

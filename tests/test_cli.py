@@ -206,6 +206,9 @@ class TestMain:
         assert len(rows) == 1 + 2 * 9
         # boundary row of the first snapshot
         assert [float(v) for v in rows[1]] == [0.0, 0.0, 0.0, 1.0]
+        # every snapshot's boundary row holds the fixed injection values
+        assert [[float(v) for v in row] for row in rows[1::9]] == [
+            [t, 0.0, 0.0, 1.0] for t in (0.0, 5e-5)]
         # values survive a text round trip bit-exactly
         for row in rows[1:]:
             for tok in row:
@@ -332,6 +335,15 @@ class TestMain:
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"), *flags]) == 1
         assert "combust: configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out, script", [("missing/o.csv", "p.gp"), ("o.csv", "missing/p.gp")])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, out, script):
+        cfg = write_config(tmp_path, SMALL_RUN)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / out),
+                     "--plot-script", str(tmp_path / script)]) == 1
+        err = capsys.readouterr().err
+        assert "combust: cannot write output:" in err
+        assert str(tmp_path / "missing") in err
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),

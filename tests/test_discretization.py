@@ -76,14 +76,6 @@ class TestAssembleMatrices:
         assert sums[0] == pytest.approx(4.0 + 2.0 * muh, rel=1e-14)
         np.testing.assert_allclose(sums[1:], 4.0, rtol=1e-14)
 
-    def test_zero_boundary_gives_zero_ur(self):
-        cache = assemble_matrices(base_grid(6), BASE_PARAMS, theta_b=0.0)
-        np.testing.assert_array_equal(cache.ur, np.zeros(6))
-
-    def test_nonzero_boundary_ur(self):
-        cache = assemble_matrices(UNIT_GRID, UNIT_PARAMS, theta_b=2.0)
-        np.testing.assert_allclose(cache.ur, [0.8, 0.0, 0.0], rtol=1e-15)
-
 
 class TestAssembleP:
     def test_constant_field_cancels(self):
@@ -146,7 +138,7 @@ class TestResidual:
 
     def test_same_level_identity(self):
         # evaluating G at the state used to build LD must reduce to
-        # (A - B) theta + 2 lambda P - 4 k Phi - UR, recomputed independently
+        # (A - B) theta + 2 lambda P - 4 k Phi, recomputed independently
         rng = np.random.default_rng(11)
         grid = base_grid(8)
         cache = assemble_matrices(grid, BASE_PARAMS)
@@ -159,9 +151,8 @@ class TestResidual:
             res, _ = residual(theta, eta, cache, ld, ldq)
             direct_g = (
                 (cache.a_dense() - cache.b_dense()) @ theta
-                + 2.0 * grid.lambda_s * assemble_P(theta, cache.theta_b, BASE_PARAMS)
+                + 2.0 * grid.lambda_s * assemble_P(theta, 0.0, BASE_PARAMS)
                 - 4.0 * grid.k * phi(theta, eta, BASE_PARAMS)
-                - cache.ur
             )
             np.testing.assert_allclose(res[0::2], direct_g, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(res[1::2], -2.0 * grid.k * phi(theta, eta, BASE_PARAMS),
@@ -178,14 +169,12 @@ class TestResidual:
         assert np.all(res[1::2] < 0.0)
 
     @pytest.mark.parametrize("m", [2, 3, 17])
-    @pytest.mark.parametrize("theta_b", [0.0, 0.7])
-    def test_matches_unfused_expressions_bit_for_bit(self, m, theta_b):
+    def test_matches_unfused_expressions_bit_for_bit(self, m):
         # G = A theta + lambda_s P - 2k Phi - LD and Q = 2 eta - k Phi - LDQ,
         # evaluated as separate whole-vector expressions
         rng = np.random.default_rng(m)
         grid = base_grid(m)
-        cache = assemble_matrices(grid, BASE_PARAMS, theta_b=theta_b)
-        assert cache.flux_b == flux(theta_b, BASE_PARAMS)
+        cache = assemble_matrices(grid, BASE_PARAMS)
         for _ in range(20):
             state = State(theta=rng.uniform(0.0, 3.0, m), eta=rng.uniform(0.0, 1.0, m))
             ld = assemble_LD(state, cache)
@@ -196,7 +185,7 @@ class TestResidual:
             a_theta[1:] += cache.a_sub[1:] * theta[:-1]
             a_theta[:-1] += cache.a_sup[:-1] * theta[1:]
             phi_next = phi(theta, eta, BASE_PARAMS)
-            g = (a_theta + grid.lambda_s * assemble_P(theta, theta_b, BASE_PARAMS)
+            g = (a_theta + grid.lambda_s * assemble_P(theta, 0.0, BASE_PARAMS)
                  - 2.0 * grid.k * phi_next - ld)
             q = 2.0 * eta - grid.k * phi_next - ldq
             res, _ = residual(theta, eta, cache, ld, ldq)

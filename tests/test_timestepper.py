@@ -27,8 +27,6 @@ class TestInitialState:
         state = initial_state(Grid(length=0.05, m=7, k=1e-5, n_steps=1))
         np.testing.assert_array_equal(state.theta, np.zeros(7))
         np.testing.assert_array_equal(state.eta, np.zeros(7))
-        assert state.theta_b == 0.0
-        assert state.eta_b == 1.0
         assert state.n == 0
 
 
