@@ -145,7 +145,7 @@ def parse_config(path) -> RunConfig:
 def _write_csv(path, header, rows) -> None:
     """Write the header line and then the rows; an unwritable path raises OSError."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -257,6 +257,12 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ValueError, OverflowError) as err:
         print(f"combust: configuration error: {err}", file=sys.stderr)
         return 1
+    # an output that cannot be written fails before the computation, not after it
+    for path in (args.out, getattr(args, "plot_script", None)):
+        if path is not None and not Path(path).parent.is_dir():
+            print(f"combust: cannot write output: directory {Path(path).parent} does not exist",
+                  file=sys.stderr)
+            return 1
 
     try:
         if args.command == "run":

@@ -95,78 +95,59 @@ class State:
         return State(self.theta.copy(), self.eta.copy(), self.n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeCache:
-    """Immutable per-run algebra: the tridiagonal matrices A and B.
+    """Immutable per-run algebra: the coefficients of the tridiagonal A and B.
 
-    A and B are stored as (sub, diag, sup) arrays of length M; sub[0] and
-    sup[M-1] are unused and kept at zero.
+    Each matrix has one diagonal value and one off-diagonal value; its
+    Neumann corner, entry (M, M-1), is twice the off-diagonal value.
     """
 
-    a_sub: np.ndarray
-    a_diag: np.ndarray
-    a_sup: np.ndarray
-    b_sub: np.ndarray
-    b_diag: np.ndarray
-    b_sup: np.ndarray
+    a_diag: float
+    a_off: float
+    b_diag: float
+    b_off: float
     grid: Grid
     params: DimensionlessParams
 
-    def b_matvec(self, x: np.ndarray) -> np.ndarray:
-        return _tri_matvec(self.b_sub, self.b_diag, self.b_sup, x)
-
     def a_dense(self) -> np.ndarray:
-        return _tri_dense(self.a_sub, self.a_diag, self.a_sup)
+        return _tri_dense(*_bands(self.a_diag, self.a_off, self.grid.m))
 
     def b_dense(self) -> np.ndarray:
-        return _tri_dense(self.b_sub, self.b_diag, self.b_sup)
+        return _tri_dense(*_bands(self.b_diag, self.b_off, self.grid.m))
 
 
-def _tri_matvec(sub, diag, sup, x, out=None):
+def _tri_matvec(diag, off, x, out=None):
+    """A scheme matrix times x; each row adds sub-, then super-diagonal term."""
     y = np.multiply(diag, x, out=out)
-    y[1:] += sub[1:] * x[:-1]
-    y[:-1] += sup[:-1] * x[1:]
+    y[1:-1] += off * x[:-2]
+    y[-1] += 2.0 * off * x[-2]
+    y[:-1] += off * x[1:]
     return y
 
 
+def _bands(diag, off, m):
+    """(sub, diag, sup) of a scheme matrix; sub and sup have length M-1."""
+    sub = np.full(m - 1, off)
+    sub[-1] = 2.0 * off
+    return sub, np.full(m, diag), np.full(m - 1, off)
+
+
 def _tri_dense(sub, diag, sup):
-    m = diag.size
-    dense = np.diag(diag)
-    dense[np.arange(1, m), np.arange(m - 1)] = sub[1:]
-    dense[np.arange(m - 1), np.arange(1, m)] = sup[:-1]
-    return dense
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
 
 
 def assemble_matrices(grid: Grid, params: DimensionlessParams) -> SchemeCache:
-    """Build A and B for the Crank-Nicolson step.
+    """Coefficients of A and B for the Crank-Nicolson step.
 
     A is tridiagonal with diagonal 4 + 4 mu H and off-diagonals -2 mu H,
     except the last row whose sub-diagonal is -4 mu H (Neumann mirror);
     B mirrors A with the mu H terms sign-flipped, so A + B = 8 I exactly.
     Row 1 has no boundary column: it would multiply THETA_B = 0.
     """
-    m = grid.m
     muh = grid.mu * params.h_diff
-
-    a_diag = np.full(m, 4.0 + 4.0 * muh)
-    a_sub = np.full(m, -2.0 * muh)
-    a_sup = np.full(m, -2.0 * muh)
-    a_sub[0] = 0.0
-    a_sup[m - 1] = 0.0
-    a_sub[m - 1] = -4.0 * muh
-
-    b_diag = np.full(m, 4.0 - 4.0 * muh)
-    b_sub = np.full(m, 2.0 * muh)
-    b_sup = np.full(m, 2.0 * muh)
-    b_sub[0] = 0.0
-    b_sup[m - 1] = 0.0
-    b_sub[m - 1] = 4.0 * muh
-
-    return SchemeCache(
-        a_sub=a_sub, a_diag=a_diag, a_sup=a_sup,
-        b_sub=b_sub, b_diag=b_diag, b_sup=b_sup,
-        grid=grid, params=params,
-    )
+    return SchemeCache(a_diag=4.0 + 4.0 * muh, a_off=-2.0 * muh,
+                       b_diag=4.0 - 4.0 * muh, b_off=2.0 * muh, grid=grid, params=params)
 
 
 def assemble_P(theta: np.ndarray, theta_b: float, params: DimensionlessParams) -> np.ndarray:
@@ -191,15 +172,15 @@ def assemble_LD(state: State, cache: SchemeCache) -> np.ndarray:
     grid = cache.grid
     phi_n = phi(state.theta, state.eta, cache.params)
     return (
-        cache.b_matvec(state.theta)
+        _tri_matvec(cache.b_diag, cache.b_off, state.theta)
         - grid.lambda_s * assemble_P(state.theta, THETA_B, cache.params)
         + 2.0 * grid.k * phi_n
     )
 
 
-def assemble_LDQ(state: State, grid: Grid, params: DimensionlessParams) -> np.ndarray:
+def assemble_LDQ(state: State, cache: SchemeCache) -> np.ndarray:
     """Level-n data of the equality residual: LDQ = 2 eta^n + k Phi^n."""
-    return 2.0 * state.eta + grid.k * phi(state.theta, state.eta, params)
+    return 2.0 * state.eta + cache.grid.k * phi(state.theta, state.eta, cache.params)
 
 
 def residual(
@@ -227,7 +208,7 @@ def residual(
     out = np.empty(2 * theta_next.size)
     g = out[0::2]
     q = out[1::2]
-    _tri_matvec(cache.a_sub, cache.a_diag, cache.a_sup, theta_next, out=g)
+    _tri_matvec(cache.a_diag, cache.a_off, theta_next, out=g)
     # lambda_s P: row 1 differences against F(THETA_B) = 0, row M is zero
     g[0] += lam * f[1]
     g[1:-1] += lam * (f[2:] - f[:-2])
@@ -267,7 +248,7 @@ class StepJacobian:
         """The full 2M x 2M matrix in interleaved ordering (for verification)."""
         m = self.diag.size
         dense = np.zeros((2 * m, 2 * m))
-        dense[0::2, 0::2] = _tri_dense(np.r_[0.0, self.sub], self.diag, np.r_[self.sup, 0.0])
+        dense[0::2, 0::2] = _tri_dense(self.sub, self.diag, self.sup)
         t, e = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
         dense[t, e] = self.g_eta
         dense[e, t] = self.q_theta
@@ -325,19 +306,17 @@ def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache,
     terms, the closure that residual() returned at this same point, spares
     the exponential; without it the closure is formed afresh.
     """
-    grid = cache.grid
-    p = cache.params
-    m = grid.m
-    k = grid.k
-    lam = grid.lambda_s
+    k = cache.grid.k
+    lam = cache.grid.lambda_s
 
-    pt, pe, fd = closure_derivatives(theta_next, eta_next, p, terms)
+    pt, pe, fd = closure_derivatives(theta_next, eta_next, cache.params, terms)
 
     # entry (row im, col im+1), im = 0..m-2; rows 1..M-1 of dP/dtheta are live
-    sup = cache.a_sup[: m - 1] + lam * fd[1:]
-    # entry (row im, col im-1), im = 1..m-1; last row has no flux contribution
-    sub = cache.a_sub[1:].copy()
-    sub[: m - 2] -= lam * fd[: m - 2]
+    sup = cache.a_off + lam * fd[1:]
+    # entry (row im, col im-1), im = 1..m-1; the last row is the Neumann
+    # corner 2 a_off, with no flux contribution
+    sub = cache.a_off - lam * fd[:-1]
+    sub[-1] = 2.0 * cache.a_off
 
     return StepJacobian(
         sub=sub,

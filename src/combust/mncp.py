@@ -286,35 +286,32 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
     opts = opts if opts is not None else SolverOptions()
     report = SolverReport()
     t_start = time.perf_counter()
+    z = None
     try:
         z, r, n_evals, report.shift = restore_feasibility(z0, problem, opts, shift)
-    except SolverError as err:
-        report.wall_time = time.perf_counter() - t_start
-        err.report = report
-        raise
-    report.s_evals += n_evals
-    h = merit_vector(z, r, problem)
-    s = 0.5 * float(h @ h)
-
-    while True:
-        report.h_inf = float(np.abs(h).max())
-        # Stop on max|H| <= tol, sharpened by the natural residual so tiny
-        # variables cannot mask large raw residuals on their pair rows.
-        if report.h_inf <= opts.tol and natural_residual(z, r, problem) <= opts.tol:
-            report.converged = True
-            report.wall_time = time.perf_counter() - t_start
-            return z, report
-        try:
+        report.s_evals += n_evals
+        h = merit_vector(z, r, problem)
+        s = 0.5 * float(h @ h)
+        while True:
+            report.h_inf = float(np.abs(h).max())
+            # Stop on max|H| <= tol, sharpened by the natural residual so tiny
+            # variables cannot mask large raw residuals on their pair rows.
+            if report.h_inf <= opts.tol and natural_residual(z, r, problem) <= opts.tol:
+                report.converged = True
+                return z, report
             if report.iterations >= opts.max_iter:
                 raise MaxIterations(f"no convergence in {opts.max_iter} iterations", iterate=z)
             d, g_dot_d = direction(z, problem, opts, r=r, h=h)
             report.js_evals += 1
             t, z, r, h, s, n_evals = line_search(z, d, g_dot_d, s, problem, opts)
-        except SolverError as err:
-            report.wall_time = time.perf_counter() - t_start
-            err.report = report
+            report.s_evals += n_evals
+            report.iterations += 1
+            report.last_step = t
+    except SolverError as err:
+        err.report = report
+        # a failure after restoration names the worst pair of the last iterate
+        if z is not None:
             err.args = (f"{err}; {_record_failure(report, z, r, problem)}",)
-            raise
-        report.s_evals += n_evals
-        report.iterations += 1
-        report.last_step = t
+        raise
+    finally:
+        report.wall_time = time.perf_counter() - t_start

@@ -97,7 +97,7 @@ class StepEquations:
         theta, eta = z[0::2], z[1::2]
         if z is not last_z:
             state = State(theta=theta, eta=eta)
-            return assemble_LD(state, cache), assemble_LDQ(state, cache.grid, cache.params)
+            return assemble_LD(state, cache), assemble_LDQ(state, cache)
         return 8.0 * theta - r[0::2] - self.ld, 4.0 * eta - r[1::2] - self.ldq
 
 
@@ -116,7 +116,7 @@ def build_step_problem(state: State, cache: SchemeCache, method: str,
     """
     m = cache.grid.m
     if level is None:
-        level = assemble_LD(state, cache), assemble_LDQ(state, cache.grid, cache.params)
+        level = assemble_LD(state, cache), assemble_LDQ(state, cache)
     equations = StepEquations(cache, *level)
 
     if method == MNCP:

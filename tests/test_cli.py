@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from combust import cli
+from combust import analysis, cli
 from combust.cli import ConfigError, main, parse_config
 from combust.mncp import MNCP, NCP, SolverOptions
 from combust.model import (
@@ -214,6 +214,14 @@ class TestMain:
             for tok in row:
                 assert float(tok) == float(repr(float(tok)))
 
+    def test_csv_rows_end_in_lf(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "profiles.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert b"\r" not in data
+        assert data.count(b"\n") == 1 + 2 * 9
+
     def test_run_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)
         out = str(tmp_path / "p.csv")
@@ -337,13 +345,20 @@ class TestMain:
         assert "combust: configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("out, script", [("missing/o.csv", "p.gp"), ("o.csv", "missing/p.gp")])
-    def test_unwritable_output_exit_code(self, tmp_path, capsys, out, script):
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch, out, script):
+        # the missing directory is found before any run starts
+        def no_run(*args):
+            raise AssertionError("computation started before the output check")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(analysis, "refine_errors", no_run)
         cfg = write_config(tmp_path, SMALL_RUN)
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / out),
-                     "--plot-script", str(tmp_path / script)]) == 1
-        err = capsys.readouterr().err
-        assert "combust: cannot write output:" in err
-        assert str(tmp_path / "missing") in err
+        for command in ("run", "refine"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / out),
+                         "--plot-script", str(tmp_path / script)]) == 1
+            err = capsys.readouterr().err
+            assert "combust: cannot write output:" in err
+            assert str(tmp_path / "missing") in err
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),

@@ -111,17 +111,36 @@ class TestLevelNVectors:
         np.testing.assert_allclose(assemble_LD(state, cache), np.zeros(5), atol=1e-16)
 
     def test_ldq_burned_out(self):
-        grid = base_grid(4)
+        cache = assemble_matrices(base_grid(4), BASE_PARAMS)
         state = State(theta=np.zeros(4), eta=np.ones(4))
-        np.testing.assert_array_equal(assemble_LDQ(state, grid, BASE_PARAMS), np.full(4, 2.0))
+        np.testing.assert_array_equal(assemble_LDQ(state, cache), np.full(4, 2.0))
 
     def test_ldq_cold_unburned_oracle(self):
         grid = base_grid(4)
         state = State(theta=np.zeros(4), eta=np.zeros(4))
         expected = grid.k * phi(0.0, 0.0, BASE_PARAMS)
-        np.testing.assert_allclose(assemble_LDQ(state, grid, BASE_PARAMS),
+        np.testing.assert_allclose(assemble_LDQ(state, assemble_matrices(grid, BASE_PARAMS)),
                                    np.full(4, expected), rtol=1e-14)
         assert expected == pytest.approx(5.9e-6, rel=0.01)
+
+
+    @pytest.mark.parametrize("m", [2, 3, 17])
+    def test_ld_matches_banded_expression_bit_for_bit(self, m):
+        # LD = B theta - lambda_s P + 2k Phi with B theta summed band by band
+        # from b_dense(); at M = 2 the Neumann corner is the only sub-diagonal
+        rng = np.random.default_rng(m)
+        grid = base_grid(m)
+        cache = assemble_matrices(grid, BASE_PARAMS)
+        b = cache.b_dense()
+        for _ in range(20):
+            theta = rng.uniform(0.0, 3.0, m)
+            eta = rng.uniform(0.0, 1.0, m)
+            b_theta = np.diag(b) * theta
+            b_theta[1:] += np.diag(b, -1) * theta[:-1]
+            b_theta[:-1] += np.diag(b, 1) * theta[1:]
+            expected = (b_theta - grid.lambda_s * assemble_P(theta, 0.0, BASE_PARAMS)
+                        + 2.0 * grid.k * phi(theta, eta, BASE_PARAMS))
+            np.testing.assert_array_equal(assemble_LD(State(theta, eta), cache), expected)
 
 
 class TestResidual:
@@ -130,7 +149,7 @@ class TestResidual:
         cache = assemble_matrices(grid, BASE_PARAMS)
         state = State(theta=np.zeros(6), eta=np.ones(6))
         ld = assemble_LD(state, cache)
-        ldq = assemble_LDQ(state, grid, BASE_PARAMS)
+        ldq = assemble_LDQ(state, cache)
         res, _ = residual(np.zeros(6), np.ones(6), cache, ld, ldq)
         assert res.shape == (12,)
         np.testing.assert_allclose(res[0::2], np.zeros(6), atol=1e-15)
@@ -147,7 +166,7 @@ class TestResidual:
             eta = rng.uniform(0.0, 1.0, 8)
             state = State(theta=theta, eta=eta)
             ld = assemble_LD(state, cache)
-            ldq = assemble_LDQ(state, grid, BASE_PARAMS)
+            ldq = assemble_LDQ(state, cache)
             res, _ = residual(theta, eta, cache, ld, ldq)
             direct_g = (
                 (cache.a_dense() - cache.b_dense()) @ theta
@@ -164,7 +183,7 @@ class TestResidual:
         cache = assemble_matrices(grid, BASE_PARAMS)
         state = State(theta=np.full(5, 0.5), eta=np.full(5, 0.5))
         ld = assemble_LD(state, cache)
-        ldq = assemble_LDQ(state, grid, BASE_PARAMS)
+        ldq = assemble_LDQ(state, cache)
         res, _ = residual(state.theta, state.eta, cache, ld, ldq)
         assert np.all(res[1::2] < 0.0)
 
@@ -178,12 +197,12 @@ class TestResidual:
         for _ in range(20):
             state = State(theta=rng.uniform(0.0, 3.0, m), eta=rng.uniform(0.0, 1.0, m))
             ld = assemble_LD(state, cache)
-            ldq = assemble_LDQ(state, grid, BASE_PARAMS)
+            ldq = assemble_LDQ(state, cache)
             theta = rng.uniform(0.0, 3.0, m)
             eta = rng.uniform(0.0, 1.0, m)
-            a_theta = cache.a_diag * theta
-            a_theta[1:] += cache.a_sub[1:] * theta[:-1]
-            a_theta[:-1] += cache.a_sup[:-1] * theta[1:]
+            a_theta = np.diag(cache.a_dense()) * theta
+            a_theta[1:] += np.diag(cache.a_dense(), -1) * theta[:-1]
+            a_theta[:-1] += np.diag(cache.a_dense(), 1) * theta[1:]
             phi_next = phi(theta, eta, BASE_PARAMS)
             g = (a_theta + grid.lambda_s * assemble_P(theta, 0.0, BASE_PARAMS)
                  - 2.0 * grid.k * phi_next - ld)
@@ -199,7 +218,7 @@ class TestResidual:
         cache = assemble_matrices(base_grid(5), BASE_PARAMS)
         state = State(theta=np.full(5, 0.5), eta=np.full(5, 0.5))
         ld = assemble_LD(state, cache)
-        ldq = assemble_LDQ(state, cache.grid, BASE_PARAMS)
+        ldq = assemble_LDQ(state, cache)
         (ld if row % 2 == 0 else ldq)[row // 2] = np.nan
         with pytest.raises(NumericError) as err:
             residual(state.theta, state.eta, cache, ld, ldq)
@@ -213,7 +232,7 @@ def dense_jacobian_fd(theta, eta, cache, step=1e-6):
     m = grid.m
     state = State(theta=theta, eta=eta)
     ld = assemble_LD(state, cache)
-    ldq = assemble_LDQ(state, grid, cache.params)
+    ldq = assemble_LDQ(state, cache)
 
     def f(z):
         return residual(z[0::2], z[1::2], cache, ld, ldq)[0]
@@ -275,11 +294,11 @@ class TestJacobian:
             pt = phi_dtheta(theta, eta, p)
             pe = phi_deta(theta, p)
             fd = flux_d(theta, p)
-            np.testing.assert_array_equal(jac.diag, cache.a_diag - 2.0 * k * pt)
+            np.testing.assert_array_equal(jac.diag, np.diag(cache.a_dense()) - 2.0 * k * pt)
             np.testing.assert_array_equal(jac.g_eta, -2.0 * k * pe)
             np.testing.assert_array_equal(jac.q_theta, -k * pt)
             np.testing.assert_array_equal(jac.q_eta, 2.0 - k * pe)
-            np.testing.assert_array_equal(jac.sup, cache.a_sup[: m - 1] + grid.lambda_s * fd[1:])
+            np.testing.assert_array_equal(jac.sup, np.diag(cache.a_dense(), 1) + grid.lambda_s * fd[1:])
 
 
 def dense_newton_solve(jac, scale, diag_add, rhs):

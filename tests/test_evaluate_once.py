@@ -53,7 +53,7 @@ def test_carried_level_data_equal_assembly(monkeypatch, method):
     assert len(carried) == 200
     for state, (ld, ldq), cache in carried:
         np.testing.assert_allclose(ld, assemble_LD(state, cache), rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(ldq, assemble_LDQ(state, config.grid, config.params),
+        np.testing.assert_allclose(ldq, assemble_LDQ(state, cache),
                                    rtol=0.0, atol=1e-13)
 
 

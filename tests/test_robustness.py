@@ -88,6 +88,21 @@ class TestFailureMessages:
         assert err.report.h_inf == 35.0
         assert STATE_TEXT.search(str(err)).group(1) == "0"
 
+    def test_restoration_failure_carries_timed_report_without_pair(self):
+        # no iterate was restored, so there is no worst pair to name
+        prob = MncpProblem(
+            size=1, comp_index=[0],
+            residual=lambda z: np.full(1, -1.0),
+            jacobian=dense(lambda z: np.eye(1)),
+        )
+        with pytest.raises(mncp.InfeasibleStart) as excinfo:
+            solve(prob, np.array([1.0]), SolverOptions(max_restore=3))
+        err = excinfo.value
+        assert str(err) == "could not restore interiority; violated rows [0]"
+        assert err.report.worst_pair is None
+        assert err.report.iterations == 0
+        assert err.report.wall_time > 0.0
+
     @pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
     def test_step_failure_names_node(self, method):
         config = base_config(50, method)
