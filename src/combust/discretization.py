@@ -14,7 +14,7 @@ assemble_LDQ build them from a state; they run for the first step only.
 As A + B = 8 I, the residual (G, Q) at the solution of a step gives the
 next level's data in O(M), with no exponential and no flux:
 LD' = 8 theta' - G - LD and LDQ' = 4 eta' - Q - LDQ
-(timestepper.StepEquations.next_level).
+(timestepper.StepEquations.advance).
 
 Each point's Arrhenius exponential is formed once: residual() takes Phi
 and F from the closure (s, e, Phi, F) of its point and returns it, and
@@ -97,7 +97,8 @@ class State:
 
 @dataclass(frozen=True)
 class SchemeCache:
-    """Immutable per-run algebra: the coefficients of the tridiagonal A and B.
+    """Immutable per-run algebra: the coefficients of the tridiagonal A and B,
+    and the grid's k and lambda_s, which every residual and Jacobian uses.
 
     Each matrix has one diagonal value and one off-diagonal value; its
     Neumann corner, entry (M, M-1), is twice the off-diagonal value.
@@ -107,6 +108,8 @@ class SchemeCache:
     a_off: float
     b_diag: float
     b_off: float
+    k: float
+    lambda_s: float
     grid: Grid
     params: DimensionlessParams
 
@@ -120,9 +123,10 @@ class SchemeCache:
 def _tri_matvec(diag, off, x, out=None):
     """A scheme matrix times x; each row adds sub-, then super-diagonal term."""
     y = np.multiply(diag, x, out=out)
-    y[1:-1] += off * x[:-2]
-    y[-1] += 2.0 * off * x[-2]
-    y[:-1] += off * x[1:]
+    off_x = off * x
+    y[1:-1] += off_x[:-2]
+    y[-1] += 2.0 * off_x[-2]
+    y[:-1] += off_x[1:]
     return y
 
 
@@ -147,7 +151,8 @@ def assemble_matrices(grid: Grid, params: DimensionlessParams) -> SchemeCache:
     """
     muh = grid.mu * params.h_diff
     return SchemeCache(a_diag=4.0 + 4.0 * muh, a_off=-2.0 * muh,
-                       b_diag=4.0 - 4.0 * muh, b_off=2.0 * muh, grid=grid, params=params)
+                       b_diag=4.0 - 4.0 * muh, b_off=2.0 * muh,
+                       k=grid.k, lambda_s=grid.lambda_s, grid=grid, params=params)
 
 
 def assemble_P(theta: np.ndarray, theta_b: float, params: DimensionlessParams) -> np.ndarray:
@@ -169,18 +174,17 @@ def assemble_P(theta: np.ndarray, theta_b: float, params: DimensionlessParams) -
 def assemble_LD(state: State, cache: SchemeCache) -> np.ndarray:
     """Level-n data of the complementarity residual:
     LD = B theta^n - lambda_s P^n + 2k Phi^n."""
-    grid = cache.grid
     phi_n = phi(state.theta, state.eta, cache.params)
     return (
         _tri_matvec(cache.b_diag, cache.b_off, state.theta)
-        - grid.lambda_s * assemble_P(state.theta, THETA_B, cache.params)
-        + 2.0 * grid.k * phi_n
+        - cache.lambda_s * assemble_P(state.theta, THETA_B, cache.params)
+        + 2.0 * cache.k * phi_n
     )
 
 
 def assemble_LDQ(state: State, cache: SchemeCache) -> np.ndarray:
     """Level-n data of the equality residual: LDQ = 2 eta^n + k Phi^n."""
-    return 2.0 * state.eta + cache.grid.k * phi(state.theta, state.eta, cache.params)
+    return 2.0 * state.eta + cache.k * phi(state.theta, state.eta, cache.params)
 
 
 def residual(
@@ -200,9 +204,8 @@ def residual(
     2 eta - k Phi - LDQ, in that order, so each entry is rounded as in those
     expressions.
     """
-    grid = cache.grid
-    k = grid.k
-    lam = grid.lambda_s
+    k = cache.k
+    lam = cache.lambda_s
     terms = closure(theta_next, eta_next, cache.params)
     _, _, phi_next, f = terms
     out = np.empty(2 * theta_next.size)
@@ -225,7 +228,7 @@ def residual(
 
 @dataclass
 class StepJacobian:
-    """Analytic Jacobian of (G, Q), stored by block.
+    """Analytic Jacobian of (G, Q), stored by block, with its pair layout.
 
     Only dG/dtheta couples neighbouring nodes; the other three blocks are
     diagonal:
@@ -234,7 +237,9 @@ class StepJacobian:
         dQ/dtheta = diag(q_theta)
         dQ/deta   = diag(q_eta)
     Rows and unknowns are interleaved, (theta_1, eta_1, theta_2, eta_2, ...),
-    in to_dense() and in the vectors newton_solve() takes and returns.
+    in to_dense() and in the vectors newton_solve() takes and returns.  The
+    theta rows are complementarity pairs; the eta rows are too when
+    eta_pairs is set (NCP), and are equalities otherwise (MNCP).
     """
 
     sub: np.ndarray
@@ -243,6 +248,7 @@ class StepJacobian:
     g_eta: np.ndarray
     q_theta: np.ndarray
     q_eta: np.ndarray
+    eta_pairs: bool = False
 
     def to_dense(self) -> np.ndarray:
         """The full 2M x 2M matrix in interleaved ordering (for verification)."""
@@ -255,32 +261,38 @@ class StepJacobian:
         dense[e, e] = self.q_eta
         return dense
 
-    def newton_solve(self, scale: np.ndarray, diag_add: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (diag(scale) J + diag(diag_add)) d = rhs.
+    def newton_solve(self, z: np.ndarray, r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve (diag(s) J + diag(a)) d = rhs, the Newton matrix of H at z.
 
-        Each node's eta correction is eliminated in closed form, leaving a
-        tridiagonal Schur complement in theta for LAPACK dgtsv.  The eta
-        pivot scale_eta q_eta + diag_add_eta is 2 + k beta e^(...) >= 2 on
-        equality rows and eta (2 + k beta e^(...)) + Q > 0 on pair rows at a
-        strictly interior iterate.  On a zero pivot or a non-finite result
-        the solve is retried once with 1e-12 (1 + |d_ii|) added to every
-        diagonal entry; np.linalg.LinAlgError is raised if that fails too.
+        s = z and a = r, the residual at z, on the pair rows; s = 1 and
+        a = 0 on the equality rows, whose products this skips.  Each node's
+        eta correction is eliminated in closed form, leaving a tridiagonal
+        Schur complement in theta for LAPACK dgtsv.  The eta pivot is
+        2 + k beta e^(...) >= 2 on equality rows and eta (2 + k beta e^(...))
+        + Q > 0 on pair rows at a strictly interior iterate.  On a zero pivot
+        or a non-finite result the solve is retried once with
+        1e-12 (1 + |d_ii|) added to every diagonal entry;
+        np.linalg.LinAlgError is raised if that fails too.
         """
-        s_t = scale[0::2]
-        s_e = scale[1::2]
-        diag_t = s_t * self.diag + diag_add[0::2]
-        diag_e = s_e * self.q_eta + diag_add[1::2]
+        s_t = z[0::2]
+        diag_t = s_t * self.diag + r[0::2]
+        if self.eta_pairs:
+            s_e = z[1::2]
+            coupling = s_e * self.q_theta
+            diag_e = s_e * self.q_eta + r[1::2]
+        else:
+            coupling = self.q_theta
+            diag_e = self.q_eta
         try:
-            return self._eliminate(s_t, s_e, diag_t, diag_e, rhs)
+            return self._eliminate(s_t, coupling, diag_t, diag_e, rhs)
         except np.linalg.LinAlgError:
-            diag_t += 1e-12 * (1.0 + np.abs(diag_t))
-            diag_e += 1e-12 * (1.0 + np.abs(diag_e))
-            return self._eliminate(s_t, s_e, diag_t, diag_e, rhs)
+            diag_t = diag_t + 1e-12 * (1.0 + np.abs(diag_t))
+            diag_e = diag_e + 1e-12 * (1.0 + np.abs(diag_e))
+            return self._eliminate(s_t, coupling, diag_t, diag_e, rhs)
 
-    def _eliminate(self, s_t, s_e, diag_t, diag_e, rhs):
+    def _eliminate(self, s_t, coupling, diag_t, diag_e, rhs):
         f_t = rhs[0::2]
         f_e = rhs[1::2]
-        coupling = s_e * self.q_theta
         ratio = s_t * self.g_eta / diag_e
         _, _, _, x_t, info = dgtsv(
             s_t[1:] * self.sub, diag_t - ratio * coupling, s_t[:-1] * self.sup,
@@ -295,7 +307,7 @@ class StepJacobian:
 
 
 def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache,
-             terms=None) -> StepJacobian:
+             terms=None, eta_pairs: bool = False) -> StepJacobian:
     """Analytic Jacobian of the step residuals (G, Q):
         dG/dtheta = A + lambda_s dP/dtheta - 2k diag(phi_theta)
         dG/deta   = -2k diag(phi_eta)
@@ -304,10 +316,11 @@ def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache,
     with dP/dtheta row m holding +F'(theta_{m+1}) and -F'(theta_{m-1})
     (row M zero, boundary column dropped).
     terms, the closure that residual() returned at this same point, spares
-    the exponential; without it the closure is formed afresh.
+    the exponential; without it the closure is formed afresh.  eta_pairs
+    sets the pair layout newton_solve() scales by (see StepJacobian).
     """
-    k = cache.grid.k
-    lam = cache.grid.lambda_s
+    k = cache.k
+    lam = cache.lambda_s
 
     pt, pe, fd = closure_derivatives(theta_next, eta_next, cache.params, terms)
 
@@ -325,4 +338,5 @@ def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache,
         g_eta=-2.0 * k * pe,
         q_theta=-k * pt,
         q_eta=2.0 - k * pe,
+        eta_pairs=eta_pairs,
     )

@@ -85,12 +85,14 @@ class SolverOptions:
 class MncpProblem:
     """Evaluation contract for one complementarity problem in `size` unknowns.
 
-    residual maps z to the full residual vector; jacobian maps z to its
-    derivative J, an object whose newton_solve(scale, diag_add, rhs) returns
-    the solution d of (diag(scale) J + diag(diag_add)) d = rhs and raises
-    np.linalg.LinAlgError when that matrix is singular.  comp_index lists
-    the rows/variables forming complementarity pairs (pair i couples z_i
-    with residual row i); every other row is an equality.
+    residual maps z to the full residual vector; comp_index lists the
+    rows/variables forming complementarity pairs (pair i couples z_i with
+    residual row i); every other row is an equality.  jacobian maps z to its
+    derivative J, an object that knows the same pair layout: its
+    newton_solve(z, r, rhs), given the residual r at z, returns the solution
+    d of the Newton matrix of H, (diag(s) J + diag(a)) d = rhs with s = z
+    and a = r on the pair rows and s = 1, a = 0 on the equality rows, and
+    raises np.linalg.LinAlgError when that matrix is singular.
 
     solve() calls jacobian only with the array it last passed to residual,
     unmodified since (the restored start or the accepted probe), and returns
@@ -148,7 +150,8 @@ def merit(z: np.ndarray, problem: MncpProblem):
     return 0.5 * float(h @ h), h
 
 
-def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None, h=None):
+def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None, h=None,
+              s=None):
     """Feasible descent direction: solve J_H d = -H + sigma_c rho.
 
     rho is 0 on equality rows and, on pair row i,
@@ -174,28 +177,26 @@ def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None, 
     because for kappa <= 1/2 each (h_i - mu)^2 - h_i (kappa h_i - mu) =
     (1 - kappa) h_i^2 - h_i mu + mu^2 >= ((h_i - mu)^2 + mu^2) / 2 >= 0.
     Hence grad(S)^T d <= -(1 - sigma_c) ||H||^2 for every kappa <= 1/2.
-    The residual r and the merit vector h at z are computed when not given.
+    The residual r, the merit vector h and the merit value s = 0.5 ||H||^2
+    at z are computed when not given.
     Returns (d, grad_S_dot_d).
     """
     if r is None:
         r = problem.residual(z)
     if h is None:
         h = merit_vector(z, r, problem)
+    if s is None:
+        s = 0.5 * float(h @ h)
     jac = problem.jacobian(z)
     ci = problem.comp_index
-    # Jacobian of H: pair rows are z_i (dr_i/dz) + e_i r_i, the others dr_j/dz
-    scale = np.ones(problem.size)
-    scale[ci] = z[ci]
-    diag_add = np.zeros(problem.size)
-    diag_add[ci] = r[ci]
     rhs = -h
     if ci.size:
-        norm_h = math.sqrt(h @ h)
         h_ci = h[ci]
         mu = h_ci.sum() / ci.size
-        rhs[ci] += opts.sigma_c * np.maximum(min(1.0, norm_h) * mu, _KAPPA * h_ci)
+        rhs[ci] += opts.sigma_c * np.maximum(min(1.0, math.sqrt(2.0 * s)) * mu, _KAPPA * h_ci)
+    # Jacobian of H: pair rows are z_i (dr_i/dz) + e_i r_i, the others dr_j/dz
     try:
-        d = jac.newton_solve(scale, diag_add, rhs)
+        d = jac.newton_solve(z, r, rhs)
     except np.linalg.LinAlgError as err:
         raise SingularJacobian("Newton matrix is singular", iterate=z) from err
     # grad(S)^T d = h^T J_H d = h^T rhs for the matrix actually solved
@@ -208,19 +209,24 @@ def line_search(z, d, g_dot_d, s0, problem: MncpProblem, opts: SolverOptions):
 
     Accepts the largest t keeping z + t d strictly interior (positive pair
     variables and positive pair residuals) with Armijo decrease on S.
+    The minimum over no pairs is +inf, so without pairs every probe is
+    interior.
     Returns (t, z_next, r_next, h_next, s_next, n_merit_evals).
     """
     ci = problem.comp_index
     t = 1.0
     n_evals = 0
     while t >= _STEP_FLOOR:
-        z_t = z + t * d
-        if (z_t[ci] > 0.0).all():
+        z_t = z + d if t == 1.0 else z + t * d
+        z_ci = z_t[ci]
+        if z_ci.min(initial=np.inf) > 0.0:
             r_t = problem.residual(z_t)
-            h_t = merit_vector(z_t, r_t, problem)
+            r_ci = r_t[ci]
+            h_t = r_t.copy()            # merit_vector, sharing the pair entries
+            h_t[ci] = z_ci * r_ci
             s_t = 0.5 * float(h_t @ h_t)
             n_evals += 1
-            if (r_t[ci] > 0.0).all() and s_t <= s0 + opts.eta_armijo * t * g_dot_d:
+            if r_ci.min(initial=np.inf) > 0.0 and s_t <= s0 + opts.eta_armijo * t * g_dot_d:
                 return t, z_t, r_t, h_t, s_t, n_evals
         t *= opts.nu_backtrack
     raise LineSearchStall(f"line search stalled below t={_STEP_FLOOR} (S={s0:.3e})", iterate=z)
@@ -243,7 +249,7 @@ def restore_feasibility(z0, problem: MncpProblem, opts: SolverOptions, shift: fl
     n_evals = 1
     delta = shift if shift > 0.0 else opts.eps_interior
     doublings = 0
-    while (r[ci] <= 0.0).any():
+    while r[ci].min(initial=np.inf) <= 0.0:
         if doublings >= opts.max_restore:
             bad = [int(i) for i in problem.comp_index[r[ci] <= 0.0]]
             raise InfeasibleStart(f"could not restore interiority; violated rows {bad}", iterate=z)
@@ -301,7 +307,7 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
                 return z, report
             if report.iterations >= opts.max_iter:
                 raise MaxIterations(f"no convergence in {opts.max_iter} iterations", iterate=z)
-            d, g_dot_d = direction(z, problem, opts, r=r, h=h)
+            d, g_dot_d = direction(z, problem, opts, r=r, h=h, s=s)
             report.js_evals += 1
             t, z, r, h, s, n_evals = line_search(z, d, g_dot_d, s, problem, opts)
             report.s_evals += n_evals

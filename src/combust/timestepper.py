@@ -58,8 +58,15 @@ def initial_state(grid: Grid) -> State:
 
 
 class StepEquations:
-    """Residual and Jacobian of one time step in the interleaved unknowns
-    z = (theta_1, eta_1, theta_2, eta_2, ...), given the level-n data LD, LDQ.
+    """Residual and Jacobian of a run's time steps in the interleaved unknowns
+    z = (theta_1, eta_1, theta_2, eta_2, ...), with the level data LD, LDQ of
+    the step at hand.
+
+    Built once per run from the run's first level: problem is the
+    MncpProblem every step solves, and advance() moves the level data on to
+    the next level once a step is solved.  In mncp mode the theta entries
+    (even indices) are the complementarity pairs against G; in ncp mode
+    every entry is a pair.
 
     The latest residual evaluation is kept with its point: the residual and
     the closure terms (s, e, Phi, F).  The solver builds each Jacobian at, and
@@ -69,10 +76,19 @@ class StepEquations:
     afresh.
     """
 
-    def __init__(self, cache: SchemeCache, ld: np.ndarray, ldq: np.ndarray):
+    def __init__(self, cache: SchemeCache, method: str, state: State):
+        m = cache.grid.m
+        if method == MNCP:
+            comp_index = np.arange(0, 2 * m, 2)
+        elif method == NCP:
+            comp_index = np.arange(2 * m)
+        else:
+            raise ValueError(f"unknown method {method!r}")
         self.cache = cache
-        self.ld = ld
-        self.ldq = ldq
+        self.eta_pairs = method == NCP
+        self.problem = MncpProblem(2 * m, comp_index, self.residual, self.jacobian)
+        self.ld = assemble_LD(state, cache)
+        self.ldq = assemble_LDQ(state, cache)
         self._last = (None, None, None)   # (z, r, terms) of the latest residual
 
     def residual(self, z):
@@ -82,10 +98,11 @@ class StepEquations:
 
     def jacobian(self, z):
         last_z, _, terms = self._last
-        return jacobian(z[0::2], z[1::2], self.cache, terms if z is last_z else None)
+        return jacobian(z[0::2], z[1::2], self.cache, terms if z is last_z else None,
+                        self.eta_pairs)
 
-    def next_level(self, z):
-        """(LD, LDQ) of the level that z holds, once z solves this step.
+    def advance(self, z):
+        """Move LD, LDQ on to the level that z holds, once z solves this step.
 
         A + B = 8 I, so with the residual (G, Q) at z
             LD' = B theta' - lambda_s P' + 2k Phi' = 8 theta' - G - LD
@@ -93,48 +110,13 @@ class StepEquations:
         in O(M), with no exponential and no flux.
         """
         last_z, r, _ = self._last
-        cache = self.cache
         theta, eta = z[0::2], z[1::2]
-        if z is not last_z:
+        if z is last_z:
+            self.ld = 8.0 * theta - r[0::2] - self.ld
+            self.ldq = 4.0 * eta - r[1::2] - self.ldq
+        else:
             state = State(theta=theta, eta=eta)
-            return assemble_LD(state, cache), assemble_LDQ(state, cache)
-        return 8.0 * theta - r[0::2] - self.ld, 4.0 * eta - r[1::2] - self.ldq
-
-
-def build_step_problem(state: State, cache: SchemeCache, method: str,
-                       previous: Optional[State] = None, level: Optional[tuple] = None):
-    """Wrap one time step as an MncpProblem on the interleaved unknowns.
-
-    z = (theta_1, eta_1, theta_2, eta_2, ...); in mncp mode the theta
-    entries (even indices) are the complementarity pairs against G, in ncp
-    mode every entry is a pair.  level is the (LD, LDQ) of `state`; it is
-    assembled when not given.  The start point z0 is the state itself or,
-    given the previous level, the linear extrapolation 2 z^n - z^(n-1) on
-    both theta and eta.  It is not clipped: restoration clamps the pair
-    variables.  Returns (problem, z0, equations), the StepEquations whose
-    residual and jacobian the problem evaluates.
-    """
-    m = cache.grid.m
-    if level is None:
-        level = assemble_LD(state, cache), assemble_LDQ(state, cache)
-    equations = StepEquations(cache, *level)
-
-    if method == MNCP:
-        comp_index = np.arange(0, 2 * m, 2)
-    elif method == NCP:
-        comp_index = np.arange(2 * m)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    problem = MncpProblem(2 * m, comp_index, equations.residual, equations.jacobian)
-
-    z0 = np.empty(2 * m)
-    if previous is None:
-        z0[0::2] = state.theta
-        z0[1::2] = state.eta
-    else:
-        z0[0::2] = 2.0 * state.theta - previous.theta
-        z0[1::2] = 2.0 * state.eta - previous.eta
-    return problem, z0, equations
+            self.ld, self.ldq = assemble_LD(state, self.cache), assemble_LDQ(state, self.cache)
 
 
 def _failure_reason(err: SolverError) -> str:
@@ -147,24 +129,30 @@ def _failure_reason(err: SolverError) -> str:
     return reason
 
 
-def step(state: State, cache: SchemeCache, config: RunConfig, shift: float = 0.0,
-         previous: Optional[State] = None, level: Optional[tuple] = None):
+def step(state: State, equations: StepEquations, config: RunConfig, shift: float = 0.0,
+         previous: Optional[State] = None):
     """Advance one time level from the restoration shift `shift`.
 
-    With the previous level, the solve starts from the extrapolation
-    2 z^n - z^(n-1) instead of z^n (see build_step_problem).  level is the
-    (LD, LDQ) of `state`, assembled when not given.
-    Returns (next_state, report, next_level): report is the SolverReport of
-    the solve, whose shift is the total restoration shift the solve used,
-    and next_level the (LD, LDQ) of next_state.
+    equations hold the level data of `state` and are advanced to those of
+    the next state.  The solve starts from z^n or, given the previous level,
+    from the linear extrapolation 2 z^n - z^(n-1) on both theta and eta.  The
+    start is not clipped: restoration clamps the pair variables.
+    Returns (next_state, report): report is the SolverReport of the solve,
+    whose shift is the total restoration shift the solve used.
     """
-    problem, z0, equations = build_step_problem(state, cache, config.method, previous, level)
+    z0 = np.empty(2 * state.theta.size)
+    if previous is None:
+        z0[0::2] = state.theta
+        z0[1::2] = state.eta
+    else:
+        z0[0::2] = 2.0 * state.theta - previous.theta
+        z0[1::2] = 2.0 * state.eta - previous.eta
     try:
-        z, report = solve(problem, z0, config.solver_opts, shift)
+        z, report = solve(equations.problem, z0, config.solver_opts, shift)
     except SolverError as err:
         raise StepFailed(_failure_reason(err), time_index=state.n, cause=err) from err
-    next_state = State(theta=z[0::2].copy(), eta=z[1::2].copy(), n=state.n + 1)
-    return next_state, report, equations.next_level(z)
+    equations.advance(z)
+    return State(theta=z[0::2].copy(), eta=z[1::2].copy(), n=state.n + 1), report
 
 
 def snapshot_indices(grid: Grid, record_times) -> dict:
@@ -183,9 +171,10 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     """Run the full time loop, snapshotting at the requested record times.
 
     A custom initial state may be supplied (used by verification runs);
-    by default the reservoir initial condition is used.  The level data
-    (LD, LDQ) are assembled for the first step only; each later step takes
-    them from the step before (see StepEquations.next_level).
+    by default the reservoir initial condition is used.  The step equations
+    are built once, with the level data (LD, LDQ) assembled for the first
+    step only; each step advances them to the next level (see
+    StepEquations.advance).
 
     Every step after the first starts from the extrapolation of the last
     two levels, and its restoration starts from max(s / 2, tol), where s is
@@ -199,18 +188,18 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     grid = config.grid
     cache = assemble_matrices(grid, config.params)
     state = initial.copy() if initial is not None else initial_state(grid)
+    equations = StepEquations(cache, config.method, state)
     snap_at = snapshot_indices(grid, config.record_times)
 
     snapshots = []
     per_step = []
     shift = 0.0
     previous = None
-    level = None
     if 0 in snap_at:
         snapshots.append((0.0, state.copy()))
     for n in range(grid.n_steps):
         try:
-            next_state, report, level = step(state, cache, config, shift, previous, level)
+            next_state, report = step(state, equations, config, shift, previous)
         except StepFailed as err:
             err.partial = TimeSeries(snapshots=snapshots, per_step=per_step)
             raise

@@ -15,21 +15,28 @@ TABLE_TIMES = tuple(round(0.001 * i, 6) for i in range(1, 11))
 
 
 class DenseJacobian:
-    """Dense matrix with the newton_solve contract of MncpProblem.jacobian."""
+    """Dense matrix with the newton_solve contract of MncpProblem.jacobian;
+    pairs is the problem's comp_index."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, pairs):
         self.matrix = np.asarray(matrix, dtype=float)
+        self.pairs = np.asarray(pairs, dtype=int)
 
-    def newton_solve(self, scale, diag_add, rhs):
+    def newton_solve(self, z, r, rhs):
+        scale = np.ones(rhs.size)
+        scale[self.pairs] = z[self.pairs]
+        diag_add = np.zeros(rhs.size)
+        diag_add[self.pairs] = r[self.pairs]
         d = np.linalg.solve(self.matrix * scale[:, None] + np.diag(diag_add), rhs)
         if not np.all(np.isfinite(d)):
             raise np.linalg.LinAlgError("non-finite direction")
         return d
 
 
-def dense(jacobian):
-    """Wrap a z -> ndarray Jacobian of a toy problem as a DenseJacobian."""
-    return lambda z: DenseJacobian(jacobian(z))
+def dense(jacobian, pairs):
+    """Wrap a z -> ndarray Jacobian of a toy problem with pair rows `pairs`
+    as a DenseJacobian."""
+    return lambda z: DenseJacobian(jacobian(z), pairs)
 
 
 def base_config(m: int, method: str = MNCP, record_times=FIG_TIMES) -> RunConfig:

@@ -36,22 +36,22 @@ def acceptance_toys():
     mixed1 = MncpProblem(
         size=2, comp_index=[0],
         residual=lambda z: np.array([z[0] + z[1] - 2.0, z[1] - 1.0]),
-        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
+        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), [0]),
     )
     mixed2 = MncpProblem(
         size=2, comp_index=[0],
         residual=lambda z: np.array([z[0] + z[1], z[1] - 1.0]),
-        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
+        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), [0]),
     )
     scalar1 = MncpProblem(
         size=1, comp_index=[0],
         residual=lambda z: z - 2.0,
-        jacobian=dense(lambda z: np.eye(1)),
+        jacobian=dense(lambda z: np.eye(1), [0]),
     )
     scalar2 = MncpProblem(
         size=1, comp_index=[0],
         residual=lambda z: z + 2.0,
-        jacobian=dense(lambda z: np.eye(1)),
+        jacobian=dense(lambda z: np.eye(1), [0]),
     )
     return [
         (mixed1, np.array([2.0, 2.0]), np.array([1.0, 1.0])),

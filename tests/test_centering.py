@@ -14,7 +14,7 @@ def diagonal_problem(slope, offset):
     return MncpProblem(
         size=slope.size, comp_index=np.arange(slope.size),
         residual=lambda z: slope * z + offset,
-        jacobian=dense(lambda z: np.diag(slope)),
+        jacobian=dense(lambda z: np.diag(slope), np.arange(slope.size)),
     )
 
 

@@ -268,7 +268,7 @@ class TestMain:
         out = str(tmp_path / "profiles.csv")
         script = str(tmp_path / "plots.gp")
         assert main(["run", "--config", cfg, "--out", out, "--plot-script", script]) == 0
-        text = open(script).read()
+        text = Path(script).read_text()
         assert out in text
         assert "plot" in text
 
@@ -277,7 +277,7 @@ class TestMain:
         out = str(tmp_path / "errors.csv")
         script = str(tmp_path / "eplots.gp")
         assert main(["refine", "--config", cfg, "--out", out, "--plot-script", script]) == 0
-        text = open(script).read()
+        text = Path(script).read_text()
         assert f"'{out}' using 1:2 with linespoints title 'E_h'" in text
         assert "title 'E_h/4'" in text
         assert "multiplot" not in text

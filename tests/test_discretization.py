@@ -25,6 +25,8 @@ from combust.model import (
     phi_dtheta,
 )
 
+from conftest import DenseJacobian
+
 # grid with h = 1, k = 0.2, h_diff = 0.5 -> mu * h_diff = 0.1
 UNIT_PARAMS = DimensionlessParams(pe_t=2.0, beta=1.0, e_act=1.0, theta0=1.0, u=1.0)
 UNIT_GRID = Grid(length=3.0, m=3, k=0.2, n_steps=1)
@@ -301,17 +303,12 @@ class TestJacobian:
             np.testing.assert_array_equal(jac.sup, np.diag(cache.a_dense(), 1) + grid.lambda_s * fd[1:])
 
 
-def dense_newton_solve(jac, scale, diag_add, rhs):
-    """Reference: LAPACK dense solve of diag(scale) J + diag(diag_add)."""
-    jh = jac.to_dense() * scale[:, None] + np.diag(diag_add)
-    return np.linalg.solve(jh, rhs)
-
-
-def zero_pivot_jacobian(g_eta=0.0):
+def zero_pivot_jacobian(g_eta=0.0, eta_pairs=False):
     """M = 2 with dG/dtheta = diag(0, 1): node 1's theta column is zero but for
-    dG_1/deta_1 = g_eta, so the first pivot is exactly zero."""
+    dG_1/deta_1 = g_eta, so at z = 1, r = 0 the first pivot is exactly zero."""
     return StepJacobian(sub=np.zeros(1), diag=np.array([0.0, 1.0]), sup=np.zeros(1),
-                        g_eta=np.array([g_eta, 0.0]), q_theta=np.zeros(2), q_eta=np.ones(2))
+                        g_eta=np.array([g_eta, 0.0]), q_theta=np.zeros(2), q_eta=np.ones(2),
+                        eta_pairs=eta_pairs)
 
 
 class TestNewtonSolve:
@@ -319,7 +316,8 @@ class TestNewtonSolve:
     @pytest.mark.parametrize("mode", [mncp.MNCP, mncp.NCP])
     def test_matches_dense_solve(self, m, mode):
         # at a strictly interior iterate the pair variables and the pair
-        # residuals (row scale and diagonal addend) are positive
+        # residuals (row scale and diagonal addend) are positive; the
+        # equality rows' residuals must not enter the matrix
         rng = np.random.default_rng(m)
         cache = assemble_matrices(base_grid(m), BASE_PARAMS)
         pairs = np.arange(0, 2 * m, 2) if mode == mncp.MNCP else np.arange(2 * m)
@@ -329,25 +327,28 @@ class TestNewtonSolve:
             z = np.empty(2 * m)
             z[0::2] = theta
             z[1::2] = eta
-            scale = np.ones(2 * m)
-            scale[pairs] = z[pairs]
-            diag_add = np.zeros(2 * m)
-            diag_add[pairs] = rng.uniform(1e-6, 1.0, pairs.size)
+            r = rng.normal(size=2 * m)
+            r[pairs] = rng.uniform(1e-6, 1.0, pairs.size)
             rhs = rng.normal(size=2 * m)
-            jac = jacobian(theta, eta, cache)
-            d = jac.newton_solve(scale, diag_add, rhs)
-            ref = dense_newton_solve(jac, scale, diag_add, rhs)
+            jac = jacobian(theta, eta, cache, eta_pairs=mode == mncp.NCP)
+            d = jac.newton_solve(z, r, rhs)
+            ref = DenseJacobian(jac.to_dense(), pairs).newton_solve(z, r, rhs)
             assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_pivot_retries_perturbed(self):
-        jac = zero_pivot_jacobian()
-        rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        d = jac.newton_solve(np.ones(4), np.zeros(4), rhs)
-        # the retry solves the matrix with 1e-12 (1 + |d_ii|) on its diagonal
-        diag = np.array([0.0, 1.0, 1.0, 1.0])
-        perturbed = jac.to_dense() + np.diag(1e-12 * (1.0 + diag))
-        np.testing.assert_allclose(d, np.linalg.solve(perturbed, rhs), rtol=1e-14)
-        assert d[0] == pytest.approx(1e12)
+        # at z = 1, r = 0 both pair layouts give the same Newton matrix
+        for eta_pairs in (False, True):
+            jac = zero_pivot_jacobian(eta_pairs=eta_pairs)
+            rhs = np.array([1.0, 2.0, 3.0, 4.0])
+            d = jac.newton_solve(np.ones(4), np.zeros(4), rhs)
+            # the retry solves the matrix with 1e-12 (1 + |d_ii|) on its diagonal
+            diag = np.array([0.0, 1.0, 1.0, 1.0])
+            perturbed = jac.to_dense() + np.diag(1e-12 * (1.0 + diag))
+            np.testing.assert_allclose(d, np.linalg.solve(perturbed, rhs), rtol=1e-14)
+            assert d[0] == pytest.approx(1e12)
+            # the perturbation is the solve's own: the Jacobian is left as it was
+            np.testing.assert_array_equal(jac.q_eta, np.ones(2))
+            np.testing.assert_array_equal(jac.diag, [0.0, 1.0])
 
     def test_singular_after_retry_raises(self):
         # after the retry the zero pivot is 1e-12, and eliminating eta_1
@@ -356,13 +357,14 @@ class TestNewtonSolve:
         with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
             jac.newton_solve(np.ones(4), np.zeros(4), np.array([0.0, 1e100, 0.0, 0.0]))
 
-        # the same through the solver: theta_2 is the only pair, so the
-        # right-hand side on the eta_1 row is again 1e100
+        # the same through the solver: the theta rows are the pairs, the
+        # residual of the first is 0, and the right-hand side on the eta_1
+        # row is again 1e100
         prob = MncpProblem(
             size=4,
             residual=lambda z: np.array([0.0, -1e100, 1.0, 0.0]),
             jacobian=lambda z: jac,
-            comp_index=np.array([2]),
+            comp_index=np.array([0, 2]),
         )
         with np.errstate(all="ignore"), pytest.raises(mncp.SingularJacobian):
             direction(np.ones(4), prob, SolverOptions())

@@ -37,14 +37,14 @@ def short_config(method, n_steps, m=50, k=1e-5):
 
 @pytest.mark.parametrize("method", [MNCP, NCP])
 def test_carried_level_data_equal_assembly(monkeypatch, method):
-    # LD' = 8 theta' - G - LD + UR and LDQ' = 4 eta' - Q - LDQ from the
+    # LD' = 8 theta' - G - LD and LDQ' = 4 eta' - Q - LDQ from the
     # converged residual, against assembling from the new state
     carried = []
     original = timestepper.step
 
-    def recording(*args):
-        out = original(*args)
-        carried.append((out[0], out[2], args[1]))
+    def recording(state, equations, *args):
+        out = original(state, equations, *args)
+        carried.append((out[0], (equations.ld, equations.ldq), equations.cache))
         return out
 
     monkeypatch.setattr(timestepper, "step", recording)
@@ -65,8 +65,9 @@ def test_long_run_matches_fresh_assembly(monkeypatch, method):
     _, carried = run(config).snapshots[-1]
     original = timestepper.step
 
-    def assembling(state, cache, config, shift=0.0, previous=None, level=None):
-        return original(state, cache, config, shift, previous)
+    def assembling(state, equations, config, shift=0.0, previous=None):
+        fresh = timestepper.StepEquations(equations.cache, config.method, state)
+        return original(state, fresh, config, shift, previous)
 
     monkeypatch.setattr(timestepper, "step", assembling)
     _, fresh = run(config).snapshots[-1]
@@ -99,15 +100,16 @@ def test_solver_jacobians_equal_fresh_ones(monkeypatch, method):
     built = []
     original = timestepper.jacobian
 
-    def recording(theta, eta, cache, terms=None):
-        jac = original(theta, eta, cache, terms)
+    def recording(theta, eta, cache, terms=None, eta_pairs=False):
+        jac = original(theta, eta, cache, terms, eta_pairs)
         built.append((theta.copy(), eta.copy(), terms is not None, jac))
         return jac
 
     monkeypatch.setattr(timestepper, "jacobian", recording)
     config = short_config(method, 1)
     cache = assemble_matrices(config.grid, config.params)
-    _, report, _ = step(initial_state(config.grid), cache, config)
+    state = initial_state(config.grid)
+    _, report = step(state, timestepper.StepEquations(cache, method, state), config)
     assert report.js_evals == len(built) >= 2
     for theta, eta, shared, jac in built:
         assert shared
@@ -118,7 +120,7 @@ def test_jacobian_elsewhere_forms_its_own_terms():
     config = short_config(MNCP, 1, m=6)
     cache = assemble_matrices(config.grid, config.params)
     state = initial_state(config.grid)
-    _, _, equations = timestepper.build_step_problem(state, cache, MNCP)
+    equations = timestepper.StepEquations(cache, MNCP, state)
     z = np.full(12, 0.1)
     equations.residual(z)
     other = z.copy()
@@ -127,16 +129,18 @@ def test_jacobian_elsewhere_forms_its_own_terms():
                                   jacobian(other[0::2], other[1::2], cache).to_dense())
 
 
-def test_next_level_off_the_last_point_assembles():
+def test_advance_off_the_last_point_assembles():
     config = short_config(MNCP, 1, m=6)
     cache = assemble_matrices(config.grid, config.params)
     state = initial_state(config.grid)
-    _, _, equations = timestepper.build_step_problem(state, cache, MNCP)
+    equations = timestepper.StepEquations(cache, MNCP, state)
+    ld0, ldq0 = equations.ld, equations.ldq
     z = np.full(12, 0.1)
-    ld, ldq = equations.next_level(z)
-    r, _ = residual(z[0::2], z[1::2], cache, equations.ld, equations.ldq)
-    np.testing.assert_allclose(ld, 8.0 * z[0::2] - r[0::2] - equations.ld, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(ldq, 4.0 * z[1::2] - r[1::2] - equations.ldq, rtol=1e-13, atol=1e-15)
+    equations.advance(z)
+    r, _ = residual(z[0::2], z[1::2], cache, ld0, ldq0)
+    np.testing.assert_allclose(equations.ld, 8.0 * z[0::2] - r[0::2] - ld0, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(equations.ldq, 4.0 * z[1::2] - r[1::2] - ldq0,
+                               rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("method", [MNCP, NCP])

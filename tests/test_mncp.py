@@ -26,7 +26,7 @@ def scalar_affine(slope=1.0, offset=2.0):
     return MncpProblem(
         size=1, comp_index=[0],
         residual=lambda z: slope * z + offset,
-        jacobian=dense(lambda z: np.array([[slope]])),
+        jacobian=dense(lambda z: np.array([[slope]]), [0]),
     )
 
 
@@ -52,7 +52,7 @@ class TestMeritAndResidual:
         prob = MncpProblem(
             size=2, comp_index=[0],
             residual=lambda z: np.array([z[0] - 1.0, z[1] + 5.0]),
-            jacobian=dense(lambda z: np.eye(2)),
+            jacobian=dense(lambda z: np.eye(2), [0]),
         )
         h = merit_vector(np.array([2.0, 3.0]), prob.residual(np.array([2.0, 3.0])), prob)
         np.testing.assert_array_equal(h, [2.0, 8.0])
@@ -73,7 +73,7 @@ class TestMeritAndResidual:
         prob = MncpProblem(
             size=1, comp_index=[],
             residual=lambda z: z - 1.0,
-            jacobian=dense(lambda z: np.eye(1)),
+            jacobian=dense(lambda z: np.eye(1), []),
         )
         assert natural_residual(np.array([4.0]), np.array([3.0]), prob) == 0.0
 
@@ -82,7 +82,7 @@ class TestMeritAndResidual:
         prob = MncpProblem(
             size=1, comp_index=[],
             residual=lambda z: z - 1.0,
-            jacobian=dense(lambda z: np.eye(1)),
+            jacobian=dense(lambda z: np.eye(1), []),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -113,7 +113,7 @@ class TestDirection:
         prob = MncpProblem(
             size=2, comp_index=[0, 1],
             residual=lambda z: np.array([z[0] ** 2 + z[1] + 0.5, z[0] + 2.0 * z[1] + 1.0]),
-            jacobian=dense(lambda z: np.array([[2.0 * z[0], 1.0], [1.0, 2.0]])),
+            jacobian=dense(lambda z: np.array([[2.0 * z[0], 1.0], [1.0, 2.0]]), [0, 1]),
         )
         for sigma in (0.1, 0.5, 0.9):
             opts = SolverOptions(sigma_c=sigma)
@@ -128,7 +128,7 @@ class TestDirection:
         prob = MncpProblem(
             size=2, comp_index=[0, 1],
             residual=lambda z: np.array([1.0, 1.0]),
-            jacobian=dense(lambda z: np.full((2, 2), np.inf)),
+            jacobian=dense(lambda z: np.full((2, 2), np.inf), [0, 1]),
         )
         with pytest.raises(mncp.SingularJacobian):
             direction(np.array([1.0, 1.0]), prob, SolverOptions())
@@ -160,7 +160,7 @@ class TestLineSearch:
         prob = MncpProblem(
             size=1, comp_index=[0],
             residual=lambda z: 10.0 * z - 1.0,
-            jacobian=dense(lambda z: np.array([[10.0]])),
+            jacobian=dense(lambda z: np.array([[10.0]]), [0]),
         )
         opts = SolverOptions()
         z = np.array([2.0])
@@ -169,6 +169,20 @@ class TestLineSearch:
         t, *_ = line_search(z, d, g_dot_d, s0, prob, opts)
         k = round(np.log(t) / np.log(opts.nu_backtrack))
         assert t == pytest.approx(opts.nu_backtrack ** k, rel=1e-12)
+
+    def test_zero_is_not_interior(self):
+        # along d = -1, the full step from z = 2 lands on a pair residual
+        # r(z) = z - 1 of exactly 0.0, which the line search evaluates and
+        # rejects; the full step from z = 1 lands on a pair variable of
+        # exactly 0.0 (r(z) = z + 2), which it rejects before evaluating
+        opts = SolverOptions()
+        for prob, z0, n_expected in ((scalar_affine(offset=-1.0), 2.0, 2), (scalar_affine(), 1.0, 1)):
+            z = np.array([z0])
+            s0, _ = merit(z, prob)
+            t, z_t, r_t, _, _, n_evals = line_search(z, np.array([-1.0]), -4.0, s0, prob, opts)
+            assert t == opts.nu_backtrack
+            assert z_t[0] > 0.0 and r_t[0] > 0.0
+            assert n_evals == n_expected
 
     def test_stall_raises(self):
         prob = scalar_affine()
@@ -197,11 +211,29 @@ class TestRestoreFeasibility:
         assert r[0] > 0.0
         assert n_evals > 1
 
+    def test_zero_residual_keeps_doubling(self):
+        # r(z) = z - 2 eps: the first doubling lands on r = 0.0 exactly,
+        # which is not interior, so restoration doubles once more
+        eps = SolverOptions().eps_interior
+        seen = []
+
+        def residual(z):
+            seen.append(z[0] - 2.0 * eps)
+            return z - 2.0 * eps
+
+        prob = MncpProblem(size=1, comp_index=[0], residual=residual,
+                           jacobian=dense(lambda z: np.eye(1), [0]))
+        z, r, n_evals, shift = restore_feasibility(np.array([0.0]), prob, SolverOptions())
+        assert seen == [-eps, 0.0, 2.0 * eps]
+        assert n_evals == 3
+        assert shift == 3.0 * eps
+        assert z[0] == 4.0 * eps and r[0] == 2.0 * eps
+
     def test_unrestorable_raises(self):
         prob = MncpProblem(
             size=1, comp_index=[0],
             residual=lambda z: np.full(1, -1.0),
-            jacobian=dense(lambda z: np.eye(1)),
+            jacobian=dense(lambda z: np.eye(1), [0]),
         )
         with pytest.raises(InfeasibleStart):
             restore_feasibility(np.array([1.0]), prob, SolverOptions(max_restore=8))
@@ -230,7 +262,7 @@ def toy_problems():
         MncpProblem(
             size=2, comp_index=[0, 1],
             residual=lambda z: np.array([z[0] - 0.5, z[0] + z[1] - 1.0]),
-            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]])),
+            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]]), [0, 1]),
         ),
         np.array([2.0, 2.0]),
         lambda z: np.allclose(z, [0.5, 0.5], atol=1e-6),
@@ -241,7 +273,7 @@ def toy_problems():
         MncpProblem(
             size=2, comp_index=[0],
             residual=lambda z: np.array([z[0] + z[1] - 2.0, z[1] - 1.0]),
-            jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
+            jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), [0]),
         ),
         np.array([2.0, 2.0]),
         lambda z: np.allclose(z, [1.0, 1.0], atol=1e-6),

@@ -48,7 +48,7 @@ def test_step_with_previous_extrapolates(start_points, method):
     previous = State(theta=rng.uniform(0.0, 1e-3, 8), eta=rng.uniform(0.0, 1e-2, 8), n=4)
     current = State(theta=previous.theta + rng.uniform(0.0, 1e-5, 8),
                     eta=previous.eta + rng.uniform(0.0, 1e-4, 8), n=5)
-    step(current, cache, config, 0.0, previous)
+    step(current, timestepper.StepEquations(cache, method, current), config, 0.0, previous)
     np.testing.assert_array_equal(
         start_points[0],
         interleave(2.0 * current.theta - previous.theta, 2.0 * current.eta - previous.eta))
@@ -87,3 +87,14 @@ def test_final_state_close_to_tight_tolerance_run(request, method, fixture):
     assert final.n == reference.n == 1000
     assert np.max(np.abs(final.theta - reference.theta)) <= 5e-7
     assert np.max(np.abs(final.eta - reference.eta)) <= 5e-7
+
+
+@pytest.mark.parametrize("fixture", ["run_m50_mncp", "run_m50_ncp"])
+def test_base_case_counts(request, fixture):
+    # the counts of the paper's base case (M = 50, k = 1e-5, t = 0.01) in
+    # both modes; a change to the iteration shows here first
+    per_step = request.getfixturevalue(fixture).per_step
+    assert sum(s.iterations for s in per_step) == 1011
+    assert sum(s.s_evals for s in per_step) == 2014
+    assert sum(s.js_evals for s in per_step) == 1011
+    assert max(s.iterations for s in per_step) == 3

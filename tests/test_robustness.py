@@ -11,7 +11,7 @@ from combust import mncp
 from combust.cli import main
 from combust.discretization import assemble_matrices
 from combust.mncp import LineSearchStall, MaxIterations, MncpProblem, SolverOptions, solve
-from combust.timestepper import StepFailed, initial_state, run, step
+from combust.timestepper import StepEquations, StepFailed, initial_state, run, step
 
 from conftest import base_config, dense
 
@@ -59,7 +59,7 @@ class TestFailureMessages:
         prob = MncpProblem(
             size=2, comp_index=[0, 1],
             residual=lambda z: np.array([z[0] - 0.5, z[0] + z[1] - 1.0]),
-            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]])),
+            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]]), [0, 1]),
         )
         with pytest.raises(MaxIterations) as excinfo:
             solve(prob, np.array([2.0, 2.0]), SolverOptions(max_iter=1))
@@ -79,7 +79,7 @@ class TestFailureMessages:
         prob = MncpProblem(
             size=1, comp_index=[0],
             residual=lambda z: z + 2.0,
-            jacobian=dense(lambda z: np.array([[-10.0]])),
+            jacobian=dense(lambda z: np.array([[-10.0]]), [0]),
         )
         with pytest.raises(LineSearchStall) as excinfo:
             solve(prob, np.array([5.0]))
@@ -93,7 +93,7 @@ class TestFailureMessages:
         prob = MncpProblem(
             size=1, comp_index=[0],
             residual=lambda z: np.full(1, -1.0),
-            jacobian=dense(lambda z: np.eye(1)),
+            jacobian=dense(lambda z: np.eye(1), [0]),
         )
         with pytest.raises(mncp.InfeasibleStart) as excinfo:
             solve(prob, np.array([1.0]), SolverOptions(max_restore=3))
@@ -108,8 +108,9 @@ class TestFailureMessages:
         config = base_config(50, method)
         config = replace(config, solver_opts=SolverOptions(max_iter=1))
         cache = assemble_matrices(config.grid, config.params)
+        state = initial_state(config.grid)
         with pytest.raises(StepFailed) as excinfo:
-            step(initial_state(config.grid), cache, config)
+            step(state, StepEquations(cache, method, state), config)
         err = excinfo.value
         row, z_row, _ = err.cause.report.worst_pair
         if method == mncp.MNCP:

@@ -7,8 +7,8 @@ from combust.mncp import MNCP, NCP, SolverOptions, merit_vector, solve
 from combust.model import BASE_PARAMS, phi
 from combust.timestepper import (
     RunConfig,
+    StepEquations,
     StepFailed,
-    build_step_problem,
     initial_state,
     run,
     snapshot_indices,
@@ -30,24 +30,27 @@ class TestInitialState:
         assert state.n == 0
 
 
-class TestBuildStepProblem:
+class TestStepEquations:
     def test_interleaving_and_pairs(self):
         config = tiny_config(m=4)
         cache = assemble_matrices(config.grid, config.params)
         state = initial_state(config.grid)
-        prob, z0, _ = build_step_problem(state, cache, MNCP)
+        equations = StepEquations(cache, MNCP, state)
+        prob = equations.problem
         assert prob.size == 8
         np.testing.assert_array_equal(prob.comp_index, [0, 2, 4, 6])
-        np.testing.assert_array_equal(z0, np.zeros(8))
+        assert not equations.jacobian(np.full(8, 0.1)).eta_pairs
 
-        prob_ncp, _, _ = build_step_problem(state, cache, NCP)
-        np.testing.assert_array_equal(prob_ncp.comp_index, np.arange(8))
+        equations_ncp = StepEquations(cache, NCP, state)
+        np.testing.assert_array_equal(equations_ncp.problem.comp_index, np.arange(8))
+        assert equations_ncp.jacobian(np.full(8, 0.1)).eta_pairs
 
     def test_unknown_method(self):
         config = tiny_config(m=3)
         cache = assemble_matrices(config.grid, config.params)
+        state = initial_state(config.grid)
         with pytest.raises(ValueError):
-            build_step_problem(initial_state(config.grid), cache, "simplex")
+            StepEquations(cache, "simplex", state)
 
 
 class TestStep:
@@ -56,7 +59,7 @@ class TestStep:
         config = tiny_config(m=8)
         cache = assemble_matrices(config.grid, config.params)
         state = State(theta=np.zeros(8), eta=np.ones(8), n=0)
-        next_state, _, _ = step(state, cache, config)
+        next_state, _ = step(state, StepEquations(cache, MNCP, state), config)
         assert np.max(np.abs(next_state.theta)) < 1e-7
         assert np.max(np.abs(next_state.eta - 1.0)) < 1e-7
 
@@ -64,7 +67,8 @@ class TestStep:
         # from the cold unburned start, eta grows by roughly k * Phi(0, 0)
         config = tiny_config(m=8)
         cache = assemble_matrices(config.grid, config.params)
-        next_state, report, _ = step(initial_state(config.grid), cache, config)
+        state = initial_state(config.grid)
+        next_state, report = step(state, StepEquations(cache, MNCP, state), config)
         expected = config.grid.k * phi(0.0, 0.0, config.params)
         np.testing.assert_allclose(next_state.eta, np.full(8, expected), rtol=0.01)
         assert next_state.n == 1
@@ -81,7 +85,8 @@ class TestStep:
         monkeypatch.setattr(timestepper, "solve", recording)
         config = tiny_config(m=6, n_steps=3)
         cache = assemble_matrices(config.grid, config.params)
-        _, report, _ = step(initial_state(config.grid), cache, config)
+        state = initial_state(config.grid)
+        _, report = step(state, StepEquations(cache, MNCP, state), config)
         assert report is reports[-1]
         series = run(config)
         assert all(a is b for a, b in zip(series.per_step, reports[1:], strict=True))
@@ -93,7 +98,7 @@ class TestStep:
         state = initial_state(config.grid)
         state = State(theta=state.theta, eta=state.eta, n=3)
         with pytest.raises(StepFailed) as excinfo:
-            step(state, cache, config)
+            step(state, StepEquations(cache, MNCP, state), config)
         assert excinfo.value.time_index == 3
 
 
@@ -117,6 +122,20 @@ class TestSnapshotIndices:
 
 
 class TestRun:
+    def test_every_step_solves_one_shared_problem(self, monkeypatch):
+        # the pair index and the problem are built once per run, not per step
+        problems = []
+        original = timestepper.solve
+
+        def recording(problem, *args):
+            problems.append(problem)
+            return original(problem, *args)
+
+        monkeypatch.setattr(timestepper, "solve", recording)
+        run(tiny_config(m=6, n_steps=4))
+        assert len(problems) == 4
+        assert all(p is problems[0] for p in problems)
+
     def test_zero_steps_records_initial(self):
         config = tiny_config(m=5, n_steps=0, record_times=(0.0,))
         series = run(config)
@@ -160,9 +179,11 @@ class TestRun:
         grid = config.grid
         cache = assemble_matrices(grid, config.params)
         state = initial_state(grid)
+        equations = StepEquations(cache, MNCP, state)
         for _ in range(5):
-            prob, _, _ = build_step_problem(state, cache, MNCP)
-            state, _, _ = step(state, cache, config)
+            # the problem of this step, kept at its level while the step advances `equations`
+            prob = StepEquations(cache, MNCP, state).problem
+            state, _ = step(state, equations, config)
             z = np.empty(2 * grid.m)
             z[0::2] = state.theta
             z[1::2] = state.eta

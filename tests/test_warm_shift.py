@@ -21,7 +21,7 @@ def counted(residual):
         return residual(z)
 
     prob = MncpProblem(size=1, comp_index=[0], residual=counting,
-                       jacobian=dense(lambda z: np.eye(1)))
+                       jacobian=dense(lambda z: np.eye(1), [0]))
     return prob, calls
 
 
@@ -96,13 +96,13 @@ def test_run_halves_the_shift_down_to_tol(monkeypatch):
     passed, used = [], []
     original = timestepper.step
 
-    def recording(state, cache, config, shift=0.0, previous=None, level=None):
+    def recording(state, equations, config, shift=0.0, previous=None):
         passed.append(shift)
-        next_state, report, next_level = original(state, cache, config, shift, previous, level)
+        next_state, report = original(state, equations, config, shift, previous)
         if next_state.n == 5:
             report = replace(report, shift=0.0)
         used.append(report.shift)
-        return next_state, report, next_level
+        return next_state, report
 
     monkeypatch.setattr(timestepper, "step", recording)
     config = base_config(50, record_times=())
