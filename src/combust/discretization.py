@@ -196,21 +196,23 @@ def residual(
 ):
     """Evaluate the step residual at a candidate level-(n+1) point.
 
-    Returns (r, terms): r is the interleaved vector (G_1, Q_1, G_2, Q_2, ...)
+    Returns (r, terms): r is the stacked vector (G_1, ..., G_M, Q_1, ..., Q_M)
     and terms the closure (s, e, Phi, F) of the point (model.closure), which
     jacobian() takes to build the Jacobian there without a second
-    exponential.  G and Q are written into the two strided halves of r with
-    the operations of A theta + lambda_s P(theta) - 2k Phi - LD and
+    exponential.  G and Q are written into the two halves of r with the
+    operations of A theta + lambda_s P(theta) - 2k Phi - LD and
     2 eta - k Phi - LDQ, in that order, so each entry is rounded as in those
-    expressions.
+    expressions.  A non-finite entry raises NumericError naming its node,
+    the first non-finite G entry's, else the first non-finite Q entry's.
     """
     k = cache.k
     lam = cache.lambda_s
     terms = closure(theta_next, eta_next, cache.params)
     _, _, phi_next, f = terms
-    out = np.empty(2 * theta_next.size)
-    g = out[0::2]
-    q = out[1::2]
+    m = theta_next.size
+    out = np.empty(2 * m)
+    g = out[:m]
+    q = out[m:]
     _tri_matvec(cache.a_diag, cache.a_off, theta_next, out=g)
     # lambda_s P: row 1 differences against F(THETA_B) = 0, row M is zero
     g[0] += lam * f[1]
@@ -221,7 +223,7 @@ def residual(
     q -= k * phi_next
     q -= ldq
     if not np.isfinite(out).all():
-        bad = int(np.flatnonzero(~np.isfinite(out))[0]) // 2 + 1
+        bad = int(np.flatnonzero(~np.isfinite(out))[0]) % m + 1
         raise NumericError(f"non-finite residual at node {bad}", node=bad)
     return out, terms
 
@@ -236,10 +238,11 @@ class StepJacobian:
         dG/deta   = diag(g_eta)
         dQ/dtheta = diag(q_theta)
         dQ/deta   = diag(q_eta)
-    Rows and unknowns are interleaved, (theta_1, eta_1, theta_2, eta_2, ...),
-    in to_dense() and in the vectors newton_solve() takes and returns.  The
-    theta rows are complementarity pairs; the eta rows are too when
-    eta_pairs is set (NCP), and are equalities otherwise (MNCP).
+    Unknowns are stacked as (theta_1, ..., theta_M, eta_1, ..., eta_M) and
+    rows as (G; Q), in to_dense() and in the vectors newton_solve() takes
+    and returns.  The theta rows (against G) are complementarity pairs; the
+    eta rows (against Q) are too when eta_pairs is set (NCP), and are
+    equalities otherwise (MNCP).
     """
 
     sub: np.ndarray
@@ -251,15 +254,10 @@ class StepJacobian:
     eta_pairs: bool = False
 
     def to_dense(self) -> np.ndarray:
-        """The full 2M x 2M matrix in interleaved ordering (for verification)."""
-        m = self.diag.size
-        dense = np.zeros((2 * m, 2 * m))
-        dense[0::2, 0::2] = _tri_dense(self.sub, self.diag, self.sup)
-        t, e = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
-        dense[t, e] = self.g_eta
-        dense[e, t] = self.q_theta
-        dense[e, e] = self.q_eta
-        return dense
+        """The full 2M x 2M block matrix [[dG/dtheta, dG/deta], [dQ/dtheta, dQ/deta]]
+        (for verification)."""
+        return np.block([[_tri_dense(self.sub, self.diag, self.sup), np.diag(self.g_eta)],
+                         [np.diag(self.q_theta), np.diag(self.q_eta)]])
 
     def newton_solve(self, z: np.ndarray, r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve (diag(s) J + diag(a)) d = rhs, the Newton matrix of H at z.
@@ -274,12 +272,13 @@ class StepJacobian:
         1e-12 (1 + |d_ii|) added to every diagonal entry;
         np.linalg.LinAlgError is raised if that fails too.
         """
-        s_t = z[0::2]
-        diag_t = s_t * self.diag + r[0::2]
+        m = self.diag.size
+        s_t = z[:m]
+        diag_t = s_t * self.diag + r[:m]
         if self.eta_pairs:
-            s_e = z[1::2]
+            s_e = z[m:]
             coupling = s_e * self.q_theta
-            diag_e = s_e * self.q_eta + r[1::2]
+            diag_e = s_e * self.q_eta + r[m:]
         else:
             coupling = self.q_theta
             diag_e = self.q_eta
@@ -291,16 +290,15 @@ class StepJacobian:
             return self._eliminate(s_t, coupling, diag_t, diag_e, rhs)
 
     def _eliminate(self, s_t, coupling, diag_t, diag_e, rhs):
-        f_t = rhs[0::2]
-        f_e = rhs[1::2]
+        m = diag_t.size
+        f_t = rhs[:m]
+        f_e = rhs[m:]
         ratio = s_t * self.g_eta / diag_e
         _, _, _, x_t, info = dgtsv(
             s_t[1:] * self.sub, diag_t - ratio * coupling, s_t[:-1] * self.sup,
             f_t - ratio * f_e, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
         )
-        d = np.empty(rhs.size)
-        d[0::2] = x_t
-        d[1::2] = (f_e - coupling * x_t) / diag_e
+        d = np.concatenate((x_t, (f_e - coupling * x_t) / diag_e))
         if info != 0 or not np.isfinite(d).all():
             raise np.linalg.LinAlgError("singular Newton matrix")
         return d

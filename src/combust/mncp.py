@@ -2,8 +2,8 @@
 
 The problem: find z with z_i >= 0 and r_i(z) >= 0 for every complementarity
 pair i, z_i r_i(z) = 0 on those pairs, and r_j(z) = 0 on the remaining
-equality rows.  In "mncp" mode only a designated subset of pairs is
-complementary; in "ncp" mode every row is.
+equality rows.  The pairs are the leading rows.  In "mncp" mode only some
+rows are pairs; in "ncp" mode every row is.
 
 The iteration is Newton's method on H(z) = (z_i r_i on pairs, r_j elsewhere)
 with a centering perturbation on the complementarity rows, an
@@ -83,12 +83,12 @@ class SolverOptions:
 
 @dataclass
 class MncpProblem:
-    """Evaluation contract for one complementarity problem in `size` unknowns.
+    """Evaluation contract for one complementarity problem.
 
-    residual maps z to the full residual vector; comp_index lists the
-    rows/variables forming complementarity pairs (pair i couples z_i with
-    residual row i); every other row is an equality.  jacobian maps z to its
-    derivative J, an object that knows the same pair layout: its
+    residual maps z to the full residual vector.  The first n_pairs rows are
+    the complementarity pairs (pair i couples z_i with residual row i); every
+    later row is an equality.  jacobian maps z to its derivative J, an object
+    that knows the same pair count: its
     newton_solve(z, r, rhs), given the residual r at z, returns the solution
     d of the Newton matrix of H, (diag(s) J + diag(a)) d = rhs with s = z
     and a = r on the pair rows and s = 1, a = 0 on the equality rows, and
@@ -100,13 +100,9 @@ class MncpProblem:
     `z is last_z`.
     """
 
-    size: int
-    comp_index: np.ndarray
+    n_pairs: int
     residual: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], object]
-
-    def __post_init__(self) -> None:
-        self.comp_index = np.asarray(self.comp_index, dtype=int)
 
 
 @dataclass
@@ -125,8 +121,8 @@ class SolverReport:
 def merit_vector(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> np.ndarray:
     """H(z): complementarity products on pair rows, raw residual elsewhere."""
     h = r.copy()
-    ci = problem.comp_index
-    h[ci] = z[ci] * r[ci]
+    p = problem.n_pairs
+    np.multiply(z[:p], r[:p], out=h[:p])
     return h
 
 
@@ -137,10 +133,10 @@ def natural_residual(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> floa
     under any tolerance when both factors are merely small, while
     min(z_i, r_i) only does when one of them is genuinely near zero.
     """
-    ci = problem.comp_index
-    if ci.size == 0:
+    p = problem.n_pairs
+    if p == 0:
         return 0.0
-    return float(np.minimum(z[ci], r[ci]).max())
+    return float(np.minimum(z[:p], r[:p]).max())
 
 
 def merit(z: np.ndarray, problem: MncpProblem):
@@ -188,12 +184,12 @@ def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None, 
     if s is None:
         s = 0.5 * float(h @ h)
     jac = problem.jacobian(z)
-    ci = problem.comp_index
+    p = problem.n_pairs
     rhs = -h
-    if ci.size:
-        h_ci = h[ci]
-        mu = h_ci.sum() / ci.size
-        rhs[ci] += opts.sigma_c * np.maximum(min(1.0, math.sqrt(2.0 * s)) * mu, _KAPPA * h_ci)
+    if p:
+        h_p = h[:p]
+        mu = h_p.sum() / p
+        rhs[:p] += opts.sigma_c * np.maximum(min(1.0, math.sqrt(2.0 * s)) * mu, _KAPPA * h_p)
     # Jacobian of H: pair rows are z_i (dr_i/dz) + e_i r_i, the others dr_j/dz
     try:
         d = jac.newton_solve(z, r, rhs)
@@ -213,20 +209,17 @@ def line_search(z, d, g_dot_d, s0, problem: MncpProblem, opts: SolverOptions):
     interior.
     Returns (t, z_next, r_next, h_next, s_next, n_merit_evals).
     """
-    ci = problem.comp_index
+    p = problem.n_pairs
     t = 1.0
     n_evals = 0
     while t >= _STEP_FLOOR:
         z_t = z + d if t == 1.0 else z + t * d
-        z_ci = z_t[ci]
-        if z_ci.min(initial=np.inf) > 0.0:
+        if z_t[:p].min(initial=np.inf) > 0.0:
             r_t = problem.residual(z_t)
-            r_ci = r_t[ci]
-            h_t = r_t.copy()            # merit_vector, sharing the pair entries
-            h_t[ci] = z_ci * r_ci
+            h_t = merit_vector(z_t, r_t, problem)
             s_t = 0.5 * float(h_t @ h_t)
             n_evals += 1
-            if r_ci.min(initial=np.inf) > 0.0 and s_t <= s0 + opts.eta_armijo * t * g_dot_d:
+            if r_t[:p].min(initial=np.inf) > 0.0 and s_t <= s0 + opts.eta_armijo * t * g_dot_d:
                 return t, z_t, r_t, h_t, s_t, n_evals
         t *= opts.nu_backtrack
     raise LineSearchStall(f"line search stalled below t={_STEP_FLOOR} (S={s0:.3e})", iterate=z)
@@ -242,18 +235,18 @@ def restore_feasibility(z0, problem: MncpProblem, opts: SolverOptions, shift: fl
     replaying the doublings every step.
     Returns (z, r, n_residual_evals, total_shift).
     """
-    ci = problem.comp_index
+    p = problem.n_pairs
     z = np.array(z0, dtype=float)
-    z[ci] = np.maximum(z[ci], opts.eps_interior) + shift
+    z[:p] = np.maximum(z[:p], opts.eps_interior) + shift
     r = problem.residual(z)
     n_evals = 1
     delta = shift if shift > 0.0 else opts.eps_interior
     doublings = 0
-    while r[ci].min(initial=np.inf) <= 0.0:
+    while r[:p].min(initial=np.inf) <= 0.0:
         if doublings >= opts.max_restore:
-            bad = [int(i) for i in problem.comp_index[r[ci] <= 0.0]]
+            bad = [int(i) for i in np.flatnonzero(r[:p] <= 0.0)]
             raise InfeasibleStart(f"could not restore interiority; violated rows {bad}", iterate=z)
-        z[ci] += delta
+        z[:p] += delta
         r = problem.residual(z)
         n_evals += 1
         shift += delta
@@ -269,9 +262,9 @@ def _record_failure(report: SolverReport, z, r, problem: MncpProblem) -> str:
     is the natural residual.
     """
     text = f"max|H| = {report.h_inf:.3e}"
-    ci = problem.comp_index
-    if ci.size:
-        row = int(ci[np.minimum(z[ci], r[ci]).argmax()])
+    p = problem.n_pairs
+    if p:
+        row = int(np.minimum(z[:p], r[:p]).argmax())
         report.worst_pair = (row, float(z[row]), float(r[row]))
         text += (f", natural residual = {min(z[row], r[row]):.3e}, worst pair row {row}: "
                  f"z = {z[row]:.3e}, r = {r[row]:.3e}")

@@ -58,15 +58,15 @@ def initial_state(grid: Grid) -> State:
 
 
 class StepEquations:
-    """Residual and Jacobian of a run's time steps in the interleaved unknowns
-    z = (theta_1, eta_1, theta_2, eta_2, ...), with the level data LD, LDQ of
-    the step at hand.
+    """Residual and Jacobian of a run's time steps in the stacked unknowns
+    z = (theta_1, ..., theta_M, eta_1, ..., eta_M), with residual rows
+    (G; Q) and the level data LD, LDQ of the step at hand.
 
     Built once per run from the run's first level: problem is the
     MncpProblem every step solves, and advance() moves the level data on to
-    the next level once a step is solved.  In mncp mode the theta entries
-    (even indices) are the complementarity pairs against G; in ncp mode
-    every entry is a pair.
+    the next level once a step is solved.  In mncp mode the M theta entries
+    are the complementarity pairs against G; in ncp mode all 2M entries
+    are pairs.
 
     The latest residual evaluation is kept with its point: the residual and
     the closure terms (s, e, Phi, F).  The solver builds each Jacobian at, and
@@ -79,26 +79,29 @@ class StepEquations:
     def __init__(self, cache: SchemeCache, method: str, state: State):
         m = cache.grid.m
         if method == MNCP:
-            comp_index = np.arange(0, 2 * m, 2)
+            n_pairs = m
         elif method == NCP:
-            comp_index = np.arange(2 * m)
+            n_pairs = 2 * m
         else:
             raise ValueError(f"unknown method {method!r}")
+        self.m = m
         self.cache = cache
         self.eta_pairs = method == NCP
-        self.problem = MncpProblem(2 * m, comp_index, self.residual, self.jacobian)
+        self.problem = MncpProblem(n_pairs, self.residual, self.jacobian)
         self.ld = assemble_LD(state, cache)
         self.ldq = assemble_LDQ(state, cache)
         self._last = (None, None, None)   # (z, r, terms) of the latest residual
 
     def residual(self, z):
-        r, terms = residual(z[0::2], z[1::2], self.cache, self.ld, self.ldq)
+        m = self.m
+        r, terms = residual(z[:m], z[m:], self.cache, self.ld, self.ldq)
         self._last = (z, r, terms)
         return r
 
     def jacobian(self, z):
         last_z, _, terms = self._last
-        return jacobian(z[0::2], z[1::2], self.cache, terms if z is last_z else None,
+        m = self.m
+        return jacobian(z[:m], z[m:], self.cache, terms if z is last_z else None,
                         self.eta_pairs)
 
     def advance(self, z):
@@ -110,22 +113,27 @@ class StepEquations:
         in O(M), with no exponential and no flux.
         """
         last_z, r, _ = self._last
-        theta, eta = z[0::2], z[1::2]
+        m = self.m
+        theta, eta = z[:m], z[m:]
         if z is last_z:
-            self.ld = 8.0 * theta - r[0::2] - self.ld
-            self.ldq = 4.0 * eta - r[1::2] - self.ldq
+            self.ld = 8.0 * theta - r[:m] - self.ld
+            self.ldq = 4.0 * eta - r[m:] - self.ldq
         else:
             state = State(theta=theta, eta=eta)
             self.ld, self.ldq = assemble_LD(state, self.cache), assemble_LDQ(state, self.cache)
 
 
-def _failure_reason(err: SolverError) -> str:
-    """The solver's message, naming the worst pair's interleaved row by node."""
+def _failure_reason(err: SolverError, m: int) -> str:
+    """The solver's message, naming the worst pair's stacked row by node.
+
+    With M interior nodes, row i < M is theta at node i + 1, paired with G,
+    and row i >= M is eta at node i - M + 1, paired with Q.
+    """
     reason = str(err)
     if err.report is not None and err.report.worst_pair is not None:
         row = err.report.worst_pair[0]
-        var, res = ("theta", "G") if row % 2 == 0 else ("eta", "Q")
-        reason += f"; row {row} is {var} at node {row // 2 + 1}, paired with {res}"
+        var, res, node = ("theta", "G", row + 1) if row < m else ("eta", "Q", row - m + 1)
+        reason += f"; row {row} is {var} at node {node}, paired with {res}"
     return reason
 
 
@@ -140,19 +148,17 @@ def step(state: State, equations: StepEquations, config: RunConfig, shift: float
     Returns (next_state, report): report is the SolverReport of the solve,
     whose shift is the total restoration shift the solve used.
     """
-    z0 = np.empty(2 * state.theta.size)
+    m = state.theta.size
     if previous is None:
-        z0[0::2] = state.theta
-        z0[1::2] = state.eta
+        z0 = np.concatenate((state.theta, state.eta))
     else:
-        z0[0::2] = 2.0 * state.theta - previous.theta
-        z0[1::2] = 2.0 * state.eta - previous.eta
+        z0 = np.concatenate((2.0 * state.theta - previous.theta, 2.0 * state.eta - previous.eta))
     try:
         z, report = solve(equations.problem, z0, config.solver_opts, shift)
     except SolverError as err:
-        raise StepFailed(_failure_reason(err), time_index=state.n, cause=err) from err
+        raise StepFailed(_failure_reason(err, m), time_index=state.n, cause=err) from err
     equations.advance(z)
-    return State(theta=z[0::2].copy(), eta=z[1::2].copy(), n=state.n + 1), report
+    return State(theta=z[:m].copy(), eta=z[m:].copy(), n=state.n + 1), report
 
 
 def snapshot_indices(grid: Grid, record_times) -> dict:

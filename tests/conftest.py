@@ -16,27 +16,28 @@ TABLE_TIMES = tuple(round(0.001 * i, 6) for i in range(1, 11))
 
 class DenseJacobian:
     """Dense matrix with the newton_solve contract of MncpProblem.jacobian;
-    pairs is the problem's comp_index."""
+    its first n_pairs rows are the pairs."""
 
-    def __init__(self, matrix, pairs):
+    def __init__(self, matrix, n_pairs):
         self.matrix = np.asarray(matrix, dtype=float)
-        self.pairs = np.asarray(pairs, dtype=int)
+        self.n_pairs = n_pairs
 
     def newton_solve(self, z, r, rhs):
+        p = self.n_pairs
         scale = np.ones(rhs.size)
-        scale[self.pairs] = z[self.pairs]
+        scale[:p] = z[:p]
         diag_add = np.zeros(rhs.size)
-        diag_add[self.pairs] = r[self.pairs]
+        diag_add[:p] = r[:p]
         d = np.linalg.solve(self.matrix * scale[:, None] + np.diag(diag_add), rhs)
         if not np.all(np.isfinite(d)):
             raise np.linalg.LinAlgError("non-finite direction")
         return d
 
 
-def dense(jacobian, pairs):
-    """Wrap a z -> ndarray Jacobian of a toy problem with pair rows `pairs`
-    as a DenseJacobian."""
-    return lambda z: DenseJacobian(jacobian(z), pairs)
+def dense(jacobian, n_pairs):
+    """Wrap a z -> ndarray Jacobian of a toy problem whose first n_pairs rows
+    are pairs as a DenseJacobian."""
+    return lambda z: DenseJacobian(jacobian(z), n_pairs)
 
 
 def base_config(m: int, method: str = MNCP, record_times=FIG_TIMES) -> RunConfig:

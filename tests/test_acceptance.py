@@ -34,24 +34,24 @@ def _passed(number, label):
 def acceptance_toys():
     """The four analytic complementarity problems with their starts."""
     mixed1 = MncpProblem(
-        size=2, comp_index=[0],
+        n_pairs=1,
         residual=lambda z: np.array([z[0] + z[1] - 2.0, z[1] - 1.0]),
-        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), [0]),
+        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), 1),
     )
     mixed2 = MncpProblem(
-        size=2, comp_index=[0],
+        n_pairs=1,
         residual=lambda z: np.array([z[0] + z[1], z[1] - 1.0]),
-        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), [0]),
+        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), 1),
     )
     scalar1 = MncpProblem(
-        size=1, comp_index=[0],
+        n_pairs=1,
         residual=lambda z: z - 2.0,
-        jacobian=dense(lambda z: np.eye(1), [0]),
+        jacobian=dense(lambda z: np.eye(1), 1),
     )
     scalar2 = MncpProblem(
-        size=1, comp_index=[0],
+        n_pairs=1,
         residual=lambda z: z + 2.0,
-        jacobian=dense(lambda z: np.eye(1), [0]),
+        jacobian=dense(lambda z: np.eye(1), 1),
     )
     return [
         (mixed1, np.array([2.0, 2.0]), np.array([1.0, 1.0])),
@@ -71,12 +71,12 @@ def test_criterion_1_solver_toys():
         s = 0.5 * float(h @ h)
         iterations = 0
         while np.max(np.abs(h)) > opts.tol or \
-                np.max(np.minimum(z[prob.comp_index], r[prob.comp_index])) > opts.tol:
+                np.max(np.minimum(z[:prob.n_pairs], r[:prob.n_pairs])) > opts.tol:
             assert iterations < 30, f"more than 30 iterations for solution {z_star}"
             d, g_dot_d = direction(z, prob, opts, r=r)
             _, z, r, h, s_next, _ = line_search(z, d, g_dot_d, s, prob, opts)
-            assert np.all(z[prob.comp_index] > 0.0)
-            assert np.all(r[prob.comp_index] > 0.0)
+            assert np.all(z[:prob.n_pairs] > 0.0)
+            assert np.all(r[:prob.n_pairs] > 0.0)
             assert s_next < s
             s = s_next
             iterations += 1

@@ -12,9 +12,9 @@ from conftest import dense
 def diagonal_problem(slope, offset):
     """NCP with r(z) = slope * z + offset, one pair per entry."""
     return MncpProblem(
-        size=slope.size, comp_index=np.arange(slope.size),
+        n_pairs=slope.size,
         residual=lambda z: slope * z + offset,
-        jacobian=dense(lambda z: np.diag(slope), np.arange(slope.size)),
+        jacobian=dense(lambda z: np.diag(slope), slope.size),
     )
 
 

@@ -154,8 +154,8 @@ class TestResidual:
         ldq = assemble_LDQ(state, cache)
         res, _ = residual(np.zeros(6), np.ones(6), cache, ld, ldq)
         assert res.shape == (12,)
-        np.testing.assert_allclose(res[0::2], np.zeros(6), atol=1e-15)
-        np.testing.assert_allclose(res[1::2], np.zeros(6), atol=1e-15)
+        np.testing.assert_allclose(res[:6], np.zeros(6), atol=1e-15)
+        np.testing.assert_allclose(res[6:], np.zeros(6), atol=1e-15)
 
     def test_same_level_identity(self):
         # evaluating G at the state used to build LD must reduce to
@@ -175,8 +175,8 @@ class TestResidual:
                 + 2.0 * grid.lambda_s * assemble_P(theta, 0.0, BASE_PARAMS)
                 - 4.0 * grid.k * phi(theta, eta, BASE_PARAMS)
             )
-            np.testing.assert_allclose(res[0::2], direct_g, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(res[1::2], -2.0 * grid.k * phi(theta, eta, BASE_PARAMS),
+            np.testing.assert_allclose(res[:8], direct_g, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(res[8:], -2.0 * grid.k * phi(theta, eta, BASE_PARAMS),
                                        rtol=1e-10, atol=1e-15)
 
     def test_stationary_point_infeasibility_sign(self):
@@ -187,7 +187,7 @@ class TestResidual:
         ld = assemble_LD(state, cache)
         ldq = assemble_LDQ(state, cache)
         res, _ = residual(state.theta, state.eta, cache, ld, ldq)
-        assert np.all(res[1::2] < 0.0)
+        assert np.all(res[5:] < 0.0)
 
     @pytest.mark.parametrize("m", [2, 3, 17])
     def test_matches_unfused_expressions_bit_for_bit(self, m):
@@ -210,18 +210,18 @@ class TestResidual:
                  - 2.0 * grid.k * phi_next - ld)
             q = 2.0 * eta - grid.k * phi_next - ldq
             res, _ = residual(theta, eta, cache, ld, ldq)
-            np.testing.assert_array_equal(res[0::2], g)
-            np.testing.assert_array_equal(res[1::2], q)
+            np.testing.assert_array_equal(res[:m], g)
+            np.testing.assert_array_equal(res[m:], q)
 
-    @pytest.mark.parametrize("row, node", [(0, 1), (5, 3), (6, 4), (9, 5)])
+    @pytest.mark.parametrize("row, node", [(0, 1), (7, 3), (3, 4), (9, 5)])
     def test_non_finite_entry_names_its_node(self, row, node):
-        # rows 2i-2 and 2i-1 are G_i and Q_i; the non-finite level-n data
-        # reaches exactly one of them
+        # with M = 5, rows i-1 and i+4 are G_i and Q_i; the non-finite
+        # level-n data reaches exactly one of them
         cache = assemble_matrices(base_grid(5), BASE_PARAMS)
         state = State(theta=np.full(5, 0.5), eta=np.full(5, 0.5))
         ld = assemble_LD(state, cache)
         ldq = assemble_LDQ(state, cache)
-        (ld if row % 2 == 0 else ldq)[row // 2] = np.nan
+        (ld if row < 5 else ldq)[row % 5] = np.nan
         with pytest.raises(NumericError) as err:
             residual(state.theta, state.eta, cache, ld, ldq)
         assert err.value.node == node
@@ -229,7 +229,8 @@ class TestResidual:
 
 
 def dense_jacobian_fd(theta, eta, cache, step=1e-6):
-    """Finite-difference oracle in the interleaved ordering."""
+    """Finite-difference oracle in the stacked ordering: unknowns (theta; eta),
+    rows (G; Q)."""
     grid = cache.grid
     m = grid.m
     state = State(theta=theta, eta=eta)
@@ -237,11 +238,9 @@ def dense_jacobian_fd(theta, eta, cache, step=1e-6):
     ldq = assemble_LDQ(state, cache)
 
     def f(z):
-        return residual(z[0::2], z[1::2], cache, ld, ldq)[0]
+        return residual(z[:m], z[m:], cache, ld, ldq)[0]
 
-    z0 = np.empty(2 * m)
-    z0[0::2] = theta
-    z0[1::2] = eta
+    z0 = np.concatenate((theta, eta))
     jac = np.zeros((2 * m, 2 * m))
     for j in range(2 * m):
         zp = z0.copy()
@@ -269,8 +268,8 @@ class TestJacobian:
         cache = assemble_matrices(grid, BASE_PARAMS)
         jac = jacobian(np.linspace(0.1, 1.0, 6), np.linspace(0.0, 0.9, 6), cache).to_dense()
         expected = np.zeros((12, 12))
-        expected[0::2, 0::2] = cache.a_dense()
-        expected[1::2, 1::2] = 2.0 * np.eye(6)
+        expected[:6, :6] = cache.a_dense()
+        expected[6:, 6:] = 2.0 * np.eye(6)
         np.testing.assert_allclose(jac, expected, atol=1e-250)
 
     def test_eta_block_closed_form_at_burnout(self):
@@ -279,7 +278,7 @@ class TestJacobian:
         jac = jacobian(np.zeros(4), np.ones(4), cache).to_dense()
         p = BASE_PARAMS
         expected = 2.0 + grid.k * p.beta * np.exp(-p.e_act / p.theta0)
-        np.testing.assert_allclose(np.diag(jac)[1::2], np.full(4, expected), rtol=1e-14)
+        np.testing.assert_allclose(np.diag(jac)[4:], np.full(4, expected), rtol=1e-14)
 
     def test_pointwise_factors_match_model_bit_for_bit(self):
         # the Jacobian shares one exponential between phi_theta, phi_eta and
@@ -320,19 +319,17 @@ class TestNewtonSolve:
         # equality rows' residuals must not enter the matrix
         rng = np.random.default_rng(m)
         cache = assemble_matrices(base_grid(m), BASE_PARAMS)
-        pairs = np.arange(0, 2 * m, 2) if mode == mncp.MNCP else np.arange(2 * m)
+        n_pairs = m if mode == mncp.MNCP else 2 * m
         for _ in range(20):
             theta = rng.uniform(0.01, 2.0, m)
             eta = rng.uniform(0.01, 0.99, m)
-            z = np.empty(2 * m)
-            z[0::2] = theta
-            z[1::2] = eta
+            z = np.concatenate((theta, eta))
             r = rng.normal(size=2 * m)
-            r[pairs] = rng.uniform(1e-6, 1.0, pairs.size)
+            r[:n_pairs] = rng.uniform(1e-6, 1.0, n_pairs)
             rhs = rng.normal(size=2 * m)
             jac = jacobian(theta, eta, cache, eta_pairs=mode == mncp.NCP)
             d = jac.newton_solve(z, r, rhs)
-            ref = DenseJacobian(jac.to_dense(), pairs).newton_solve(z, r, rhs)
+            ref = DenseJacobian(jac.to_dense(), n_pairs).newton_solve(z, r, rhs)
             assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_pivot_retries_perturbed(self):
@@ -341,7 +338,8 @@ class TestNewtonSolve:
             jac = zero_pivot_jacobian(eta_pairs=eta_pairs)
             rhs = np.array([1.0, 2.0, 3.0, 4.0])
             d = jac.newton_solve(np.ones(4), np.zeros(4), rhs)
-            # the retry solves the matrix with 1e-12 (1 + |d_ii|) on its diagonal
+            # the retry solves the matrix with 1e-12 (1 + |d_ii|) on its
+            # diagonal, (theta_1, theta_2, eta_1, eta_2)
             diag = np.array([0.0, 1.0, 1.0, 1.0])
             perturbed = jac.to_dense() + np.diag(1e-12 * (1.0 + diag))
             np.testing.assert_allclose(d, np.linalg.solve(perturbed, rhs), rtol=1e-14)
@@ -355,16 +353,15 @@ class TestNewtonSolve:
         # moves 1e200 * 1e100 onto it: theta_1 overflows
         jac = zero_pivot_jacobian(g_eta=1e200)
         with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
-            jac.newton_solve(np.ones(4), np.zeros(4), np.array([0.0, 1e100, 0.0, 0.0]))
+            jac.newton_solve(np.ones(4), np.zeros(4), np.array([0.0, 0.0, 1e100, 0.0]))
 
         # the same through the solver: the theta rows are the pairs, the
         # residual of the first is 0, and the right-hand side on the eta_1
         # row is again 1e100
         prob = MncpProblem(
-            size=4,
-            residual=lambda z: np.array([0.0, -1e100, 1.0, 0.0]),
+            n_pairs=2,
+            residual=lambda z: np.array([0.0, 1.0, -1e100, 0.0]),
             jacobian=lambda z: jac,
-            comp_index=np.array([0, 2]),
         )
         with np.errstate(all="ignore"), pytest.raises(mncp.SingularJacobian):
             direction(np.ones(4), prob, SolverOptions())

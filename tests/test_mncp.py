@@ -24,9 +24,9 @@ from conftest import dense
 def scalar_affine(slope=1.0, offset=2.0):
     """One-dimensional problem r(z) = slope*z + offset."""
     return MncpProblem(
-        size=1, comp_index=[0],
+        n_pairs=1,
         residual=lambda z: slope * z + offset,
-        jacobian=dense(lambda z: np.array([[slope]]), [0]),
+        jacobian=dense(lambda z: np.array([[slope]]), 1),
     )
 
 
@@ -50,9 +50,9 @@ class TestMeritAndResidual:
 
     def test_equality_rows_pass_through(self):
         prob = MncpProblem(
-            size=2, comp_index=[0],
+            n_pairs=1,
             residual=lambda z: np.array([z[0] - 1.0, z[1] + 5.0]),
-            jacobian=dense(lambda z: np.eye(2), [0]),
+            jacobian=dense(lambda z: np.eye(2), 1),
         )
         h = merit_vector(np.array([2.0, 3.0]), prob.residual(np.array([2.0, 3.0])), prob)
         np.testing.assert_array_equal(h, [2.0, 8.0])
@@ -71,18 +71,18 @@ class TestMeritAndResidual:
 
     def test_natural_residual_no_pairs(self):
         prob = MncpProblem(
-            size=1, comp_index=[],
+            n_pairs=0,
             residual=lambda z: z - 1.0,
-            jacobian=dense(lambda z: np.eye(1), []),
+            jacobian=dense(lambda z: np.eye(1), 0),
         )
         assert natural_residual(np.array([4.0]), np.array([3.0]), prob) == 0.0
 
     def test_solve_without_pairs(self):
         # a pure equality system has no centering term to spread over pairs
         prob = MncpProblem(
-            size=1, comp_index=[],
+            n_pairs=0,
             residual=lambda z: z - 1.0,
-            jacobian=dense(lambda z: np.eye(1), []),
+            jacobian=dense(lambda z: np.eye(1), 0),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -111,9 +111,9 @@ class TestDirection:
         # grad(S)^T d <= -(1 - sigma_c) ||H||^2 must hold at any interior point
         rng = np.random.default_rng(5)
         prob = MncpProblem(
-            size=2, comp_index=[0, 1],
+            n_pairs=2,
             residual=lambda z: np.array([z[0] ** 2 + z[1] + 0.5, z[0] + 2.0 * z[1] + 1.0]),
-            jacobian=dense(lambda z: np.array([[2.0 * z[0], 1.0], [1.0, 2.0]]), [0, 1]),
+            jacobian=dense(lambda z: np.array([[2.0 * z[0], 1.0], [1.0, 2.0]]), 2),
         )
         for sigma in (0.1, 0.5, 0.9):
             opts = SolverOptions(sigma_c=sigma)
@@ -126,9 +126,9 @@ class TestDirection:
 
     def test_singular_jacobian_raises(self):
         prob = MncpProblem(
-            size=2, comp_index=[0, 1],
+            n_pairs=2,
             residual=lambda z: np.array([1.0, 1.0]),
-            jacobian=dense(lambda z: np.full((2, 2), np.inf), [0, 1]),
+            jacobian=dense(lambda z: np.full((2, 2), np.inf), 2),
         )
         with pytest.raises(mncp.SingularJacobian):
             direction(np.array([1.0, 1.0]), prob, SolverOptions())
@@ -158,9 +158,9 @@ class TestLineSearch:
 
     def test_step_is_on_ladder(self):
         prob = MncpProblem(
-            size=1, comp_index=[0],
+            n_pairs=1,
             residual=lambda z: 10.0 * z - 1.0,
-            jacobian=dense(lambda z: np.array([[10.0]]), [0]),
+            jacobian=dense(lambda z: np.array([[10.0]]), 1),
         )
         opts = SolverOptions()
         z = np.array([2.0])
@@ -221,8 +221,8 @@ class TestRestoreFeasibility:
             seen.append(z[0] - 2.0 * eps)
             return z - 2.0 * eps
 
-        prob = MncpProblem(size=1, comp_index=[0], residual=residual,
-                           jacobian=dense(lambda z: np.eye(1), [0]))
+        prob = MncpProblem(n_pairs=1, residual=residual,
+                           jacobian=dense(lambda z: np.eye(1), 1))
         z, r, n_evals, shift = restore_feasibility(np.array([0.0]), prob, SolverOptions())
         assert seen == [-eps, 0.0, 2.0 * eps]
         assert n_evals == 3
@@ -231,9 +231,9 @@ class TestRestoreFeasibility:
 
     def test_unrestorable_raises(self):
         prob = MncpProblem(
-            size=1, comp_index=[0],
+            n_pairs=1,
             residual=lambda z: np.full(1, -1.0),
-            jacobian=dense(lambda z: np.eye(1), [0]),
+            jacobian=dense(lambda z: np.eye(1), 1),
         )
         with pytest.raises(InfeasibleStart):
             restore_feasibility(np.array([1.0]), prob, SolverOptions(max_restore=8))
@@ -260,9 +260,9 @@ def toy_problems():
     # two coupled pairs, both ending at interior roots z* = (0.5, 0.5)
     cases.append((
         MncpProblem(
-            size=2, comp_index=[0, 1],
+            n_pairs=2,
             residual=lambda z: np.array([z[0] - 0.5, z[0] + z[1] - 1.0]),
-            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]]), [0, 1]),
+            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]]), 2),
         ),
         np.array([2.0, 2.0]),
         lambda z: np.allclose(z, [0.5, 0.5], atol=1e-6),
@@ -271,9 +271,9 @@ def toy_problems():
     # mixed: one pair plus one equality row, z* = (1, 1)
     cases.append((
         MncpProblem(
-            size=2, comp_index=[0],
+            n_pairs=1,
             residual=lambda z: np.array([z[0] + z[1] - 2.0, z[1] - 1.0]),
-            jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), [0]),
+            jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), 1),
         ),
         np.array([2.0, 2.0]),
         lambda z: np.allclose(z, [1.0, 1.0], atol=1e-6),
@@ -303,8 +303,8 @@ class TestSolve:
                 break
             d, g_dot_d = direction(z, prob, opts, r=r)
             t, z, r, h, s_next, _ = line_search(z, d, g_dot_d, s, prob, opts)
-            assert np.all(z[prob.comp_index] > 0.0)
-            assert np.all(r[prob.comp_index] > 0.0)
+            assert np.all(z[:prob.n_pairs] > 0.0)
+            assert np.all(r[:prob.n_pairs] > 0.0)
             assert s_next < s
             s = s_next
 

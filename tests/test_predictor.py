@@ -13,13 +13,6 @@ from combust.timestepper import run, step
 from conftest import base_config
 
 
-def interleave(theta, eta):
-    z = np.empty(2 * theta.size)
-    z[0::2] = theta
-    z[1::2] = eta
-    return z
-
-
 def three_steps(method=MNCP, record_times=()):
     """The base case at M = 8, cut to three steps."""
     config = base_config(8, method, record_times)
@@ -51,7 +44,7 @@ def test_step_with_previous_extrapolates(start_points, method):
     step(current, timestepper.StepEquations(cache, method, current), config, 0.0, previous)
     np.testing.assert_array_equal(
         start_points[0],
-        interleave(2.0 * current.theta - previous.theta, 2.0 * current.eta - previous.eta))
+        np.concatenate((2.0 * current.theta - previous.theta, 2.0 * current.eta - previous.eta)))
 
 
 @pytest.mark.parametrize("initial", [None, State(theta=np.full(8, 0.25), eta=np.full(8, 0.5))])
@@ -61,12 +54,12 @@ def test_run_extrapolates_after_the_first_step(start_points, initial):
     levels = [s for _, s in series.snapshots]
     assert len(start_points) == 3
     # the first step starts from the initial level itself
-    np.testing.assert_array_equal(start_points[0], interleave(levels[0].theta, levels[0].eta))
+    np.testing.assert_array_equal(start_points[0], np.concatenate((levels[0].theta, levels[0].eta)))
     for n in (1, 2):
         np.testing.assert_array_equal(
             start_points[n],
-            interleave(2.0 * levels[n].theta - levels[n - 1].theta,
-                       2.0 * levels[n].eta - levels[n - 1].eta))
+            np.concatenate((2.0 * levels[n].theta - levels[n - 1].theta,
+                            2.0 * levels[n].eta - levels[n - 1].eta)))
 
 
 @pytest.mark.parametrize("fixture", ["run_m50_mncp", "run_m50_ncp"])
@@ -98,3 +91,14 @@ def test_base_case_counts(request, fixture):
     assert sum(s.s_evals for s in per_step) == 2014
     assert sum(s.js_evals for s in per_step) == 1011
     assert max(s.iterations for s in per_step) == 3
+
+
+@pytest.mark.parametrize("method", [MNCP, NCP])
+def test_m400_counts(method):
+    # the same counts at M = 400 (k = 1e-5, t = 0.01), the grid size of the
+    # benchmark's fine_m400 and ncp_m400 workloads, where a step can take 4
+    per_step = run(base_config(400, method, record_times=())).per_step
+    assert sum(s.iterations for s in per_step) == 1026
+    assert sum(s.s_evals for s in per_step) == 2029
+    assert sum(s.js_evals for s in per_step) == 1026
+    assert max(s.iterations for s in per_step) <= 4

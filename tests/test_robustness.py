@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from combust import mncp
+from combust import mncp, timestepper
 from combust.cli import main
 from combust.discretization import assemble_matrices
 from combust.mncp import LineSearchStall, MaxIterations, MncpProblem, SolverOptions, solve
@@ -57,9 +57,9 @@ def test_refine_from_m125_cli(tmp_path):
 class TestFailureMessages:
     def test_max_iterations_names_worst_pair(self):
         prob = MncpProblem(
-            size=2, comp_index=[0, 1],
+            n_pairs=2,
             residual=lambda z: np.array([z[0] - 0.5, z[0] + z[1] - 1.0]),
-            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]]), [0, 1]),
+            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]]), 2),
         )
         with pytest.raises(MaxIterations) as excinfo:
             solve(prob, np.array([2.0, 2.0]), SolverOptions(max_iter=1))
@@ -77,9 +77,9 @@ class TestFailureMessages:
     def test_line_search_stall_names_worst_pair(self):
         # a Jacobian of the wrong sign turns every Newton step uphill
         prob = MncpProblem(
-            size=1, comp_index=[0],
+            n_pairs=1,
             residual=lambda z: z + 2.0,
-            jacobian=dense(lambda z: np.array([[-10.0]]), [0]),
+            jacobian=dense(lambda z: np.array([[-10.0]]), 1),
         )
         with pytest.raises(LineSearchStall) as excinfo:
             solve(prob, np.array([5.0]))
@@ -91,9 +91,9 @@ class TestFailureMessages:
     def test_restoration_failure_carries_timed_report_without_pair(self):
         # no iterate was restored, so there is no worst pair to name
         prob = MncpProblem(
-            size=1, comp_index=[0],
+            n_pairs=1,
             residual=lambda z: np.full(1, -1.0),
-            jacobian=dense(lambda z: np.eye(1), [0]),
+            jacobian=dense(lambda z: np.eye(1), 1),
         )
         with pytest.raises(mncp.InfeasibleStart) as excinfo:
             solve(prob, np.array([1.0]), SolverOptions(max_restore=3))
@@ -113,12 +113,31 @@ class TestFailureMessages:
             step(state, StepEquations(cache, method, state), config)
         err = excinfo.value
         row, z_row, _ = err.cause.report.worst_pair
+        m = config.grid.m
         if method == mncp.MNCP:
-            assert row % 2 == 0      # the pairs are the theta rows
-        var, res = ("theta", "G") if row % 2 == 0 else ("eta", "Q")
-        node = row // 2 + 1
+            assert row < m           # the pairs are the theta rows
+        var, res, node = ("theta", "G", row + 1) if row < m else ("eta", "Q", row - m + 1)
         assert err.reason.endswith(f"; row {row} is {var} at node {node}, paired with {res}")
         assert err.cause.iterate[row] == z_row
+
+    @pytest.mark.parametrize("row, text", [
+        (2, "row 2 is theta at node 3, paired with G"),
+        (4, "row 4 is theta at node 5, paired with G"),
+        (5, "row 5 is eta at node 1, paired with Q"),
+        (7, "row 7 is eta at node 3, paired with Q"),
+    ])
+    def test_step_failure_names_stacked_row(self, monkeypatch, row, text):
+        # M = 5: rows 0..4 are theta against G, rows 5..9 eta against Q
+        def failing(*args, **kwargs):
+            raise MaxIterations("no convergence", report=mncp.SolverReport(worst_pair=(row, 0.1, 0.2)))
+
+        monkeypatch.setattr(timestepper, "solve", failing)
+        config = base_config(5, mncp.NCP)
+        state = initial_state(config.grid)
+        equations = StepEquations(assemble_matrices(config.grid, config.params), mncp.NCP, state)
+        with pytest.raises(StepFailed) as excinfo:
+            step(state, equations, config)
+        assert excinfo.value.reason == f"no convergence; {text}"
 
     def test_cli_prints_cause(self, tmp_path, capsys):
         cfg = tmp_path / "case.cfg"

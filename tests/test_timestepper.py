@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from combust import timestepper
-from combust.discretization import Grid, State, assemble_matrices
+from combust.discretization import Grid, State, assemble_matrices, residual
 from combust.mncp import MNCP, NCP, SolverOptions, merit_vector, solve
 from combust.model import BASE_PARAMS, phi
 from combust.timestepper import (
@@ -31,18 +31,22 @@ class TestInitialState:
 
 
 class TestStepEquations:
-    def test_interleaving_and_pairs(self):
+    def test_stacking_and_pairs(self):
         config = tiny_config(m=4)
         cache = assemble_matrices(config.grid, config.params)
         state = initial_state(config.grid)
         equations = StepEquations(cache, MNCP, state)
         prob = equations.problem
-        assert prob.size == 8
-        np.testing.assert_array_equal(prob.comp_index, [0, 2, 4, 6])
+        assert prob.n_pairs == 4
         assert not equations.jacobian(np.full(8, 0.1)).eta_pairs
+        # z = (theta; eta) and r = (G; Q)
+        theta, eta = np.linspace(0.1, 0.4, 4), np.linspace(0.5, 0.8, 4)
+        np.testing.assert_array_equal(
+            prob.residual(np.concatenate((theta, eta))),
+            residual(theta, eta, cache, equations.ld, equations.ldq)[0])
 
         equations_ncp = StepEquations(cache, NCP, state)
-        np.testing.assert_array_equal(equations_ncp.problem.comp_index, np.arange(8))
+        assert equations_ncp.problem.n_pairs == 8
         assert equations_ncp.jacobian(np.full(8, 0.1)).eta_pairs
 
     def test_unknown_method(self):
@@ -184,13 +188,11 @@ class TestRun:
             # the problem of this step, kept at its level while the step advances `equations`
             prob = StepEquations(cache, MNCP, state).problem
             state, _ = step(state, equations, config)
-            z = np.empty(2 * grid.m)
-            z[0::2] = state.theta
-            z[1::2] = state.eta
+            z = np.concatenate((state.theta, state.eta))
             r = prob.residual(z)
             assert np.max(np.abs(merit_vector(z, r, prob))) <= 1e-8
             assert np.all(state.theta >= 0.0)
-            assert np.all(r[prob.comp_index] >= 0.0)
+            assert np.all(r[:prob.n_pairs] >= 0.0)
 
     def test_custom_initial_state(self):
         config = tiny_config(m=6, n_steps=3, record_times=(0.0,))

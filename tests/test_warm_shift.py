@@ -20,8 +20,8 @@ def counted(residual):
         calls.append(1)
         return residual(z)
 
-    prob = MncpProblem(size=1, comp_index=[0], residual=counting,
-                       jacobian=dense(lambda z: np.eye(1), [0]))
+    prob = MncpProblem(n_pairs=1, residual=counting,
+                       jacobian=dense(lambda z: np.eye(1), 1))
     return prob, calls
 
 
