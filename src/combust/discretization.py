@@ -3,17 +3,20 @@
 Interior nodes m = 1..M carry the unknowns; node 0 is the injection
 boundary, fixed at the constants THETA_B = 0 and ETA_B = 1, and node M gets
 the Neumann mirror F_{M+1} = F_{M-1}.
-One time step solves, in the unknowns (theta, eta) at level n+1,
+One time step solves, in the stacked unknowns z = (theta; eta) at level n+1,
 
     G = A theta + lambda_s P(theta) - 2k Phi(theta, eta) - LD   (complementarity)
     Q = 2 eta - k Phi(theta, eta) - LDQ                          (equality)
 
 where LD = B theta^n - lambda_s P^n + 2k Phi^n and
-LDQ = 2 eta^n + k Phi^n are frozen at level n.  assemble_LD and
-assemble_LDQ build them from a state; they run for the first step only.
-As A + B = 8 I, the residual (G, Q) at the solution of a step gives the
-next level's data in O(M), with no exponential and no flux:
-LD' = 8 theta' - G - LD and LDQ' = 4 eta' - Q - LDQ
+LDQ = 2 eta^n + k Phi^n are frozen at level n and stacked as the level data
+(LD; LDQ).  assemble_LD and assemble_LDQ build them from a state; they run
+for the first step only.  As A + B = 8 I, the residual (G; Q) at the
+solution z' of a step gives the next level's data in O(M), with no
+exponential and no flux, as one stacked update:
+
+    (LD'; LDQ') = w z' - (G; Q) - (LD; LDQ),   w = (8, ..., 8, 4, ..., 4)
+
 (timestepper.StepEquations.advance).
 
 Each point's Arrhenius exponential is formed once: residual() takes Phi
@@ -23,6 +26,7 @@ jacobian() at that same point takes it instead of a second exponential.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,16 +87,43 @@ class Grid:
         return np.linspace(0.0, self.length, self.m + 1)
 
 
-@dataclass
 class State:
-    """Interior-node fields at time level n (node 0 is THETA_B, ETA_B)."""
+    """Interior-node fields at time level n (node 0 is THETA_B, ETA_B).
 
-    theta: np.ndarray
-    eta: np.ndarray
-    n: int = 0
+    The fields are stored stacked as z = (theta_1, ..., theta_M, eta_1, ...,
+    eta_M), the order of the solver's unknowns; theta and eta are views of
+    its halves.  State(theta, eta, n) copies the two fields into a new z;
+    State.stacked(z, n) takes z as it is.
+    """
+
+    __slots__ = ("z", "n")
+
+    def __init__(self, theta: np.ndarray, eta: np.ndarray, n: int = 0):
+        if np.shape(theta) != np.shape(eta):
+            raise ValueError(f"theta and eta differ in shape: {np.shape(theta)} vs {np.shape(eta)}")
+        self.z = np.concatenate((theta, eta))
+        self.n = n
+
+    @classmethod
+    def stacked(cls, z: np.ndarray, n: int = 0) -> "State":
+        state = cls.__new__(cls)
+        state.z = z
+        state.n = n
+        return state
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.z[: self.z.size // 2]
+
+    @property
+    def eta(self) -> np.ndarray:
+        return self.z[self.z.size // 2:]
 
     def copy(self) -> "State":
-        return State(self.theta.copy(), self.eta.copy(), self.n)
+        return State.stacked(self.z.copy(), self.n)
+
+    def __repr__(self) -> str:
+        return f"State(theta={self.theta!r}, eta={self.eta!r}, n={self.n})"
 
 
 @dataclass(frozen=True)
@@ -187,29 +218,35 @@ def assemble_LDQ(state: State, cache: SchemeCache) -> np.ndarray:
     return 2.0 * state.eta + cache.k * phi(state.theta, state.eta, cache.params)
 
 
-def residual(
-    theta_next: np.ndarray,
-    eta_next: np.ndarray,
-    cache: SchemeCache,
-    ld: np.ndarray,
-    ldq: np.ndarray,
-):
-    """Evaluate the step residual at a candidate level-(n+1) point.
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite.
 
-    Returns (r, terms): r is the stacked vector (G_1, ..., G_M, Q_1, ..., Q_M)
-    and terms the closure (s, e, Phi, F) of the point (model.closure), which
-    jacobian() takes to build the Jacobian there without a second
-    exponential.  G and Q are written into the two halves of r with the
-    operations of A theta + lambda_s P(theta) - 2k Phi - LD and
-    2 eta - k Phi - LDQ, in that order, so each entry is rounded as in those
-    expressions.  A non-finite entry raises NumericError naming its node,
-    the first non-finite G entry's, else the first non-finite Q entry's.
+    One dot product decides when x . x is finite; np.vdot raises no overflow
+    warning.  Otherwise, at a non-finite entry or at finite entries whose
+    squares overflow, the entries are scanned.
+    """
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
+def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
+    """Evaluate the step residual at a candidate level-(n+1) point z = (theta; eta).
+
+    level is the stacked level data (LD; LDQ).  Returns (r, terms): r is the
+    stacked vector (G_1, ..., G_M, Q_1, ..., Q_M) and terms the closure
+    (s, e, Phi, F) of the point (model.closure), which jacobian() takes to
+    build the Jacobian there without a second exponential.  G and Q are
+    written into the two halves of r with the operations of
+    A theta + lambda_s P(theta) - 2k Phi - LD and 2 eta - k Phi - LDQ, in
+    that order, so each entry is rounded as in those expressions.  A
+    non-finite entry raises NumericError naming its node, the first
+    non-finite G entry's, else the first non-finite Q entry's.
     """
     k = cache.k
     lam = cache.lambda_s
+    m = z.size // 2
+    theta_next, eta_next = z[:m], z[m:]
     terms = closure(theta_next, eta_next, cache.params)
     _, _, phi_next, f = terms
-    m = theta_next.size
     out = np.empty(2 * m)
     g = out[:m]
     q = out[m:]
@@ -218,11 +255,10 @@ def residual(
     g[0] += lam * f[1]
     g[1:-1] += lam * (f[2:] - f[:-2])
     g -= 2.0 * k * phi_next
-    g -= ld
     np.multiply(2.0, eta_next, out=q)
     q -= k * phi_next
-    q -= ldq
-    if not np.isfinite(out).all():
+    out -= level
+    if not _all_finite(out):
         bad = int(np.flatnonzero(~np.isfinite(out))[0]) % m + 1
         raise NumericError(f"non-finite residual at node {bad}", node=bad)
     return out, terms
@@ -299,7 +335,7 @@ class StepJacobian:
             f_t - ratio * f_e, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
         )
         d = np.concatenate((x_t, (f_e - coupling * x_t) / diag_e))
-        if info != 0 or not np.isfinite(d).all():
+        if info != 0 or not _all_finite(d):
             raise np.linalg.LinAlgError("singular Newton matrix")
         return d
 

@@ -57,10 +57,15 @@ def initial_state(grid: Grid) -> State:
     return State(theta=np.zeros(m), eta=np.zeros(m), n=0)
 
 
+def _level_data(state: State, cache: SchemeCache) -> np.ndarray:
+    """The stacked level data (LD; LDQ) of a state, assembled afresh."""
+    return np.concatenate((assemble_LD(state, cache), assemble_LDQ(state, cache)))
+
+
 class StepEquations:
     """Residual and Jacobian of a run's time steps in the stacked unknowns
     z = (theta_1, ..., theta_M, eta_1, ..., eta_M), with residual rows
-    (G; Q) and the level data LD, LDQ of the step at hand.
+    (G; Q) and the stacked level data level = (LD; LDQ) of the step at hand.
 
     Built once per run from the run's first level: problem is the
     MncpProblem every step solves, and advance() moves the level data on to
@@ -88,13 +93,12 @@ class StepEquations:
         self.cache = cache
         self.eta_pairs = method == NCP
         self.problem = MncpProblem(n_pairs, self.residual, self.jacobian)
-        self.ld = assemble_LD(state, cache)
-        self.ldq = assemble_LDQ(state, cache)
+        self.level = _level_data(state, cache)
+        self._w = np.concatenate((np.full(m, 8.0), np.full(m, 4.0)))
         self._last = (None, None, None)   # (z, r, terms) of the latest residual
 
     def residual(self, z):
-        m = self.m
-        r, terms = residual(z[:m], z[m:], self.cache, self.ld, self.ldq)
+        r, terms = residual(z, self.cache, self.level)
         self._last = (z, r, terms)
         return r
 
@@ -105,22 +109,19 @@ class StepEquations:
                         self.eta_pairs)
 
     def advance(self, z):
-        """Move LD, LDQ on to the level that z holds, once z solves this step.
+        """Move the level data on to the level that z holds, once z solves this step.
 
-        A + B = 8 I, so with the residual (G, Q) at z
+        A + B = 8 I, so with the residual (G; Q) at z
             LD' = B theta' - lambda_s P' + 2k Phi' = 8 theta' - G - LD
             LDQ' = 2 eta' + k Phi' = 4 eta' - Q - LDQ
-        in O(M), with no exponential and no flux.
+        in O(M), with no exponential and no flux: level' = w z - r - level
+        with w = (8, ..., 8, 4, ..., 4).
         """
         last_z, r, _ = self._last
-        m = self.m
-        theta, eta = z[:m], z[m:]
         if z is last_z:
-            self.ld = 8.0 * theta - r[:m] - self.ld
-            self.ldq = 4.0 * eta - r[m:] - self.ldq
+            self.level = self._w * z - r - self.level
         else:
-            state = State(theta=theta, eta=eta)
-            self.ld, self.ldq = assemble_LD(state, self.cache), assemble_LDQ(state, self.cache)
+            self.level = _level_data(State.stacked(z), self.cache)
 
 
 def _failure_reason(err: SolverError, m: int) -> str:
@@ -144,21 +145,18 @@ def step(state: State, equations: StepEquations, config: RunConfig, shift: float
     equations hold the level data of `state` and are advanced to those of
     the next state.  The solve starts from z^n or, given the previous level,
     from the linear extrapolation 2 z^n - z^(n-1) on both theta and eta.  The
-    start is not clipped: restoration clamps the pair variables.
+    start is not clipped: restoration clamps the pair variables, on a copy,
+    so `state` is left as it was.
     Returns (next_state, report): report is the SolverReport of the solve,
     whose shift is the total restoration shift the solve used.
     """
-    m = state.theta.size
-    if previous is None:
-        z0 = np.concatenate((state.theta, state.eta))
-    else:
-        z0 = np.concatenate((2.0 * state.theta - previous.theta, 2.0 * state.eta - previous.eta))
+    z0 = state.z if previous is None else 2.0 * state.z - previous.z
     try:
         z, report = solve(equations.problem, z0, config.solver_opts, shift)
     except SolverError as err:
-        raise StepFailed(_failure_reason(err, m), time_index=state.n, cause=err) from err
+        raise StepFailed(_failure_reason(err, equations.m), time_index=state.n, cause=err) from err
     equations.advance(z)
-    return State(theta=z[:m].copy(), eta=z[m:].copy(), n=state.n + 1), report
+    return State.stacked(z.copy(), state.n + 1), report
 
 
 def snapshot_indices(grid: Grid, record_times) -> dict:

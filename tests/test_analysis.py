@@ -33,6 +33,7 @@ class TestRestrict:
         np.testing.assert_array_equal(coarse.theta, [2.0, 4.0, 6.0, 8.0])
         np.testing.assert_array_equal(coarse.eta, [11.0, 13.0, 15.0, 17.0])
         assert coarse.n == 3
+        assert not np.shares_memory(coarse.z, fine.z)
 
     def test_linear_profile_is_exact(self):
         fine_grid = Grid(length=1.0, m=16, k=0.1, n_steps=1)

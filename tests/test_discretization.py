@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,11 @@ UNIT_GRID = Grid(length=3.0, m=3, k=0.2, n_steps=1)
 
 def base_grid(m=10):
     return Grid(length=0.05, m=m, k=1e-5, n_steps=1)
+
+
+def level_of(state, cache):
+    """The stacked level data (LD; LDQ) of a state."""
+    return np.concatenate((assemble_LD(state, cache), assemble_LDQ(state, cache)))
 
 
 class TestGrid:
@@ -150,9 +157,7 @@ class TestResidual:
         grid = base_grid(6)
         cache = assemble_matrices(grid, BASE_PARAMS)
         state = State(theta=np.zeros(6), eta=np.ones(6))
-        ld = assemble_LD(state, cache)
-        ldq = assemble_LDQ(state, cache)
-        res, _ = residual(np.zeros(6), np.ones(6), cache, ld, ldq)
+        res, _ = residual(np.concatenate((np.zeros(6), np.ones(6))), cache, level_of(state, cache))
         assert res.shape == (12,)
         np.testing.assert_allclose(res[:6], np.zeros(6), atol=1e-15)
         np.testing.assert_allclose(res[6:], np.zeros(6), atol=1e-15)
@@ -167,9 +172,7 @@ class TestResidual:
             theta = rng.uniform(0.0, 3.0, 8)
             eta = rng.uniform(0.0, 1.0, 8)
             state = State(theta=theta, eta=eta)
-            ld = assemble_LD(state, cache)
-            ldq = assemble_LDQ(state, cache)
-            res, _ = residual(theta, eta, cache, ld, ldq)
+            res, _ = residual(state.z, cache, level_of(state, cache))
             direct_g = (
                 (cache.a_dense() - cache.b_dense()) @ theta
                 + 2.0 * grid.lambda_s * assemble_P(theta, 0.0, BASE_PARAMS)
@@ -184,9 +187,7 @@ class TestResidual:
         grid = base_grid(5)
         cache = assemble_matrices(grid, BASE_PARAMS)
         state = State(theta=np.full(5, 0.5), eta=np.full(5, 0.5))
-        ld = assemble_LD(state, cache)
-        ldq = assemble_LDQ(state, cache)
-        res, _ = residual(state.theta, state.eta, cache, ld, ldq)
+        res, _ = residual(state.z, cache, level_of(state, cache))
         assert np.all(res[5:] < 0.0)
 
     @pytest.mark.parametrize("m", [2, 3, 17])
@@ -209,7 +210,7 @@ class TestResidual:
             g = (a_theta + grid.lambda_s * assemble_P(theta, 0.0, BASE_PARAMS)
                  - 2.0 * grid.k * phi_next - ld)
             q = 2.0 * eta - grid.k * phi_next - ldq
-            res, _ = residual(theta, eta, cache, ld, ldq)
+            res, _ = residual(np.concatenate((theta, eta)), cache, np.concatenate((ld, ldq)))
             np.testing.assert_array_equal(res[:m], g)
             np.testing.assert_array_equal(res[m:], q)
 
@@ -219,13 +220,48 @@ class TestResidual:
         # level-n data reaches exactly one of them
         cache = assemble_matrices(base_grid(5), BASE_PARAMS)
         state = State(theta=np.full(5, 0.5), eta=np.full(5, 0.5))
-        ld = assemble_LD(state, cache)
-        ldq = assemble_LDQ(state, cache)
-        (ld if row < 5 else ldq)[row % 5] = np.nan
+        level = level_of(state, cache)
+        level[row] = np.nan
         with pytest.raises(NumericError) as err:
-            residual(state.theta, state.eta, cache, ld, ldq)
+            residual(state.z, cache, level)
         assert err.value.node == node
         assert f"node {node}" in str(err.value)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("row, node", [(0, 1), (7, 3), (3, 4), (9, 5)])
+    def test_infinite_entry_names_its_node(self, row, node, value):
+        cache = assemble_matrices(base_grid(5), BASE_PARAMS)
+        state = State(theta=np.full(5, 0.5), eta=np.full(5, 0.5))
+        level = level_of(state, cache)
+        level[row] = value
+        with pytest.raises(NumericError) as err:
+            residual(state.z, cache, level)
+        assert err.value.node == node
+        assert f"node {node}" in str(err.value)
+
+    def test_huge_finite_entries_pass_without_warning(self):
+        # the squared norm of the residual overflows, its entries do not:
+        # the finiteness check must fall back to the entries, warning-free
+        cache = assemble_matrices(base_grid(5), BASE_PARAMS)
+        state = State(theta=np.full(5, 0.5), eta=np.full(5, 0.5))
+        level = level_of(state, cache)
+        level[[1, 8]] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, _ = residual(state.z, cache, level)
+            assert not np.isfinite(np.vdot(res, res))
+        assert np.all(np.isfinite(res))
+        np.testing.assert_array_equal(res[[1, 8]], -1e300)
+
+    def test_nan_among_huge_finite_entries_names_its_node(self):
+        cache = assemble_matrices(base_grid(5), BASE_PARAMS)
+        state = State(theta=np.full(5, 0.5), eta=np.full(5, 0.5))
+        level = level_of(state, cache)
+        level[[1, 8]] = 1e300
+        level[6] = np.nan
+        with pytest.raises(NumericError) as err:
+            residual(state.z, cache, level)
+        assert err.value.node == 2
 
 
 def dense_jacobian_fd(theta, eta, cache, step=1e-6):
@@ -234,11 +270,10 @@ def dense_jacobian_fd(theta, eta, cache, step=1e-6):
     grid = cache.grid
     m = grid.m
     state = State(theta=theta, eta=eta)
-    ld = assemble_LD(state, cache)
-    ldq = assemble_LDQ(state, cache)
+    level = level_of(state, cache)
 
     def f(z):
-        return residual(z[:m], z[m:], cache, ld, ldq)[0]
+        return residual(z, cache, level)[0]
 
     z0 = np.concatenate((theta, eta))
     jac = np.zeros((2 * m, 2 * m))
@@ -347,6 +382,18 @@ class TestNewtonSolve:
             # the perturbation is the solve's own: the Jacobian is left as it was
             np.testing.assert_array_equal(jac.q_eta, np.ones(2))
             np.testing.assert_array_equal(jac.diag, [0.0, 1.0])
+
+    def test_huge_finite_direction_is_returned(self):
+        # d is about 1e200: its squared norm overflows, no entry does, so the
+        # solve neither retries nor raises
+        jac = zero_pivot_jacobian()
+        jac.diag[0] = 1.0
+        rhs = np.array([1e200, -2e200, 3e200, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = jac.newton_solve(np.ones(4), np.zeros(4), rhs)
+        assert not np.isfinite(np.vdot(d, d))
+        np.testing.assert_allclose(d, np.linalg.solve(jac.to_dense(), rhs), rtol=1e-14)
 
     def test_singular_after_retry_raises(self):
         # after the retry the zero pivot is 1e-12, and eliminating eta_1

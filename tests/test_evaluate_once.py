@@ -44,7 +44,8 @@ def test_carried_level_data_equal_assembly(monkeypatch, method):
 
     def recording(state, equations, *args):
         out = original(state, equations, *args)
-        carried.append((out[0], (equations.ld, equations.ldq), equations.cache))
+        m = equations.m
+        carried.append((out[0], (equations.level[:m], equations.level[m:]), equations.cache))
         return out
 
     monkeypatch.setattr(timestepper, "step", recording)
@@ -134,12 +135,15 @@ def test_advance_off_the_last_point_assembles():
     cache = assemble_matrices(config.grid, config.params)
     state = initial_state(config.grid)
     equations = timestepper.StepEquations(cache, MNCP, state)
-    ld0, ldq0 = equations.ld, equations.ldq
+    level0 = equations.level
+    ld0, ldq0 = level0[:6], level0[6:]
     z = np.full(12, 0.1)
     equations.advance(z)
-    r, _ = residual(z[:6], z[6:], cache, ld0, ldq0)
-    np.testing.assert_allclose(equations.ld, 8.0 * z[:6] - r[:6] - ld0, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(equations.ldq, 4.0 * z[6:] - r[6:] - ldq0, rtol=1e-13, atol=1e-15)
+    r, _ = residual(z, cache, level0)
+    np.testing.assert_allclose(equations.level[:6], 8.0 * z[:6] - r[:6] - ld0,
+                               rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(equations.level[6:], 4.0 * z[6:] - r[6:] - ldq0,
+                               rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("method", [MNCP, NCP])

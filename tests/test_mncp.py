@@ -290,7 +290,9 @@ class TestSolve:
         assert report.iterations <= 30
         assert check(z)
         r = np.atleast_1d(prob.residual(z))
-        assert np.max(np.abs(merit_vector(z, r, prob))) <= 1e-8
+        h = merit_vector(z, r, prob)
+        assert np.max(np.abs(h)) <= 1e-8
+        assert report.h_inf == np.abs(h).max()
 
     def test_iterates_stay_interior_and_merit_decreases(self):
         prob, z0, _ = toy_problems()[2]
@@ -322,6 +324,29 @@ class TestSolve:
             solve(prob, z0, SolverOptions(max_iter=1))
         assert excinfo.value.report.iterations == 1
         assert excinfo.value.iterate is not None
+        # h_inf and the message are max|H| at that last iterate
+        z = excinfo.value.iterate
+        h = merit_vector(z, np.atleast_1d(prob.residual(z)), prob)
+        assert excinfo.value.report.h_inf == np.abs(h).max()
+        assert f"max|H| = {np.abs(h).max():.3e}" in str(excinfo.value)
+
+    def test_natural_residual_alone_does_not_stop(self):
+        # the pair is complementary to within tol at the restored start, but
+        # the equality row z_1 = 1 is far off: max|H| = 1 must keep it going
+        prob = MncpProblem(
+            n_pairs=1,
+            residual=lambda z: np.array([1.0 + z[0], z[1] - 1.0]),
+            jacobian=dense(lambda z: np.eye(2), 1),
+        )
+        opts = SolverOptions(tol=1e-5)
+        z_start, r_start, _, _ = restore_feasibility(np.zeros(2), prob, opts)
+        assert natural_residual(z_start, r_start, prob) <= opts.tol
+        assert np.abs(merit_vector(z_start, r_start, prob)).max() > opts.tol
+        z, report = solve(prob, np.zeros(2), opts)
+        assert report.converged
+        assert report.iterations >= 1
+        assert report.h_inf <= opts.tol
+        assert z[1] == pytest.approx(1.0, abs=1e-5)
 
     def test_report_counters(self):
         prob, z0, _ = toy_problems()[0]

@@ -30,6 +30,33 @@ class TestInitialState:
         assert state.n == 0
 
 
+class TestState:
+    def test_fields_are_views_of_the_stacked_vector(self):
+        theta, eta = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
+        state = State(theta, eta, 7)
+        np.testing.assert_array_equal(state.z, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert state.n == 7
+        assert state.theta.base is state.z and state.eta.base is state.z
+        # the fields are copied in, and writes through a view reach z
+        theta[0] = 9.0
+        state.eta[-1] = -6.0
+        np.testing.assert_array_equal(state.theta, [1.0, 2.0, 3.0])
+        assert state.z[-1] == -6.0
+
+    def test_fields_must_match(self):
+        with pytest.raises(ValueError):
+            State(np.zeros(3), np.zeros(4))
+
+    def test_copy_is_independent(self):
+        state = State(np.arange(4.0), np.arange(4.0, 8.0), 2)
+        twin = state.copy()
+        assert twin.n == 2 and not np.shares_memory(twin.z, state.z)
+        twin.theta[0] = 99.0
+        twin.n = 3
+        assert state.theta[0] == 0.0 and state.n == 2
+
+
+
 class TestStepEquations:
     def test_stacking_and_pairs(self):
         config = tiny_config(m=4)
@@ -43,7 +70,7 @@ class TestStepEquations:
         theta, eta = np.linspace(0.1, 0.4, 4), np.linspace(0.5, 0.8, 4)
         np.testing.assert_array_equal(
             prob.residual(np.concatenate((theta, eta))),
-            residual(theta, eta, cache, equations.ld, equations.ldq)[0])
+            residual(np.concatenate((theta, eta)), cache, equations.level)[0])
 
         equations_ncp = StepEquations(cache, NCP, state)
         assert equations_ncp.problem.n_pairs == 8
@@ -77,6 +104,24 @@ class TestStep:
         np.testing.assert_allclose(next_state.eta, np.full(8, expected), rtol=0.01)
         assert next_state.n == 1
         assert report.iterations >= 1
+
+    def test_leaves_its_input_states_unchanged(self):
+        # on the first step z0 is state.z itself, and restoration clamps the
+        # theta entries of zero up to eps_interior: on its own copy
+        config = tiny_config(m=6, n_steps=2)
+        cache = assemble_matrices(config.grid, config.params)
+        state = initial_state(config.grid)
+        equations = StepEquations(cache, MNCP, state)
+        next_state, _ = step(state, equations, config)
+        np.testing.assert_array_equal(state.z, np.zeros(12))
+        assert state.n == 0
+        assert not np.shares_memory(next_state.z, state.z)
+        before = (state.z.copy(), next_state.z.copy())
+        last_state, _ = step(next_state, equations, config, 0.0, state)
+        np.testing.assert_array_equal(state.z, before[0])
+        np.testing.assert_array_equal(next_state.z, before[1])
+        assert (state.n, next_state.n, last_state.n) == (0, 1, 2)
+        assert not np.shares_memory(last_state.z, next_state.z)
 
     def test_returns_the_solvers_report(self, monkeypatch):
         reports = []
