@@ -120,7 +120,7 @@ class State:
         return self.z[self.z.size // 2:]
 
     def copy(self) -> "State":
-        return State.stacked(self.z.copy(), self.n)
+        return State(self.theta, self.eta, self.n)
 
     def __repr__(self) -> str:
         return f"State(theta={self.theta!r}, eta={self.eta!r}, n={self.n})"
@@ -266,7 +266,7 @@ def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
 
 @dataclass
 class StepJacobian:
-    """Analytic Jacobian of (G, Q), stored by block, with its pair layout.
+    """Analytic Jacobian of (G, Q), stored by block.
 
     Only dG/dtheta couples neighbouring nodes; the other three blocks are
     diagonal:
@@ -276,9 +276,8 @@ class StepJacobian:
         dQ/deta   = diag(q_eta)
     Unknowns are stacked as (theta_1, ..., theta_M, eta_1, ..., eta_M) and
     rows as (G; Q), in to_dense() and in the vectors newton_solve() takes
-    and returns.  The theta rows (against G) are complementarity pairs; the
-    eta rows (against Q) are too when eta_pairs is set (NCP), and are
-    equalities otherwise (MNCP).
+    and returns.  Which rows are complementarity pairs is the problem's to
+    say: newton_solve() takes the pair count.
     """
 
     sub: np.ndarray
@@ -287,7 +286,6 @@ class StepJacobian:
     g_eta: np.ndarray
     q_theta: np.ndarray
     q_eta: np.ndarray
-    eta_pairs: bool = False
 
     def to_dense(self) -> np.ndarray:
         """The full 2M x 2M block matrix [[dG/dtheta, dG/deta], [dQ/dtheta, dQ/deta]]
@@ -295,13 +293,16 @@ class StepJacobian:
         return np.block([[_tri_dense(self.sub, self.diag, self.sup), np.diag(self.g_eta)],
                          [np.diag(self.q_theta), np.diag(self.q_eta)]])
 
-    def newton_solve(self, z: np.ndarray, r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def newton_solve(self, z: np.ndarray, r: np.ndarray, rhs: np.ndarray,
+                     n_pairs: int) -> np.ndarray:
         """Solve (diag(s) J + diag(a)) d = rhs, the Newton matrix of H at z.
 
-        s = z and a = r, the residual at z, on the pair rows; s = 1 and
-        a = 0 on the equality rows, whose products this skips.  Each node's
-        eta correction is eliminated in closed form, leaving a tridiagonal
-        Schur complement in theta for LAPACK dgtsv.  The eta pivot is
+        The first n_pairs rows are the pairs: n_pairs is M (MNCP, the theta
+        rows against G) or 2M (NCP, every row).  s = z and a = r, the
+        residual at z, on the pair rows; s = 1 and a = 0 on the equality
+        rows, whose products this skips.  Each node's eta correction is
+        eliminated in closed form, leaving a tridiagonal Schur complement in
+        theta for LAPACK dgtsv.  The eta pivot is
         2 + k beta e^(...) >= 2 on equality rows and eta (2 + k beta e^(...))
         + Q > 0 on pair rows at a strictly interior iterate.  On a zero pivot
         or a non-finite result the solve is retried once with
@@ -311,7 +312,7 @@ class StepJacobian:
         m = self.diag.size
         s_t = z[:m]
         diag_t = s_t * self.diag + r[:m]
-        if self.eta_pairs:
+        if n_pairs > m:
             s_e = z[m:]
             coupling = s_e * self.q_theta
             diag_e = s_e * self.q_eta + r[m:]
@@ -341,7 +342,7 @@ class StepJacobian:
 
 
 def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache,
-             terms=None, eta_pairs: bool = False) -> StepJacobian:
+             terms=None) -> StepJacobian:
     """Analytic Jacobian of the step residuals (G, Q):
         dG/dtheta = A + lambda_s dP/dtheta - 2k diag(phi_theta)
         dG/deta   = -2k diag(phi_eta)
@@ -350,8 +351,7 @@ def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache,
     with dP/dtheta row m holding +F'(theta_{m+1}) and -F'(theta_{m-1})
     (row M zero, boundary column dropped).
     terms, the closure that residual() returned at this same point, spares
-    the exponential; without it the closure is formed afresh.  eta_pairs
-    sets the pair layout newton_solve() scales by (see StepJacobian).
+    the exponential; without it the closure is formed afresh.
     """
     k = cache.k
     lam = cache.lambda_s
@@ -372,5 +372,4 @@ def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache,
         g_eta=-2.0 * k * pe,
         q_theta=-k * pt,
         q_eta=2.0 - k * pe,
-        eta_pairs=eta_pairs,
     )

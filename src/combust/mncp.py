@@ -87,17 +87,17 @@ class MncpProblem:
 
     residual maps z to the full residual vector.  The first n_pairs rows are
     the complementarity pairs (pair i couples z_i with residual row i); every
-    later row is an equality.  jacobian maps z to its derivative J, an object
-    that knows the same pair count: its
-    newton_solve(z, r, rhs), given the residual r at z, returns the solution
-    d of the Newton matrix of H, (diag(s) J + diag(a)) d = rhs with s = z
-    and a = r on the pair rows and s = 1, a = 0 on the equality rows, and
-    raises np.linalg.LinAlgError when that matrix is singular.
+    later row is an equality.  jacobian maps z to its derivative J, whose
+    newton_solve(z, r, rhs, n_pairs), given the residual r at z, returns the
+    solution d of the Newton matrix of H, (diag(s) J + diag(a)) d = rhs with
+    s = z and a = r on the first n_pairs rows and s = 1, a = 0 on the
+    others, and raises np.linalg.LinAlgError when that matrix is singular.
 
-    solve() calls jacobian only with the array it last passed to residual,
-    unmodified since (the restored start or the accepted probe), and returns
-    that array, so a problem may key values it shares between the two on
-    `z is last_z`.
+    solve() builds each Jacobian at the point of its latest residual call
+    (the restored start or the accepted probe), unmodified since, and
+    returns that point.  A problem may take this as a precondition: its
+    jacobian, and whatever its caller does with the returned point, may
+    use what the latest residual call evaluated.
     """
 
     n_pairs: int
@@ -192,7 +192,7 @@ def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None, 
         rhs[:p] += opts.sigma_c * np.maximum(min(1.0, math.sqrt(2.0 * s)) * mu, _KAPPA * h_p)
     # Jacobian of H: pair rows are z_i (dr_i/dz) + e_i r_i, the others dr_j/dz
     try:
-        d = jac.newton_solve(z, r, rhs)
+        d = jac.newton_solve(z, r, rhs, p)
     except np.linalg.LinAlgError as err:
         raise SingularJacobian("Newton matrix is singular", iterate=z) from err
     # grad(S)^T d = h^T J_H d = h^T rhs for the matrix actually solved

@@ -57,11 +57,6 @@ def initial_state(grid: Grid) -> State:
     return State(theta=np.zeros(m), eta=np.zeros(m), n=0)
 
 
-def _level_data(state: State, cache: SchemeCache) -> np.ndarray:
-    """The stacked level data (LD; LDQ) of a state, assembled afresh."""
-    return np.concatenate((assemble_LD(state, cache), assemble_LDQ(state, cache)))
-
-
 class StepEquations:
     """Residual and Jacobian of a run's time steps in the stacked unknowns
     z = (theta_1, ..., theta_M, eta_1, ..., eta_M), with residual rows
@@ -73,12 +68,11 @@ class StepEquations:
     are the complementarity pairs against G; in ncp mode all 2M entries
     are pairs.
 
-    The latest residual evaluation is kept with its point: the residual and
-    the closure terms (s, e, Phi, F).  The solver builds each Jacobian at, and
-    returns, the point of its latest residual evaluation (see MncpProblem),
-    so the Jacobian there reuses the exponential and the next level's data
-    follow from the residual alone.  At any other point both are formed
-    afresh.
+    The latest residual evaluation is kept, not its point: the residual and
+    the closure terms (s, e, Phi, F).  The solver builds each Jacobian at,
+    and returns, the point of its latest residual call (see MncpProblem), so
+    the Jacobian reuses that exponential and the next level's data follow
+    from that residual alone.
     """
 
     def __init__(self, cache: SchemeCache, method: str, state: State):
@@ -91,25 +85,23 @@ class StepEquations:
             raise ValueError(f"unknown method {method!r}")
         self.m = m
         self.cache = cache
-        self.eta_pairs = method == NCP
         self.problem = MncpProblem(n_pairs, self.residual, self.jacobian)
-        self.level = _level_data(state, cache)
+        self.level = np.concatenate((assemble_LD(state, cache), assemble_LDQ(state, cache)))
         self._w = np.concatenate((np.full(m, 8.0), np.full(m, 4.0)))
-        self._last = (None, None, None)   # (z, r, terms) of the latest residual
+        self._r = self._terms = None   # residual and closure of the latest residual call
 
     def residual(self, z):
-        r, terms = residual(z, self.cache, self.level)
-        self._last = (z, r, terms)
-        return r
+        self._r, self._terms = residual(z, self.cache, self.level)
+        return self._r
 
     def jacobian(self, z):
-        last_z, _, terms = self._last
+        """The Jacobian at z, the point of the latest residual call."""
         m = self.m
-        return jacobian(z[:m], z[m:], self.cache, terms if z is last_z else None,
-                        self.eta_pairs)
+        return jacobian(z[:m], z[m:], self.cache, self._terms)
 
     def advance(self, z):
-        """Move the level data on to the level that z holds, once z solves this step.
+        """Move the level data on to the level that z holds, once z solves this
+        step; z is the point of the latest residual call.
 
         A + B = 8 I, so with the residual (G; Q) at z
             LD' = B theta' - lambda_s P' + 2k Phi' = 8 theta' - G - LD
@@ -117,11 +109,7 @@ class StepEquations:
         in O(M), with no exponential and no flux: level' = w z - r - level
         with w = (8, ..., 8, 4, ..., 4).
         """
-        last_z, r, _ = self._last
-        if z is last_z:
-            self.level = self._w * z - r - self.level
-        else:
-            self.level = _level_data(State.stacked(z), self.cache)
+        self.level = self._w * z - self._r - self.level
 
 
 def _failure_reason(err: SolverError, m: int) -> str:
@@ -147,8 +135,9 @@ def step(state: State, equations: StepEquations, config: RunConfig, shift: float
     from the linear extrapolation 2 z^n - z^(n-1) on both theta and eta.  The
     start is not clipped: restoration clamps the pair variables, on a copy,
     so `state` is left as it was.
-    Returns (next_state, report): report is the SolverReport of the solve,
-    whose shift is the total restoration shift the solve used.
+    Returns (next_state, report): next_state holds the solver's z itself,
+    which nothing else references, and report is the SolverReport of the
+    solve, whose shift is the total restoration shift the solve used.
     """
     z0 = state.z if previous is None else 2.0 * state.z - previous.z
     try:
@@ -156,7 +145,7 @@ def step(state: State, equations: StepEquations, config: RunConfig, shift: float
     except SolverError as err:
         raise StepFailed(_failure_reason(err, equations.m), time_index=state.n, cause=err) from err
     equations.advance(z)
-    return State.stacked(z.copy(), state.n + 1), report
+    return State.stacked(z, state.n + 1), report
 
 
 def snapshot_indices(grid: Grid, record_times) -> dict:
@@ -174,11 +163,12 @@ def snapshot_indices(grid: Grid, record_times) -> dict:
 def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     """Run the full time loop, snapshotting at the requested record times.
 
-    A custom initial state may be supplied (used by verification runs);
-    by default the reservoir initial condition is used.  The step equations
-    are built once, with the level data (LD, LDQ) assembled for the first
-    step only; each step advances them to the next level (see
-    StepEquations.advance).
+    A custom initial state may be supplied (used by verification runs; it
+    is copied, not changed); by default the reservoir initial condition is
+    used.  No state is written once made, so snapshots hold the states
+    themselves.  The step equations are built once, with the level data
+    (LD, LDQ) assembled for the first step only; each step advances them
+    to the next level (see StepEquations.advance).
 
     Every step after the first starts from the extrapolation of the last
     two levels, and its restoration starts from max(s / 2, tol), where s is
@@ -200,7 +190,7 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     shift = 0.0
     previous = None
     if 0 in snap_at:
-        snapshots.append((0.0, state.copy()))
+        snapshots.append((0.0, state))
     for n in range(grid.n_steps):
         try:
             next_state, report = step(state, equations, config, shift, previous)
@@ -211,5 +201,5 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
         previous, state = state, next_state
         shift = max(0.5 * report.shift, config.solver_opts.tol) if report.shift > 0.0 else 0.0
         if state.n in snap_at:
-            snapshots.append((state.n * grid.k, state.copy()))
+            snapshots.append((state.n * grid.k, state))
     return TimeSeries(snapshots=snapshots, per_step=per_step)

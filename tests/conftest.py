@@ -16,28 +16,25 @@ TABLE_TIMES = tuple(round(0.001 * i, 6) for i in range(1, 11))
 
 class DenseJacobian:
     """Dense matrix with the newton_solve contract of MncpProblem.jacobian;
-    its first n_pairs rows are the pairs."""
+    its first n_pairs rows, as newton_solve is told, are the pairs."""
 
-    def __init__(self, matrix, n_pairs):
+    def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
-        self.n_pairs = n_pairs
 
-    def newton_solve(self, z, r, rhs):
-        p = self.n_pairs
+    def newton_solve(self, z, r, rhs, n_pairs):
         scale = np.ones(rhs.size)
-        scale[:p] = z[:p]
+        scale[:n_pairs] = z[:n_pairs]
         diag_add = np.zeros(rhs.size)
-        diag_add[:p] = r[:p]
+        diag_add[:n_pairs] = r[:n_pairs]
         d = np.linalg.solve(self.matrix * scale[:, None] + np.diag(diag_add), rhs)
         if not np.all(np.isfinite(d)):
             raise np.linalg.LinAlgError("non-finite direction")
         return d
 
 
-def dense(jacobian, n_pairs):
-    """Wrap a z -> ndarray Jacobian of a toy problem whose first n_pairs rows
-    are pairs as a DenseJacobian."""
-    return lambda z: DenseJacobian(jacobian(z), n_pairs)
+def dense(jacobian):
+    """Wrap a z -> ndarray Jacobian of a toy problem as a DenseJacobian."""
+    return lambda z: DenseJacobian(jacobian(z))
 
 
 def base_config(m: int, method: str = MNCP, record_times=FIG_TIMES) -> RunConfig:

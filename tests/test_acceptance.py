@@ -36,22 +36,22 @@ def acceptance_toys():
     mixed1 = MncpProblem(
         n_pairs=1,
         residual=lambda z: np.array([z[0] + z[1] - 2.0, z[1] - 1.0]),
-        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), 1),
+        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
     )
     mixed2 = MncpProblem(
         n_pairs=1,
         residual=lambda z: np.array([z[0] + z[1], z[1] - 1.0]),
-        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), 1),
+        jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
     )
     scalar1 = MncpProblem(
         n_pairs=1,
         residual=lambda z: z - 2.0,
-        jacobian=dense(lambda z: np.eye(1), 1),
+        jacobian=dense(lambda z: np.eye(1)),
     )
     scalar2 = MncpProblem(
         n_pairs=1,
         residual=lambda z: z + 2.0,
-        jacobian=dense(lambda z: np.eye(1), 1),
+        jacobian=dense(lambda z: np.eye(1)),
     )
     return [
         (mixed1, np.array([2.0, 2.0]), np.array([1.0, 1.0])),

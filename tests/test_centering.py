@@ -14,7 +14,7 @@ def diagonal_problem(slope, offset):
     return MncpProblem(
         n_pairs=slope.size,
         residual=lambda z: slope * z + offset,
-        jacobian=dense(lambda z: np.diag(slope), slope.size),
+        jacobian=dense(lambda z: np.diag(slope)),
     )
 
 

@@ -337,12 +337,11 @@ class TestJacobian:
             np.testing.assert_array_equal(jac.sup, np.diag(cache.a_dense(), 1) + grid.lambda_s * fd[1:])
 
 
-def zero_pivot_jacobian(g_eta=0.0, eta_pairs=False):
+def zero_pivot_jacobian(g_eta=0.0):
     """M = 2 with dG/dtheta = diag(0, 1): node 1's theta column is zero but for
     dG_1/deta_1 = g_eta, so at z = 1, r = 0 the first pivot is exactly zero."""
     return StepJacobian(sub=np.zeros(1), diag=np.array([0.0, 1.0]), sup=np.zeros(1),
-                        g_eta=np.array([g_eta, 0.0]), q_theta=np.zeros(2), q_eta=np.ones(2),
-                        eta_pairs=eta_pairs)
+                        g_eta=np.array([g_eta, 0.0]), q_theta=np.zeros(2), q_eta=np.ones(2))
 
 
 class TestNewtonSolve:
@@ -362,17 +361,17 @@ class TestNewtonSolve:
             r = rng.normal(size=2 * m)
             r[:n_pairs] = rng.uniform(1e-6, 1.0, n_pairs)
             rhs = rng.normal(size=2 * m)
-            jac = jacobian(theta, eta, cache, eta_pairs=mode == mncp.NCP)
-            d = jac.newton_solve(z, r, rhs)
-            ref = DenseJacobian(jac.to_dense(), n_pairs).newton_solve(z, r, rhs)
+            jac = jacobian(theta, eta, cache)
+            d = jac.newton_solve(z, r, rhs, n_pairs)
+            ref = DenseJacobian(jac.to_dense()).newton_solve(z, r, rhs, n_pairs)
             assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_pivot_retries_perturbed(self):
         # at z = 1, r = 0 both pair layouts give the same Newton matrix
-        for eta_pairs in (False, True):
-            jac = zero_pivot_jacobian(eta_pairs=eta_pairs)
+        for n_pairs in (2, 4):
+            jac = zero_pivot_jacobian()
             rhs = np.array([1.0, 2.0, 3.0, 4.0])
-            d = jac.newton_solve(np.ones(4), np.zeros(4), rhs)
+            d = jac.newton_solve(np.ones(4), np.zeros(4), rhs, n_pairs)
             # the retry solves the matrix with 1e-12 (1 + |d_ii|) on its
             # diagonal, (theta_1, theta_2, eta_1, eta_2)
             diag = np.array([0.0, 1.0, 1.0, 1.0])
@@ -391,7 +390,7 @@ class TestNewtonSolve:
         rhs = np.array([1e200, -2e200, 3e200, 4.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = jac.newton_solve(np.ones(4), np.zeros(4), rhs)
+            d = jac.newton_solve(np.ones(4), np.zeros(4), rhs, 2)
         assert not np.isfinite(np.vdot(d, d))
         np.testing.assert_allclose(d, np.linalg.solve(jac.to_dense(), rhs), rtol=1e-14)
 
@@ -400,7 +399,7 @@ class TestNewtonSolve:
         # moves 1e200 * 1e100 onto it: theta_1 overflows
         jac = zero_pivot_jacobian(g_eta=1e200)
         with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
-            jac.newton_solve(np.ones(4), np.zeros(4), np.array([0.0, 0.0, 1e100, 0.0]))
+            jac.newton_solve(np.ones(4), np.zeros(4), np.array([0.0, 0.0, 1e100, 0.0]), 2)
 
         # the same through the solver: the theta rows are the pairs, the
         # residual of the first is 0, and the right-hand side on the eta_1

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from combust import timestepper
-from combust.discretization import (
-    assemble_LD,
-    assemble_LDQ,
-    assemble_matrices,
-    jacobian,
-    residual,
-)
+from combust.discretization import assemble_LD, assemble_LDQ, assemble_matrices
 from combust.mncp import MNCP, NCP
 from combust.model import (
     BASE_PARAMS,
@@ -101,8 +95,8 @@ def test_solver_jacobians_equal_fresh_ones(monkeypatch, method):
     built = []
     original = timestepper.jacobian
 
-    def recording(theta, eta, cache, terms=None, eta_pairs=False):
-        jac = original(theta, eta, cache, terms, eta_pairs)
+    def recording(theta, eta, cache, terms=None):
+        jac = original(theta, eta, cache, terms)
         built.append((theta.copy(), eta.copy(), terms is not None, jac))
         return jac
 
@@ -115,35 +109,6 @@ def test_solver_jacobians_equal_fresh_ones(monkeypatch, method):
     for theta, eta, shared, jac in built:
         assert shared
         np.testing.assert_array_equal(jac.to_dense(), original(theta, eta, cache).to_dense())
-
-
-def test_jacobian_elsewhere_forms_its_own_terms():
-    config = short_config(MNCP, 1, m=6)
-    cache = assemble_matrices(config.grid, config.params)
-    state = initial_state(config.grid)
-    equations = timestepper.StepEquations(cache, MNCP, state)
-    z = np.full(12, 0.1)
-    equations.residual(z)
-    other = z.copy()
-    other[:6] = 0.2
-    np.testing.assert_array_equal(equations.jacobian(other).to_dense(),
-                                  jacobian(other[:6], other[6:], cache).to_dense())
-
-
-def test_advance_off_the_last_point_assembles():
-    config = short_config(MNCP, 1, m=6)
-    cache = assemble_matrices(config.grid, config.params)
-    state = initial_state(config.grid)
-    equations = timestepper.StepEquations(cache, MNCP, state)
-    level0 = equations.level
-    ld0, ldq0 = level0[:6], level0[6:]
-    z = np.full(12, 0.1)
-    equations.advance(z)
-    r, _ = residual(z, cache, level0)
-    np.testing.assert_allclose(equations.level[:6], 8.0 * z[:6] - r[:6] - ld0,
-                               rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(equations.level[6:], 4.0 * z[6:] - r[6:] - ldq0,
-                               rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("method", [MNCP, NCP])

@@ -26,7 +26,7 @@ def scalar_affine(slope=1.0, offset=2.0):
     return MncpProblem(
         n_pairs=1,
         residual=lambda z: slope * z + offset,
-        jacobian=dense(lambda z: np.array([[slope]]), 1),
+        jacobian=dense(lambda z: np.array([[slope]])),
     )
 
 
@@ -52,7 +52,7 @@ class TestMeritAndResidual:
         prob = MncpProblem(
             n_pairs=1,
             residual=lambda z: np.array([z[0] - 1.0, z[1] + 5.0]),
-            jacobian=dense(lambda z: np.eye(2), 1),
+            jacobian=dense(lambda z: np.eye(2)),
         )
         h = merit_vector(np.array([2.0, 3.0]), prob.residual(np.array([2.0, 3.0])), prob)
         np.testing.assert_array_equal(h, [2.0, 8.0])
@@ -73,7 +73,7 @@ class TestMeritAndResidual:
         prob = MncpProblem(
             n_pairs=0,
             residual=lambda z: z - 1.0,
-            jacobian=dense(lambda z: np.eye(1), 0),
+            jacobian=dense(lambda z: np.eye(1)),
         )
         assert natural_residual(np.array([4.0]), np.array([3.0]), prob) == 0.0
 
@@ -82,7 +82,7 @@ class TestMeritAndResidual:
         prob = MncpProblem(
             n_pairs=0,
             residual=lambda z: z - 1.0,
-            jacobian=dense(lambda z: np.eye(1), 0),
+            jacobian=dense(lambda z: np.eye(1)),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -113,7 +113,7 @@ class TestDirection:
         prob = MncpProblem(
             n_pairs=2,
             residual=lambda z: np.array([z[0] ** 2 + z[1] + 0.5, z[0] + 2.0 * z[1] + 1.0]),
-            jacobian=dense(lambda z: np.array([[2.0 * z[0], 1.0], [1.0, 2.0]]), 2),
+            jacobian=dense(lambda z: np.array([[2.0 * z[0], 1.0], [1.0, 2.0]])),
         )
         for sigma in (0.1, 0.5, 0.9):
             opts = SolverOptions(sigma_c=sigma)
@@ -128,7 +128,7 @@ class TestDirection:
         prob = MncpProblem(
             n_pairs=2,
             residual=lambda z: np.array([1.0, 1.0]),
-            jacobian=dense(lambda z: np.full((2, 2), np.inf), 2),
+            jacobian=dense(lambda z: np.full((2, 2), np.inf)),
         )
         with pytest.raises(mncp.SingularJacobian):
             direction(np.array([1.0, 1.0]), prob, SolverOptions())
@@ -160,7 +160,7 @@ class TestLineSearch:
         prob = MncpProblem(
             n_pairs=1,
             residual=lambda z: 10.0 * z - 1.0,
-            jacobian=dense(lambda z: np.array([[10.0]]), 1),
+            jacobian=dense(lambda z: np.array([[10.0]])),
         )
         opts = SolverOptions()
         z = np.array([2.0])
@@ -222,7 +222,7 @@ class TestRestoreFeasibility:
             return z - 2.0 * eps
 
         prob = MncpProblem(n_pairs=1, residual=residual,
-                           jacobian=dense(lambda z: np.eye(1), 1))
+                           jacobian=dense(lambda z: np.eye(1)))
         z, r, n_evals, shift = restore_feasibility(np.array([0.0]), prob, SolverOptions())
         assert seen == [-eps, 0.0, 2.0 * eps]
         assert n_evals == 3
@@ -233,7 +233,7 @@ class TestRestoreFeasibility:
         prob = MncpProblem(
             n_pairs=1,
             residual=lambda z: np.full(1, -1.0),
-            jacobian=dense(lambda z: np.eye(1), 1),
+            jacobian=dense(lambda z: np.eye(1)),
         )
         with pytest.raises(InfeasibleStart):
             restore_feasibility(np.array([1.0]), prob, SolverOptions(max_restore=8))
@@ -262,7 +262,7 @@ def toy_problems():
         MncpProblem(
             n_pairs=2,
             residual=lambda z: np.array([z[0] - 0.5, z[0] + z[1] - 1.0]),
-            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]]), 2),
+            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]])),
         ),
         np.array([2.0, 2.0]),
         lambda z: np.allclose(z, [0.5, 0.5], atol=1e-6),
@@ -273,12 +273,82 @@ def toy_problems():
         MncpProblem(
             n_pairs=1,
             residual=lambda z: np.array([z[0] + z[1] - 2.0, z[1] - 1.0]),
-            jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]]), 1),
+            jacobian=dense(lambda z: np.array([[1.0, 1.0], [0.0, 1.0]])),
         ),
         np.array([2.0, 2.0]),
         lambda z: np.allclose(z, [1.0, 1.0], atol=1e-6),
     ))
     return cases
+
+
+class RecordingProblem:
+    """A toy problem that records how solve() calls it.
+
+    Each residual call keeps its array and a copy of its values; each
+    jacobian call records whether it got that very array with those values.
+    Each residual call is logged as whether its pairs were strictly
+    interior (z and r positive), and each jacobian call as "J".
+    """
+
+    def __init__(self, n_pairs, residual, jacobian):
+        self.problem = MncpProblem(n_pairs, self.residual, self.jacobian)
+        self._residual = residual
+        self._jacobian = dense(jacobian)
+        self.latest = None
+        self.jacobian_at_latest = []
+        self.log = []
+
+    def residual(self, z):
+        r = self._residual(z)
+        p = self.problem.n_pairs
+        self.latest = (z, z.copy())
+        self.log.append(bool(np.all(z[:p] > 0.0) and np.all(r[:p] > 0.0)))
+        return r
+
+    def jacobian(self, z):
+        point, values = self.latest
+        self.jacobian_at_latest.append(z is point and np.array_equal(z, values))
+        self.log.append("J")
+        return self._jacobian(z)
+
+    def armijo_rejections(self):
+        # an interior probe is rejected only by Armijo, and the next residual
+        # call is then the line search's next probe
+        return sum(1 for a, b in zip(self.log, self.log[1:]) if a is True and b != "J")
+
+
+class TestSolverContract:
+    """solve() builds every Jacobian at the point of its latest residual call,
+    unchanged since, and returns that point: StepEquations keeps only that
+    call's evaluation."""
+
+    def check(self, recording, z0):
+        z, report = solve(recording.problem, np.array(z0))
+        assert report.converged
+        assert len(recording.jacobian_at_latest) == report.js_evals >= 1
+        assert all(recording.jacobian_at_latest)
+        point, values = recording.latest
+        assert z is point
+        np.testing.assert_array_equal(z, values)
+        return report
+
+    def test_after_restoration_doublings(self):
+        # r(z) = z - 1 is negative at the clamped start: restoration shifts
+        # the same array in place and calls the residual after each doubling
+        recording = RecordingProblem(1, lambda z: z - 1.0, lambda z: np.eye(1))
+        report = self.check(recording, [0.0])
+        assert report.shift > 0.0
+        assert recording.log[:2] == [False, False]
+
+    def test_after_armijo_rejections(self):
+        # Newton on the equality row z_1^3 = 1 from 0.1 overshoots to about
+        # 33: the probe is interior, its merit is not lower, and the line
+        # search evaluates a shorter probe
+        recording = RecordingProblem(
+            1, lambda z: np.array([z[0] + 1.0, z[1] ** 3 - 1.0]),
+            lambda z: np.array([[1.0, 0.0], [0.0, 3.0 * z[1] ** 2]]))
+        self.check(recording, [1.0, 0.1])
+        assert recording.armijo_rejections() >= 1
 
 
 class TestSolve:
@@ -336,7 +406,7 @@ class TestSolve:
         prob = MncpProblem(
             n_pairs=1,
             residual=lambda z: np.array([1.0 + z[0], z[1] - 1.0]),
-            jacobian=dense(lambda z: np.eye(2), 1),
+            jacobian=dense(lambda z: np.eye(2)),
         )
         opts = SolverOptions(tol=1e-5)
         z_start, r_start, _, _ = restore_feasibility(np.zeros(2), prob, opts)

@@ -59,7 +59,7 @@ class TestFailureMessages:
         prob = MncpProblem(
             n_pairs=2,
             residual=lambda z: np.array([z[0] - 0.5, z[0] + z[1] - 1.0]),
-            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]]), 2),
+            jacobian=dense(lambda z: np.array([[1.0, 0.0], [1.0, 1.0]])),
         )
         with pytest.raises(MaxIterations) as excinfo:
             solve(prob, np.array([2.0, 2.0]), SolverOptions(max_iter=1))
@@ -79,7 +79,7 @@ class TestFailureMessages:
         prob = MncpProblem(
             n_pairs=1,
             residual=lambda z: z + 2.0,
-            jacobian=dense(lambda z: np.array([[-10.0]]), 1),
+            jacobian=dense(lambda z: np.array([[-10.0]])),
         )
         with pytest.raises(LineSearchStall) as excinfo:
             solve(prob, np.array([5.0]))
@@ -93,7 +93,7 @@ class TestFailureMessages:
         prob = MncpProblem(
             n_pairs=1,
             residual=lambda z: np.full(1, -1.0),
-            jacobian=dense(lambda z: np.eye(1), 1),
+            jacobian=dense(lambda z: np.eye(1)),
         )
         with pytest.raises(mncp.InfeasibleStart) as excinfo:
             solve(prob, np.array([1.0]), SolverOptions(max_restore=3))

@@ -15,6 +15,8 @@ from combust.timestepper import (
     step,
 )
 
+from conftest import DenseJacobian
+
 
 def tiny_config(m=10, n_steps=5, method=MNCP, record_times=()):
     grid = Grid(length=0.05, m=m, k=1e-5, n_steps=n_steps)
@@ -62,19 +64,22 @@ class TestStepEquations:
         config = tiny_config(m=4)
         cache = assemble_matrices(config.grid, config.params)
         state = initial_state(config.grid)
-        equations = StepEquations(cache, MNCP, state)
-        prob = equations.problem
-        assert prob.n_pairs == 4
-        assert not equations.jacobian(np.full(8, 0.1)).eta_pairs
-        # z = (theta; eta) and r = (G; Q)
-        theta, eta = np.linspace(0.1, 0.4, 4), np.linspace(0.5, 0.8, 4)
-        np.testing.assert_array_equal(
-            prob.residual(np.concatenate((theta, eta))),
-            residual(np.concatenate((theta, eta)), cache, equations.level)[0])
-
-        equations_ncp = StepEquations(cache, NCP, state)
-        assert equations_ncp.problem.n_pairs == 8
-        assert equations_ncp.jacobian(np.full(8, 0.1)).eta_pairs
+        rng = np.random.default_rng(4)
+        for method, n_pairs in ((MNCP, 4), (NCP, 8)):
+            equations = StepEquations(cache, method, state)
+            prob = equations.problem
+            assert prob.n_pairs == n_pairs
+            # z = (theta; eta) and r = (G; Q)
+            theta, eta = np.linspace(0.1, 0.4, 4), np.linspace(0.5, 0.8, 4)
+            z = np.concatenate((theta, eta))
+            r = prob.residual(z)
+            np.testing.assert_array_equal(r, residual(z, cache, equations.level)[0])
+            # the Newton matrix scales the problem's pair rows, and no others
+            rhs = rng.normal(size=8)
+            jac = equations.jacobian(z)
+            d = jac.newton_solve(z, r, rhs, prob.n_pairs)
+            ref = DenseJacobian(jac.to_dense()).newton_solve(z, r, rhs, prob.n_pairs)
+            assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_unknown_method(self):
         config = tiny_config(m=3)
@@ -245,6 +250,36 @@ class TestRun:
         series = run(config, initial=warm)
         _, s0 = series.snapshots[0]
         np.testing.assert_array_equal(s0.theta, np.full(6, 0.25))
+
+    @pytest.mark.parametrize("method", [MNCP, NCP])
+    def test_snapshots_own_their_memory(self, monkeypatch, method):
+        # snapshots hold the states themselves, not copies: each must be the
+        # state step returned, never written since, and no two may share memory
+        returned = {}
+        original = timestepper.step
+
+        def recording(*args):
+            next_state, report = original(*args)
+            returned[next_state.n] = next_state.z.copy()
+            return next_state, report
+
+        monkeypatch.setattr(timestepper, "step", recording)
+        n_steps = 12
+        config = tiny_config(m=6, n_steps=n_steps, method=method,
+                             record_times=tuple(i * 1e-5 for i in range(n_steps + 1)))
+        initial = State(theta=np.full(6, 0.25), eta=np.linspace(0.1, 0.5, 6), n=0)
+        before = initial.z.copy()
+        series = run(config, initial)
+        np.testing.assert_array_equal(initial.z, before)
+        states = [state for _, state in series.snapshots]
+        assert [state.n for state in states] == list(range(n_steps + 1))
+        assert not np.shares_memory(states[0].z, initial.z)
+        np.testing.assert_array_equal(states[0].z, before)
+        for state in states[1:]:
+            np.testing.assert_array_equal(state.z, returned[state.n])
+        for i, a in enumerate(states):
+            for b in states[i + 1:]:
+                assert not np.shares_memory(a.z, b.z), (a.n, b.n)
 
     def test_failure_attaches_partial_series(self):
         config = tiny_config(m=6, n_steps=10, record_times=(0.0,))

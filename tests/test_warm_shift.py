@@ -21,7 +21,7 @@ def counted(residual):
         return residual(z)
 
     prob = MncpProblem(n_pairs=1, residual=counting,
-                       jacobian=dense(lambda z: np.eye(1), 1))
+                       jacobian=dense(lambda z: np.eye(1)))
     return prob, calls
 
 
