@@ -22,13 +22,6 @@ class DiffRow:
 
 
 @dataclass
-class DiffReport:
-    """Per-snapshot differences between two runs on the same grid."""
-
-    rows: list
-
-
-@dataclass
 class ErrorRow:
     time: float
     variable: str            # "theta" or "eta"
@@ -39,13 +32,9 @@ class ErrorRow:
     ratio2: float            # e_h2 / e_h4, nan when undefined
 
 
-@dataclass
-class ErrorTable:
-    rows: list
-
-
-def diff_series(a: TimeSeries, b: TimeSeries) -> DiffReport:
-    """Node-wise differences between two time series on the same grid."""
+def diff_series(a: TimeSeries, b: TimeSeries) -> list:
+    """Node-wise differences between two time series on the same grid: one
+    DiffRow per snapshot pair."""
     rows = []
     for (ta, sa), (tb, sb) in zip(a.snapshots, b.snapshots):
         dt_theta = sa.theta - sb.theta
@@ -57,10 +46,10 @@ def diff_series(a: TimeSeries, b: TimeSeries) -> DiffReport:
             eta_max=float(np.max(np.abs(dt_eta))),
             eta_l2=float(np.linalg.norm(dt_eta)),
         ))
-    return DiffReport(rows=rows)
+    return rows
 
 
-def compare_methods(config: RunConfig) -> DiffReport:
+def compare_methods(config: RunConfig) -> list:
     """Run the same configuration under both methods and diff the snapshots."""
     ts_mncp = run(dataclasses.replace(config, method=MNCP))
     ts_ncp = run(dataclasses.replace(config, method=NCP))
@@ -85,8 +74,9 @@ def _relative_error(coarse_vec: np.ndarray, ref_vec: np.ndarray) -> float:
     return float(np.linalg.norm(coarse_vec - ref_vec)) / denom
 
 
-def refine_errors(base_config: RunConfig, times) -> ErrorTable:
-    """Self-convergence study on grids M, 2M, 4M, 8M with the time step fixed.
+def refine_errors(base_config: RunConfig, times) -> list:
+    """Self-convergence study on grids M, 2M, 4M, 8M with the time step fixed:
+    one ErrorRow per snapshot time and variable.
 
     E at level L is the relative L2 distance between the level-L solution
     and the next-finer solution restricted to the level-L grid.  Rows follow
@@ -121,7 +111,7 @@ def refine_errors(base_config: RunConfig, times) -> ErrorTable:
                 ratio1=e_h / e_h2 if e_h2 > 0.0 else float("nan"),
                 ratio2=e_h2 / e_h4 if e_h4 > 0.0 else float("nan"),
             ))
-    return ErrorTable(rows=rows)
+    return rows
 
 
 def bench(config: RunConfig) -> list:

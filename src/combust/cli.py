@@ -160,18 +160,18 @@ def emit_profiles(ts: TimeSeries, grid: Grid, path) -> None:
     ))
 
 
-def emit_diff(report: analysis.DiffReport, path) -> None:
+def emit_diff(rows, path) -> None:
     _write_csv(path, ["time", "theta_max", "theta_l2", "eta_max", "eta_l2"], (
         [repr(row.time), repr(row.theta_max), repr(row.theta_l2), repr(row.eta_max), repr(row.eta_l2)]
-        for row in report.rows
+        for row in rows
     ))
 
 
-def emit_error_table(table: analysis.ErrorTable, path) -> None:
+def emit_error_table(rows, path) -> None:
     _write_csv(path, ["t", "E_h", "E_h2", "E_h4", "ratio1", "ratio2", "variable"], (
         [repr(row.time), repr(row.e_h), repr(row.e_h2), repr(row.e_h4),
          repr(row.ratio1), repr(row.ratio2), row.variable]
-        for row in table.rows
+        for row in rows
     ))
 
 
@@ -245,6 +245,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_problem(out, plot_script):
+    """Why the output paths cannot be written, or None; checked before the
+    computation so that it fails at once, not after the run."""
+    if plot_script is not None and Path(plot_script).resolve() == Path(out).resolve():
+        return f"--out and --plot-script name the same file {out}"
+    for path in (out, plot_script):
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            return f"{path} is a directory"
+        if not Path(path).parent.is_dir():
+            return f"directory {Path(path).parent} does not exist"
+    return None
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -257,12 +272,10 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ValueError, OverflowError) as err:
         print(f"combust: configuration error: {err}", file=sys.stderr)
         return 1
-    # an output that cannot be written fails before the computation, not after it
-    for path in (args.out, getattr(args, "plot_script", None)):
-        if path is not None and not Path(path).parent.is_dir():
-            print(f"combust: cannot write output: directory {Path(path).parent} does not exist",
-                  file=sys.stderr)
-            return 1
+    problem = _output_problem(args.out, getattr(args, "plot_script", None))
+    if problem is not None:
+        print(f"combust: cannot write output: {problem}", file=sys.stderr)
+        return 1
 
     try:
         if args.command == "run":
@@ -273,15 +286,12 @@ def main(argv=None) -> int:
             ts = run(config)
             emit_profiles(ts, config.grid, args.out)
         elif args.command == "compare":
-            report = analysis.compare_methods(config)
-            emit_diff(report, args.out)
+            emit_diff(analysis.compare_methods(config), args.out)
         elif args.command == "refine":
             times = tuple(t for t in config.record_times if t > 0.0)
-            table = analysis.refine_errors(config, times)
-            emit_error_table(table, args.out)
+            emit_error_table(analysis.refine_errors(config, times), args.out)
         elif args.command == "bench":
-            rows = analysis.bench(config)
-            emit_bench(rows, args.out)
+            emit_bench(analysis.bench(config), args.out)
         if getattr(args, "plot_script", None) is not None:
             emit_plot_script(args.command, args.out, args.plot_script)
     except StepFailed as err:

@@ -21,7 +21,7 @@ exponential and no flux, as one stacked update:
 
 Each point's Arrhenius exponential is formed once: residual() takes Phi
 and F from the closure (s, e, Phi, F) of its point and returns it, and
-jacobian() at that same point takes it instead of a second exponential.
+jacobian(terms, cache) builds the Jacobian at that point from it alone.
 """
 
 from __future__ import annotations
@@ -341,22 +341,20 @@ class StepJacobian:
         return d
 
 
-def jacobian(theta_next: np.ndarray, eta_next: np.ndarray, cache: SchemeCache,
-             terms=None) -> StepJacobian:
-    """Analytic Jacobian of the step residuals (G, Q):
+def jacobian(terms, cache: SchemeCache) -> StepJacobian:
+    """Analytic Jacobian of the step residuals (G, Q) at the point whose
+    closure (s, e, Phi, F) is terms, as residual() returns it:
         dG/dtheta = A + lambda_s dP/dtheta - 2k diag(phi_theta)
         dG/deta   = -2k diag(phi_eta)
         dQ/dtheta = -k diag(phi_theta)
         dQ/deta   = 2 I - k diag(phi_eta)
     with dP/dtheta row m holding +F'(theta_{m+1}) and -F'(theta_{m-1})
     (row M zero, boundary column dropped).
-    terms, the closure that residual() returned at this same point, spares
-    the exponential; without it the closure is formed afresh.
     """
     k = cache.k
     lam = cache.lambda_s
 
-    pt, pe, fd = closure_derivatives(theta_next, eta_next, cache.params, terms)
+    pt, pe, fd = closure_derivatives(terms, cache.params)
 
     # entry (row im, col im+1), im = 0..m-2; rows 1..M-1 of dP/dtheta are live
     sup = cache.a_off + lam * fd[1:]

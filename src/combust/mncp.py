@@ -93,11 +93,11 @@ class MncpProblem:
     s = z and a = r on the first n_pairs rows and s = 1, a = 0 on the
     others, and raises np.linalg.LinAlgError when that matrix is singular.
 
-    solve() builds each Jacobian at the point of its latest residual call
-    (the restored start or the accepted probe), unmodified since, and
-    returns that point.  A problem may take this as a precondition: its
-    jacobian, and whatever its caller does with the returned point, may
-    use what the latest residual call evaluated.
+    jacobian(z) is called only at the point z of the latest residual call,
+    unmodified since: solve() hands direction() the restored start or the
+    accepted probe with its evaluation, and returns that point.  A problem
+    may take this as a precondition: its jacobian, and whatever its caller
+    does with the returned point, may use what that residual call evaluated.
     """
 
     n_pairs: int
@@ -139,16 +139,12 @@ def natural_residual(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> floa
     return float(np.maximum.reduce(np.minimum(z[:p], r[:p])))
 
 
-def merit(z: np.ndarray, problem: MncpProblem):
-    """Merit value S = 0.5 ||H||^2 together with the vector H."""
-    r = problem.residual(z)
-    h = merit_vector(z, r, problem)
-    return 0.5 * float(h @ h), h
+def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: MncpProblem,
+              opts: SolverOptions):
+    """Feasible descent direction at z: solve J_H d = -H + sigma_c rho.
 
-
-def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None, h=None,
-              s=None):
-    """Feasible descent direction: solve J_H d = -H + sigma_c rho.
+    r, h and s are the residual, the merit vector H and the merit value
+    S = 0.5 ||H||^2 at z, as the caller already holds them.
 
     rho is 0 on equality rows and, on pair row i,
     rho_i = max(min(1, ||H||_2) mu, kappa h_i) with the complementarity gap
@@ -173,16 +169,8 @@ def direction(z: np.ndarray, problem: MncpProblem, opts: SolverOptions, r=None, 
     because for kappa <= 1/2 each (h_i - mu)^2 - h_i (kappa h_i - mu) =
     (1 - kappa) h_i^2 - h_i mu + mu^2 >= ((h_i - mu)^2 + mu^2) / 2 >= 0.
     Hence grad(S)^T d <= -(1 - sigma_c) ||H||^2 for every kappa <= 1/2.
-    The residual r, the merit vector h and the merit value s = 0.5 ||H||^2
-    at z are computed when not given.
     Returns (d, grad_S_dot_d).
     """
-    if r is None:
-        r = problem.residual(z)
-    if h is None:
-        h = merit_vector(z, r, problem)
-    if s is None:
-        s = 0.5 * float(h @ h)
     jac = problem.jacobian(z)
     p = problem.n_pairs
     rhs = -h
@@ -313,7 +301,7 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
                     return z, report
             if report.iterations >= opts.max_iter:
                 raise MaxIterations(f"no convergence in {opts.max_iter} iterations", iterate=z)
-            d, g_dot_d = direction(z, problem, opts, r=r, h=h, s=s)
+            d, g_dot_d = direction(z, r, h, s, problem, opts)
             report.js_evals += 1
             t, z, r, h, s, n_evals = line_search(z, d, g_dot_d, s, problem, opts)
             report.s_evals += n_evals

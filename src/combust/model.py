@@ -148,14 +148,13 @@ def closure(theta, eta, p: DimensionlessParams):
     return s, e, p.beta * (1.0 - eta) * e, p.u * p.theta0 * theta / s
 
 
-def closure_derivatives(theta, eta, p: DimensionlessParams, terms=None):
-    """(phi_dtheta, phi_deta, flux_d) at one point from a single exponential.
+def closure_derivatives(terms, p: DimensionlessParams):
+    """(phi_dtheta, phi_deta, flux_d) at the point whose closure(theta, eta, p)
+    is terms, with no further exponential.
 
-    terms is closure(theta, eta, p) when already formed at this point; it is
-    computed when not given.  Each factor repeats the operations of its
-    single-purpose function in the same order, so the three results equal
-    theirs bit for bit.
+    Each factor repeats the operations of its single-purpose function in the
+    same order, so the three results equal theirs bit for bit.
     """
-    s, e, phi_, _ = closure(theta, eta, p) if terms is None else terms
+    s, e, phi_, _ = terms
     s2 = s**2
     return phi_ * p.e_act / s2, -p.beta * e, p.u * p.theta0**2 / s2

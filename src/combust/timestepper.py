@@ -69,10 +69,9 @@ class StepEquations:
     are pairs.
 
     The latest residual evaluation is kept, not its point: the residual and
-    the closure terms (s, e, Phi, F).  The solver builds each Jacobian at,
-    and returns, the point of its latest residual call (see MncpProblem), so
-    the Jacobian reuses that exponential and the next level's data follow
-    from that residual alone.
+    the closure terms (s, e, Phi, F).  By MncpProblem's contract the
+    Jacobian is built from those terms, and the next level's data from that
+    residual alone.
     """
 
     def __init__(self, cache: SchemeCache, method: str, state: State):
@@ -95,9 +94,9 @@ class StepEquations:
         return self._r
 
     def jacobian(self, z):
-        """The Jacobian at z, the point of the latest residual call."""
-        m = self.m
-        return jacobian(z[:m], z[m:], self.cache, self._terms)
+        """The Jacobian at z, the point of the latest residual call, from that
+        call's closure terms."""
+        return jacobian(self._terms, self.cache)
 
     def advance(self, z):
         """Move the level data on to the level that z holds, once z solves this

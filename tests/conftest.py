@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from combust.discretization import Grid
-from combust.mncp import MNCP, NCP
+from combust.mncp import MNCP, NCP, merit_vector
 from combust.model import BASE_PARAMS
 from combust.timestepper import RunConfig, run
 
@@ -35,6 +35,15 @@ class DenseJacobian:
 def dense(jacobian):
     """Wrap a z -> ndarray Jacobian of a toy problem as a DenseJacobian."""
     return lambda z: DenseJacobian(jacobian(z))
+
+
+def evaluated(z, problem):
+    """The evaluation (r, h, s) at z that mncp.direction takes: the residual,
+    the merit vector H and the merit value S = 0.5 ||H||^2, from one residual
+    call at z, as solve() holds them."""
+    r = problem.residual(z)
+    h = merit_vector(z, r, problem)
+    return r, h, 0.5 * float(h @ h)
 
 
 def base_config(m: int, method: str = MNCP, record_times=FIG_TIMES) -> RunConfig:

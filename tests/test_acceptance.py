@@ -20,7 +20,7 @@ from combust.mncp import (
     restore_feasibility,
     solve,
 )
-from combust.model import BASE_PARAMS, DimensionlessParams
+from combust.model import BASE_PARAMS, DimensionlessParams, closure
 from combust.timestepper import RunConfig, initial_state, run
 
 from conftest import TABLE_TIMES, base_config, dense
@@ -73,7 +73,7 @@ def test_criterion_1_solver_toys():
         while np.max(np.abs(h)) > opts.tol or \
                 np.max(np.minimum(z[:prob.n_pairs], r[:prob.n_pairs])) > opts.tol:
             assert iterations < 30, f"more than 30 iterations for solution {z_star}"
-            d, g_dot_d = direction(z, prob, opts, r=r)
+            d, g_dot_d = direction(z, r, h, s, prob, opts)
             _, z, r, h, s_next, _ = line_search(z, d, g_dot_d, s, prob, opts)
             assert np.all(z[:prob.n_pairs] > 0.0)
             assert np.all(r[:prob.n_pairs] > 0.0)
@@ -96,7 +96,7 @@ def test_criterion_2_jacobian_fd():
     for _ in range(100):
         theta = rng.uniform(0.0, 2.0, 10)
         eta = rng.uniform(0.0, 1.0, 10)
-        analytic = jacobian(theta, eta, cache).to_dense()
+        analytic = jacobian(closure(theta, eta, cache.params), cache).to_dense()
         fd = dense_jacobian_fd(theta, eta, cache)
         rel = np.max(np.abs(analytic - fd)) / np.max(np.abs(fd))
         assert rel <= 1e-6
@@ -192,12 +192,12 @@ def test_criterion_6_method_agreement(run_m50_mncp, run_m50_ncp,
 def test_criterion_7_refinement_study():
     """Errors shrink under refinement at all ten times; final ratio in range."""
     config = base_config(50, MNCP, record_times=())
-    table = refine_errors(config, times=TABLE_TIMES)
-    assert len(table.rows) == 20
-    for row in table.rows:
+    rows = refine_errors(config, times=TABLE_TIMES)
+    assert len(rows) == 20
+    for row in rows:
         assert row.e_h2 < row.e_h, f"{row.variable} at t={row.time}"
         assert row.e_h4 < row.e_h2, f"{row.variable} at t={row.time}"
-    final_theta = [r for r in table.rows if r.variable == "theta" and r.time == 0.01][0]
+    final_theta = [r for r in rows if r.variable == "theta" and r.time == 0.01][0]
     assert 2.5 <= final_theta.ratio2 <= 4.5
     _passed(7, f"refinement study, final theta ratio {final_theta.ratio2:.2f}")
 

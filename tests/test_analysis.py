@@ -70,9 +70,9 @@ class TestRelativeError:
 class TestDiffSeries:
     def test_self_difference_is_zero(self):
         series = run(tiny_config())
-        report = diff_series(series, series)
-        assert len(report.rows) == 2
-        for row in report.rows:
+        rows = diff_series(series, series)
+        assert len(rows) == 2
+        for row in rows:
             assert row.theta_max == 0.0
             assert row.eta_l2 == 0.0
 
@@ -83,9 +83,9 @@ class TestDiffSeries:
             for t, s in series.snapshots
         ]
         shifted = type(series)(snapshots=shifted_snaps, per_step=series.per_step)
-        report = diff_series(series, shifted)
+        rows = diff_series(series, shifted)
         m = tiny_config().grid.m
-        for row in report.rows:
+        for row in rows:
             assert row.theta_max == pytest.approx(2.0)
             assert row.theta_l2 == pytest.approx(2.0 * np.sqrt(m))
             assert row.eta_max == pytest.approx(1.0)
@@ -93,10 +93,10 @@ class TestDiffSeries:
 
 class TestCompareMethods:
     def test_methods_agree_at_tolerance(self):
-        report = compare_methods(tiny_config(n_steps=10, record_times=(1e-4,)))
-        assert len(report.rows) == 1
-        assert report.rows[0].theta_max <= 1e-6
-        assert report.rows[0].eta_max <= 1e-6
+        rows = compare_methods(tiny_config(n_steps=10, record_times=(1e-4,)))
+        assert len(rows) == 1
+        assert rows[0].theta_max <= 1e-6
+        assert rows[0].eta_max <= 1e-6
 
 
 class TestRefineErrors:
@@ -104,10 +104,10 @@ class TestRefineErrors:
         # monotone decrease under refinement needs the production grid and
         # is checked in the acceptance suite; here only the table structure
         config = tiny_config(m=6, n_steps=10, record_times=())
-        table = refine_errors(config, times=(1e-4,))
-        assert len(table.rows) == 2
-        assert sorted(row.variable for row in table.rows) == ["eta", "theta"]
-        for row in table.rows:
+        rows = refine_errors(config, times=(1e-4,))
+        assert len(rows) == 2
+        assert sorted(row.variable for row in rows) == ["eta", "theta"]
+        for row in rows:
             assert row.time == 1e-4
             assert row.e_h > 0.0 and row.e_h2 > 0.0 and row.e_h4 > 0.0
             assert row.ratio1 == pytest.approx(row.e_h / row.e_h2)
@@ -119,16 +119,16 @@ class TestRefineErrors:
     ])
     def test_rows_follow_snapshots(self, times, labels):
         config = tiny_config(m=4, n_steps=100, record_times=())
-        table = refine_errors(config, times=times)
-        assert [row.time for row in table.rows] == pytest.approx(np.repeat(labels, 2))
-        assert [row.variable for row in table.rows] == ["theta", "eta"] * len(labels)
+        rows = refine_errors(config, times=times)
+        assert [row.time for row in rows] == pytest.approx(np.repeat(labels, 2))
+        assert [row.variable for row in rows] == ["theta", "eta"] * len(labels)
 
     def test_initial_time_is_nan(self):
         # at t = 0 every grid holds the same zero state, so the relative
         # error is undefined
         config = tiny_config(m=4, n_steps=2, record_times=())
-        table = refine_errors(config, times=(0.0,))
-        for row in table.rows:
+        rows = refine_errors(config, times=(0.0,))
+        for row in rows:
             assert np.isnan(row.e_h)
 
 

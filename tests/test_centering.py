@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from combust import mncp
-from combust.mncp import MncpProblem, SolverOptions, direction, merit_vector
+from combust.mncp import MncpProblem, SolverOptions, direction
 
-from conftest import dense
+from conftest import dense, evaluated
 
 
 def diagonal_problem(slope, offset):
@@ -30,7 +30,7 @@ def test_floor_binds_on_one_pair():
     target_gap = np.sqrt(h @ h) * h.mean()
     assert kappa * h[1] < target_gap < kappa * h[0]
 
-    d, g_dot_d = direction(z, prob, SolverOptions(sigma_c=sigma))
+    d, g_dot_d = direction(z, *evaluated(z, prob), prob, SolverOptions(sigma_c=sigma))
     # Newton matrix diag(z * 1 + r) = diag(2 z)
     expected = np.array([-h[0] * (1.0 - sigma * kappa), -h[1] + sigma * target_gap]) / (2.0 * z)
     np.testing.assert_allclose(d, expected, rtol=1e-13)
@@ -52,12 +52,11 @@ def test_descent_bound_with_many_skewed_pairs(sigma):
         offset = 10.0 ** rng.uniform(-8.0, 2.0, n)
         prob = diagonal_problem(slope, offset)
         z = 10.0 ** rng.uniform(-8.0, 2.0, n) * (1e-6 if trial % 2 else 1.0)
-        r = prob.residual(z)
-        h = merit_vector(z, r, prob)
+        r, h, s = evaluated(z, prob)
         norm_h2 = float(h @ h)
         gap_target = min(1.0, np.sqrt(norm_h2)) * h.mean()
         if (mncp._KAPPA * h > gap_target).any():
             floor_bound[norm_h2 >= 1.0] += 1
-        _, g_dot_d = direction(z, prob, opts, r=r, h=h)
+        _, g_dot_d = direction(z, r, h, s, prob, opts)
         assert g_dot_d <= -(1.0 - sigma) * norm_h2 * (1.0 - 1e-12)
     assert min(floor_bound.values()) >= 5

@@ -360,6 +360,53 @@ class TestMain:
             assert "combust: cannot write output:" in err
             assert str(tmp_path / "missing") in err
 
+    @pytest.mark.parametrize("script", ["f.csv", "./f.csv", "sub/../f.csv"])
+    def test_out_and_plot_script_same_file_exit_code(self, tmp_path, capsys, monkeypatch, script):
+        # the script would replace the CSV: refused before any run, and an
+        # existing f.csv is left as it was
+        def no_run(*args):
+            raise AssertionError("computation started before the output check")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(analysis, "refine_errors", no_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "f.csv").write_text("kept\n")
+        cfg = write_config(tmp_path, SMALL_RUN)
+        for command in ("run", "refine"):
+            assert main([command, "--config", cfg, "--out", "f.csv", "--plot-script", script]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("combust: cannot write output: ")
+            assert "--out and --plot-script name the same file" in err
+        assert (tmp_path / "f.csv").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["run", "compare", "refine", "bench"])
+    def test_out_is_directory_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        def no_run(*args):
+            raise AssertionError("computation started before the output check")
+
+        for owner, name in ((cli, "run"), (analysis, "compare_methods"),
+                            (analysis, "refine_errors"), (analysis, "bench")):
+            monkeypatch.setattr(owner, name, no_run)
+        out = tmp_path / "existing"
+        out.mkdir()
+        cfg = write_config(tmp_path, SMALL_RUN)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"combust: cannot write output: {out} is a directory\n"
+        assert list(out.iterdir()) == []
+
+    def test_plot_script_is_directory_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("computation started before the output check")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        cfg = write_config(tmp_path, SMALL_RUN)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                     "--plot-script", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"combust: cannot write output: {tmp_path} is a directory\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_config_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o.csv")]) == 1

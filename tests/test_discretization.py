@@ -20,6 +20,7 @@ from combust.mncp import MncpProblem, SolverOptions, direction
 from combust.model import (
     BASE_PARAMS,
     DimensionlessParams,
+    closure,
     flux,
     flux_d,
     phi,
@@ -27,7 +28,7 @@ from combust.model import (
     phi_dtheta,
 )
 
-from conftest import DenseJacobian
+from conftest import DenseJacobian, evaluated
 
 # grid with h = 1, k = 0.2, h_diff = 0.5 -> mu * h_diff = 0.1
 UNIT_PARAMS = DimensionlessParams(pe_t=2.0, beta=1.0, e_act=1.0, theta0=1.0, u=1.0)
@@ -293,7 +294,7 @@ class TestJacobian:
         for _ in range(100):
             theta = rng.uniform(0.0, 2.0, 10)
             eta = rng.uniform(0.0, 1.0, 10)
-            analytic = jacobian(theta, eta, cache).to_dense()
+            analytic = jacobian(closure(theta, eta, BASE_PARAMS), cache).to_dense()
             fd = dense_jacobian_fd(theta, eta, cache)
             scale = np.max(np.abs(fd))
             assert np.max(np.abs(analytic - fd)) <= 1e-6 * scale
@@ -301,7 +302,8 @@ class TestJacobian:
     def test_vanishing_time_step_limit(self):
         grid = Grid(length=0.05, m=6, k=1e-300, n_steps=1)
         cache = assemble_matrices(grid, BASE_PARAMS)
-        jac = jacobian(np.linspace(0.1, 1.0, 6), np.linspace(0.0, 0.9, 6), cache).to_dense()
+        terms = closure(np.linspace(0.1, 1.0, 6), np.linspace(0.0, 0.9, 6), BASE_PARAMS)
+        jac = jacobian(terms, cache).to_dense()
         expected = np.zeros((12, 12))
         expected[:6, :6] = cache.a_dense()
         expected[6:, 6:] = 2.0 * np.eye(6)
@@ -310,7 +312,7 @@ class TestJacobian:
     def test_eta_block_closed_form_at_burnout(self):
         grid = base_grid(4)
         cache = assemble_matrices(grid, BASE_PARAMS)
-        jac = jacobian(np.zeros(4), np.ones(4), cache).to_dense()
+        jac = jacobian(closure(np.zeros(4), np.ones(4), BASE_PARAMS), cache).to_dense()
         p = BASE_PARAMS
         expected = 2.0 + grid.k * p.beta * np.exp(-p.e_act / p.theta0)
         np.testing.assert_allclose(np.diag(jac)[4:], np.full(4, expected), rtol=1e-14)
@@ -326,7 +328,7 @@ class TestJacobian:
         for _ in range(20):
             theta = rng.uniform(0.0, 5.0, m)
             eta = rng.uniform(0.0, 1.0, m)
-            jac = jacobian(theta, eta, cache)
+            jac = jacobian(closure(theta, eta, p), cache)
             pt = phi_dtheta(theta, eta, p)
             pe = phi_deta(theta, p)
             fd = flux_d(theta, p)
@@ -361,7 +363,7 @@ class TestNewtonSolve:
             r = rng.normal(size=2 * m)
             r[:n_pairs] = rng.uniform(1e-6, 1.0, n_pairs)
             rhs = rng.normal(size=2 * m)
-            jac = jacobian(theta, eta, cache)
+            jac = jacobian(closure(theta, eta, BASE_PARAMS), cache)
             d = jac.newton_solve(z, r, rhs, n_pairs)
             ref = DenseJacobian(jac.to_dense()).newton_solve(z, r, rhs, n_pairs)
             assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -410,4 +412,5 @@ class TestNewtonSolve:
             jacobian=lambda z: jac,
         )
         with np.errstate(all="ignore"), pytest.raises(mncp.SingularJacobian):
-            direction(np.ones(4), prob, SolverOptions())
+            z = np.ones(4)
+            direction(z, *evaluated(z, prob), prob, SolverOptions())

@@ -80,9 +80,7 @@ def test_shared_closure_terms_equal_the_single_purpose_functions():
     np.testing.assert_array_equal(terms[2], phi(theta, eta, p))
     np.testing.assert_array_equal(terms[3], flux(theta, p))
     singles = (phi_dtheta(theta, eta, p), phi_deta(theta, p), flux_d(theta, p))
-    for shared, fresh, single in zip(closure_derivatives(theta, eta, p, terms),
-                                     closure_derivatives(theta, eta, p), singles):
-        np.testing.assert_array_equal(shared, fresh)
+    for shared, single in zip(closure_derivatives(terms, p), singles):
         np.testing.assert_array_equal(shared, single)
 
 
@@ -90,25 +88,35 @@ def test_shared_closure_terms_equal_the_single_purpose_functions():
 def test_solver_jacobians_equal_fresh_ones(monkeypatch, method):
     # The first step from the cold start takes several Newton iterations: its
     # first Jacobian is built at the restored point, the others at accepted
-    # probes.  Each must reuse the residual's closure terms and equal the
-    # Jacobian formed afresh through closure_derivatives.
+    # probes.  Each must take the closure terms of the latest residual call
+    # and equal the Jacobian built from closure() at that call's point.
+    latest = {}
     built = []
+    original_residual = timestepper.residual
     original = timestepper.jacobian
 
-    def recording(theta, eta, cache, terms=None):
-        jac = original(theta, eta, cache, terms)
-        built.append((theta.copy(), eta.copy(), terms is not None, jac))
+    def recording_residual(z, cache, level):
+        r, terms = original_residual(z, cache, level)
+        latest.update(z=z.copy(), terms=terms)
+        return r, terms
+
+    def recording(terms, cache):
+        jac = original(terms, cache)
+        built.append((latest["z"], terms is latest["terms"], jac))
         return jac
 
+    monkeypatch.setattr(timestepper, "residual", recording_residual)
     monkeypatch.setattr(timestepper, "jacobian", recording)
     config = short_config(method, 1)
     cache = assemble_matrices(config.grid, config.params)
     state = initial_state(config.grid)
     _, report = step(state, timestepper.StepEquations(cache, method, state), config)
     assert report.js_evals == len(built) >= 2
-    for theta, eta, shared, jac in built:
+    m = config.grid.m
+    for z, shared, jac in built:
         assert shared
-        np.testing.assert_array_equal(jac.to_dense(), original(theta, eta, cache).to_dense())
+        fresh = original(closure(z[:m], z[m:], config.params), cache)
+        np.testing.assert_array_equal(jac.to_dense(), fresh.to_dense())
 
 
 @pytest.mark.parametrize("method", [MNCP, NCP])

@@ -11,14 +11,13 @@ from combust.mncp import (
     SolverOptions,
     direction,
     line_search,
-    merit,
     merit_vector,
     natural_residual,
     restore_feasibility,
     solve,
 )
 
-from conftest import dense
+from conftest import dense, evaluated
 
 
 def scalar_affine(slope=1.0, offset=2.0):
@@ -44,9 +43,10 @@ class TestMeritAndResidual:
     def test_hand_value(self):
         # z = 1, r = 3 on the single pair row: H = 3, S = 4.5
         prob = scalar_affine()
-        s, h = merit(np.array([1.0]), prob)
-        assert s == 4.5
+        r, h, s = evaluated(np.array([1.0]), prob)
+        np.testing.assert_array_equal(r, [3.0])
         np.testing.assert_array_equal(h, [3.0])
+        assert s == 4.5
 
     def test_equality_rows_pass_through(self):
         prob = MncpProblem(
@@ -97,14 +97,16 @@ class TestDirection:
         # rho = 0.5 * min(1, 3) * 3 = 1.5, so d = (-3 + 1.5) / 4 = -0.375
         prob = scalar_affine()
         opts = SolverOptions(sigma_c=0.5)
-        d, g_dot_d = direction(np.array([1.0]), prob, opts)
+        z = np.array([1.0])
+        d, g_dot_d = direction(z, *evaluated(z, prob), prob, opts)
         assert d[0] == pytest.approx(-0.375, rel=1e-14)
         assert g_dot_d == pytest.approx(3.0 * 4.0 * -0.375, rel=1e-14)
 
     def test_small_centering_is_newton(self):
         prob = scalar_affine()
         opts = SolverOptions(sigma_c=1e-14)
-        d, _ = direction(np.array([1.0]), prob, opts)
+        z = np.array([1.0])
+        d, _ = direction(z, *evaluated(z, prob), prob, opts)
         assert d[0] == pytest.approx(-0.75, rel=1e-10)
 
     def test_descent_bound(self):
@@ -119,9 +121,8 @@ class TestDirection:
             opts = SolverOptions(sigma_c=sigma)
             for _ in range(25):
                 z = rng.uniform(0.05, 3.0, 2)
-                r = prob.residual(z)
-                h = merit_vector(z, r, prob)
-                _, g_dot_d = direction(z, prob, opts, r=r)
+                r, h, s = evaluated(z, prob)
+                _, g_dot_d = direction(z, r, h, s, prob, opts)
                 assert g_dot_d <= -(1.0 - sigma) * float(h @ h) + 1e-10
 
     def test_singular_jacobian_raises(self):
@@ -131,14 +132,15 @@ class TestDirection:
             jacobian=dense(lambda z: np.full((2, 2), np.inf)),
         )
         with pytest.raises(mncp.SingularJacobian):
-            direction(np.array([1.0, 1.0]), prob, SolverOptions())
+            z = np.array([1.0, 1.0])
+            direction(z, *evaluated(z, prob), prob, SolverOptions())
 
 
 class TestLineSearch:
     def test_full_step_accepted(self):
         prob = scalar_affine()
         z = np.array([1.0])
-        s0, _ = merit(z, prob)
+        _, _, s0 = evaluated(z, prob)
         d = np.array([-0.375])
         g_dot_d = -4.5
         t, z_t, r_t, h_t, s_t, n_evals = line_search(z, d, g_dot_d, s0, prob, SolverOptions())
@@ -151,7 +153,7 @@ class TestLineSearch:
         # the full step would cross z = 0, so the ladder drops to nu = 0.8
         prob = scalar_affine()
         z = np.array([1.0])
-        s0, _ = merit(z, prob)
+        _, _, s0 = evaluated(z, prob)
         t, z_t, _, _, _, _ = line_search(z, np.array([-1.05]), -4.5, s0, prob, SolverOptions())
         assert t == pytest.approx(0.8)
         assert z_t[0] == pytest.approx(1.0 - 0.8 * 1.05)
@@ -164,8 +166,8 @@ class TestLineSearch:
         )
         opts = SolverOptions()
         z = np.array([2.0])
-        s0, _ = merit(z, prob)
-        d, g_dot_d = direction(z, prob, opts)
+        r, h, s0 = evaluated(z, prob)
+        d, g_dot_d = direction(z, r, h, s0, prob, opts)
         t, *_ = line_search(z, d, g_dot_d, s0, prob, opts)
         k = round(np.log(t) / np.log(opts.nu_backtrack))
         assert t == pytest.approx(opts.nu_backtrack ** k, rel=1e-12)
@@ -178,7 +180,7 @@ class TestLineSearch:
         opts = SolverOptions()
         for prob, z0, n_expected in ((scalar_affine(offset=-1.0), 2.0, 2), (scalar_affine(), 1.0, 1)):
             z = np.array([z0])
-            s0, _ = merit(z, prob)
+            _, _, s0 = evaluated(z, prob)
             t, z_t, r_t, _, _, n_evals = line_search(z, np.array([-1.0]), -4.0, s0, prob, opts)
             assert t == opts.nu_backtrack
             assert z_t[0] > 0.0 and r_t[0] > 0.0
@@ -187,7 +189,7 @@ class TestLineSearch:
     def test_stall_raises(self):
         prob = scalar_affine()
         z = np.array([1.0])
-        s0, _ = merit(z, prob)
+        _, _, s0 = evaluated(z, prob)
         with pytest.raises(mncp.LineSearchStall):
             # an ascent direction with a claimed steep descent slope can
             # never satisfy Armijo
@@ -367,18 +369,16 @@ class TestSolve:
     def test_iterates_stay_interior_and_merit_decreases(self):
         prob, z0, _ = toy_problems()[2]
         opts = SolverOptions()
-        z, r, _, _ = restore_feasibility(z0, prob, opts)
-        s, h = 0.5 * float(merit_vector(z, r, prob) @ merit_vector(z, r, prob)), None
+        z, _, _, _ = restore_feasibility(z0, prob, opts)
         for _ in range(15):
-            r = prob.residual(z)
-            if np.max(np.abs(merit_vector(z, r, prob))) <= 1e-10:
+            r, h, s = evaluated(z, prob)
+            if np.max(np.abs(h)) <= 1e-10:
                 break
-            d, g_dot_d = direction(z, prob, opts, r=r)
+            d, g_dot_d = direction(z, r, h, s, prob, opts)
             t, z, r, h, s_next, _ = line_search(z, d, g_dot_d, s, prob, opts)
             assert np.all(z[:prob.n_pairs] > 0.0)
             assert np.all(r[:prob.n_pairs] > 0.0)
             assert s_next < s
-            s = s_next
 
     def test_deterministic(self):
         prob, z0, _ = toy_problems()[3]

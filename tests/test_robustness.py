@@ -9,9 +9,10 @@ import pytest
 
 from combust import mncp, timestepper
 from combust.cli import main
-from combust.discretization import assemble_matrices
+from combust.discretization import Grid, State, assemble_matrices
 from combust.mncp import LineSearchStall, MaxIterations, MncpProblem, SolverOptions, solve
-from combust.timestepper import StepEquations, StepFailed, initial_state, run, step
+from combust.model import BASE_PARAMS
+from combust.timestepper import RunConfig, StepEquations, StepFailed, initial_state, run, step
 
 from conftest import base_config, dense
 
@@ -41,6 +42,27 @@ def test_base_case_m6400_reaches_t_0_001(method):
     _, final = series.snapshots[-1]
     assert np.all(final.theta >= 0.0)
     assert np.all((final.eta >= 0.0) & (final.eta <= 1.0 + 1e-8))
+
+
+@pytest.mark.parametrize("eta0", [np.zeros(6), np.linspace(0.0, 0.5, 6)], ids=["eta_zero", "eta_ramp"])
+@pytest.mark.parametrize("method", [mncp.MNCP, pytest.param(mncp.NCP, marks=pytest.mark.xfail(
+    strict=True, raises=StepFailed,
+    reason="known failure, ROADMAP item 1: NCP stalls at step 0 (LineSearchStall) with a natural "
+           "residual of 1.2e-7 / 2.7e-7 at eta node 1; every probe it rejects has some G_i <= 0. "
+           "Item 1 must turn this into a passing gate"))])
+def test_warm_start_with_zero_eta(method, eta0):
+    # theta = 0.25 everywhere and eta = 0 at node 1 at least; MNCP takes at
+    # most 3 iterations per step from these states
+    grid = Grid(length=0.05, m=6, k=1e-5, n_steps=12)
+    config = RunConfig(grid=grid, params=BASE_PARAMS, method=method,
+                       record_times=(grid.n_steps * grid.k,))
+    series = run(config, State(np.full(6, 0.25), eta0))
+    assert len(series.per_step) == 12
+    assert max(s.iterations for s in series.per_step) <= 8
+    _, final = series.snapshots[-1]
+    assert final.n == 12
+    assert np.all(final.theta >= 0.0)
+    assert np.all((final.eta >= eta0) & (final.eta <= 1.0))
 
 
 def test_refine_from_m125_cli(tmp_path):
