@@ -245,14 +245,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_problem(out, plot_script):
+def _output_problem(out, plot_script, config):
     """Why the output paths cannot be written, or None; checked before the
-    computation so that it fails at once, not after the run."""
+    computation so that it fails at once, not after the run, and before
+    an output could replace the configuration the run was read from."""
     if plot_script is not None and Path(plot_script).resolve() == Path(out).resolve():
         return f"--out and --plot-script name the same file {out}"
-    for path in (out, plot_script):
+    for path, flag in ((out, "--out"), (plot_script, "--plot-script")):
         if path is None:
             continue
+        if config is not None and Path(path).resolve() == Path(config).resolve():
+            return f"{flag} names the --config file {config}"
         if Path(path).is_dir():
             return f"{path} is a directory"
         if not Path(path).parent.is_dir():
@@ -272,7 +275,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ValueError, OverflowError) as err:
         print(f"combust: configuration error: {err}", file=sys.stderr)
         return 1
-    problem = _output_problem(args.out, getattr(args, "plot_script", None))
+    problem = _output_problem(args.out, getattr(args, "plot_script", None), args.config)
     if problem is not None:
         print(f"combust: cannot write output: {problem}", file=sys.stderr)
         return 1

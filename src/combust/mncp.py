@@ -23,9 +23,14 @@ import numpy as np
 MNCP = "mncp"
 NCP = "ncp"
 
+_SIGMA_C = 0.5          # centering fraction
+_ETA_ARMIJO = 0.1       # sufficient-decrease fraction
+_NU_BACKTRACK = 0.8     # step contraction factor
 _STEP_FLOOR = 1e-12
+_EPS_INTERIOR = 1e-6    # initial interiority floor
+_MAX_RESTORE = 60       # doubling cap in feasibility restoration
 # Floor of each pair's centering target as a fraction of its own product:
-# one Newton step shrinks a product z_i r_i by at most 1 / (sigma_c * _KAPPA).
+# one Newton step shrinks a product z_i r_i by at most 1 / (_SIGMA_C * _KAPPA).
 _KAPPA = 0.02
 
 
@@ -58,27 +63,12 @@ class MaxIterations(SolverError):
 class SolverOptions:
     tol: float = 1e-8               # stopping tolerance on max|H|
     max_iter: int = 200
-    sigma_c: float = 0.5            # centering fraction
-    eta_armijo: float = 0.1         # sufficient-decrease fraction
-    nu_backtrack: float = 0.8       # step contraction factor
-    eps_interior: float = 1e-6      # initial interiority floor
-    max_restore: int = 60           # doubling cap in feasibility restoration
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.sigma_c < 1.0:
-            raise ValueError(f"sigma_c must be in (0, 1), got {self.sigma_c}")
-        if not 0.0 < self.nu_backtrack < 1.0:
-            raise ValueError(f"nu_backtrack must be in (0, 1), got {self.nu_backtrack}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if not 0.0 < self.eta_armijo < 1.0:
-            raise ValueError(f"eta_armijo must be in (0, 1), got {self.eta_armijo}")
-        if not self.eps_interior > 0.0:
-            raise ValueError(f"eps_interior must be positive, got {self.eps_interior}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.max_restore < 0:
-            raise ValueError(f"max_restore must be nonnegative, got {self.max_restore}")
 
 
 @dataclass
@@ -139,9 +129,8 @@ def natural_residual(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> floa
     return float(np.maximum.reduce(np.minimum(z[:p], r[:p])))
 
 
-def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: MncpProblem,
-              opts: SolverOptions):
-    """Feasible descent direction at z: solve J_H d = -H + sigma_c rho.
+def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: MncpProblem):
+    """Feasible descent direction at z: solve J_H d = -H + sigma_c rho, sigma_c = _SIGMA_C.
 
     r, h and s are the residual, the merit vector H and the merit value
     S = 0.5 ||H||^2 at z, as the caller already holds them.
@@ -155,9 +144,9 @@ def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: Mn
     below the gap is driven at once toward z_i = r_i = 0, where the
     curvature of r flips the sign of r_i and the line search collapses.
     Near the solution the floor binds, so a full step shrinks each product
-    by sigma_c kappa (1/100 at the defaults): local convergence is linear,
-    not quadratic, and the distance of the start point from the solution
-    sets the number of iterations.
+    by sigma_c kappa = 1/100: local convergence is linear, not quadratic,
+    and the distance of the start point from the solution sets the number
+    of iterations.
 
     Descent: grad(S)^T d = h^T rhs = -||H||^2 + sigma_c sum_i h_i rho_i, the
     sum over the pairs, where h_i > 0 at interior points.  As
@@ -177,7 +166,7 @@ def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: Mn
     if p:
         h_p = h[:p]
         mu = np.add.reduce(h_p) / p
-        rhs[:p] += opts.sigma_c * np.maximum(min(1.0, math.sqrt(2.0 * s)) * mu, _KAPPA * h_p)
+        rhs[:p] += _SIGMA_C * np.maximum(min(1.0, math.sqrt(2.0 * s)) * mu, _KAPPA * h_p)
     # Jacobian of H: pair rows are z_i (dr_i/dz) + e_i r_i, the others dr_j/dz
     try:
         d = jac.newton_solve(z, r, rhs, p)
@@ -188,13 +177,13 @@ def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: Mn
     return d, g_dot_d
 
 
-def line_search(z, d, g_dot_d, s0, problem: MncpProblem, opts: SolverOptions):
-    """Backtracking on the ladder {1, nu, nu^2, ...}.
+def line_search(z, d, g_dot_d, s0, problem: MncpProblem):
+    """Backtracking on the ladder {1, nu, nu^2, ...}, nu = _NU_BACKTRACK.
 
     Accepts the largest t keeping z + t d strictly interior (positive pair
-    variables and positive pair residuals) with Armijo decrease on S.
-    The minimum over no pairs is +inf, so without pairs every probe is
-    interior.
+    variables and positive pair residuals) with Armijo decrease on S by the
+    fraction _ETA_ARMIJO.  The minimum over no pairs is +inf, so without
+    pairs every probe is interior.
     Returns (t, z_next, r_next, h_next, s_next, n_merit_evals).
     """
     p = problem.n_pairs
@@ -208,34 +197,37 @@ def line_search(z, d, g_dot_d, s0, problem: MncpProblem, opts: SolverOptions):
             s_t = 0.5 * float(h_t @ h_t)
             n_evals += 1
             if (np.minimum.reduce(r_t[:p], initial=np.inf) > 0.0
-                    and s_t <= s0 + opts.eta_armijo * t * g_dot_d):
+                    and s_t <= s0 + _ETA_ARMIJO * t * g_dot_d):
                 return t, z_t, r_t, h_t, s_t, n_evals
-        t *= opts.nu_backtrack
+        t *= _NU_BACKTRACK
     raise LineSearchStall(f"line search stalled below t={_STEP_FLOOR} (S={s0:.3e})", iterate=z)
 
 
-def restore_feasibility(z0, problem: MncpProblem, opts: SolverOptions, shift: float = 0.0):
+def restore_feasibility(z0, problem: MncpProblem, shift: float = 0.0):
     """Move a warm start into the strict interior.
 
-    Clamp pair variables to eps_interior and add shift to them, then add a
-    doubling increment, starting at shift (at eps_interior when shift is 0),
-    until every pair residual is strictly positive.  Passing the total shift
-    of the previous time step lets a run find its shift once instead of
-    replaying the doublings every step.
+    Clamp pair variables to _EPS_INTERIOR and add shift to them, then add a
+    doubling increment, starting at shift (at _EPS_INTERIOR when shift is 0),
+    until every pair residual is strictly positive, or raise InfeasibleStart
+    after _MAX_RESTORE doublings.  z0 is not written.  Passing the total
+    shift of the previous time step lets a run find its shift once instead
+    of replaying the doublings every step.
     Returns (z, r, n_residual_evals, total_shift).
     """
     p = problem.n_pairs
     z = np.array(z0, dtype=float)
-    z[:p] = np.maximum(z[:p], opts.eps_interior) + shift
+    pairs = z[:p]
+    np.maximum(pairs, _EPS_INTERIOR, out=pairs)
+    pairs += shift
     r = problem.residual(z)
     n_evals = 1
-    delta = shift if shift > 0.0 else opts.eps_interior
+    delta = shift if shift > 0.0 else _EPS_INTERIOR
     doublings = 0
     while np.minimum.reduce(r[:p], initial=np.inf) <= 0.0:
-        if doublings >= opts.max_restore:
+        if doublings >= _MAX_RESTORE:
             bad = [int(i) for i in np.flatnonzero(r[:p] <= 0.0)]
             raise InfeasibleStart(f"could not restore interiority; violated rows {bad}", iterate=z)
-        z[:p] += delta
+        pairs += delta
         r = problem.residual(z)
         n_evals += 1
         shift += delta
@@ -286,7 +278,7 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
     t_start = time.perf_counter()
     z = None
     try:
-        z, r, n_evals, report.shift = restore_feasibility(z0, problem, opts, shift)
+        z, r, n_evals, report.shift = restore_feasibility(z0, problem, shift)
         report.s_evals += n_evals
         h = merit_vector(z, r, problem)
         s = 0.5 * float(h @ h)
@@ -301,9 +293,9 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
                     return z, report
             if report.iterations >= opts.max_iter:
                 raise MaxIterations(f"no convergence in {opts.max_iter} iterations", iterate=z)
-            d, g_dot_d = direction(z, r, h, s, problem, opts)
+            d, g_dot_d = direction(z, r, h, s, problem)
             report.js_evals += 1
-            t, z, r, h, s, n_evals = line_search(z, d, g_dot_d, s, problem, opts)
+            t, z, r, h, s, n_evals = line_search(z, d, g_dot_d, s, problem)
             report.s_evals += n_evals
             report.iterations += 1
             report.last_step = t

@@ -174,9 +174,10 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     the previous step's total shift (a shift of 0 stays 0).  The shift thus
     decays while the predicted start stays interior.  The tol floor keeps G
     at the start point near tol, about 4 times the shift, and one Newton
-    step shrinks it 1 / (sigma_c kappa) = 100 fold.  A shift decayed far
-    below tol leaves every other start point infeasible, and restoration
-    doubles the shift back.
+    step shrinks it 1 / (_SIGMA_C _KAPPA) = 100 fold, by the solver's
+    centering constants in mncp.  A shift decayed far below tol leaves
+    every other start point infeasible, and restoration doubles the shift
+    back.
     """
     grid = config.grid
     cache = assemble_matrices(grid, config.params)

@@ -66,15 +66,15 @@ def test_criterion_1_solver_toys():
     opts = SolverOptions(tol=1e-8)
     for prob, z0, z_star in acceptance_toys():
         # instrumented replay of the solve loop
-        z, r, _, _ = restore_feasibility(z0, prob, opts)
+        z, r, _, _ = restore_feasibility(z0, prob)
         h = merit_vector(z, r, prob)
         s = 0.5 * float(h @ h)
         iterations = 0
         while np.max(np.abs(h)) > opts.tol or \
                 np.max(np.minimum(z[:prob.n_pairs], r[:prob.n_pairs])) > opts.tol:
             assert iterations < 30, f"more than 30 iterations for solution {z_star}"
-            d, g_dot_d = direction(z, r, h, s, prob, opts)
-            _, z, r, h, s_next, _ = line_search(z, d, g_dot_d, s, prob, opts)
+            d, g_dot_d = direction(z, r, h, s, prob)
+            _, z, r, h, s_next, _ = line_search(z, d, g_dot_d, s, prob)
             assert np.all(z[:prob.n_pairs] > 0.0)
             assert np.all(r[:prob.n_pairs] > 0.0)
             assert s_next < s

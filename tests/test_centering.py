@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from combust import mncp
-from combust.mncp import MncpProblem, SolverOptions, direction
+from combust.mncp import MncpProblem, direction
 
 from conftest import dense, evaluated
 
@@ -30,7 +30,7 @@ def test_floor_binds_on_one_pair():
     target_gap = np.sqrt(h @ h) * h.mean()
     assert kappa * h[1] < target_gap < kappa * h[0]
 
-    d, g_dot_d = direction(z, *evaluated(z, prob), prob, SolverOptions(sigma_c=sigma))
+    d, g_dot_d = direction(z, *evaluated(z, prob), prob)
     # Newton matrix diag(z * 1 + r) = diag(2 z)
     expected = np.array([-h[0] * (1.0 - sigma * kappa), -h[1] + sigma * target_gap]) / (2.0 * z)
     np.testing.assert_allclose(d, expected, rtol=1e-13)
@@ -39,12 +39,12 @@ def test_floor_binds_on_one_pair():
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
-def test_descent_bound_with_many_skewed_pairs(sigma):
+def test_descent_bound_with_many_skewed_pairs(sigma, monkeypatch):
     # grad(S)^T d <= -(1 - sigma_c) ||H||^2 must survive the floor, which can
     # only bind above the gap target when there are more than 1/kappa pairs
     # or ||H|| < 1, so both regimes are sampled with products over 20 decades.
     rng = np.random.default_rng(17)
-    opts = SolverOptions(sigma_c=sigma)
+    monkeypatch.setattr(mncp, "_SIGMA_C", sigma)
     floor_bound = {True: 0, False: 0}    # keyed by ||H|| >= 1
     for trial in range(40):
         n = int(rng.integers(200, 601))
@@ -57,6 +57,6 @@ def test_descent_bound_with_many_skewed_pairs(sigma):
         gap_target = min(1.0, np.sqrt(norm_h2)) * h.mean()
         if (mncp._KAPPA * h > gap_target).any():
             floor_bound[norm_h2 >= 1.0] += 1
-        _, g_dot_d = direction(z, r, h, s, prob, opts)
+        _, g_dot_d = direction(z, r, h, s, prob)
         assert g_dot_d <= -(1.0 - sigma) * norm_h2 * (1.0 - 1e-12)
     assert min(floor_bound.values()) >= 5

@@ -78,11 +78,11 @@ class TestParseConfig:
         assert config.record_times == (0.0, 1e-4, 2e-4)
         assert config.solver_opts.tol == 1e-10
 
-    def test_max_restore(self, tmp_path):
-        config = parse_config(write_config(tmp_path, "max_restore = 5\n"))
-        assert config.solver_opts.max_restore == 5
+    def test_max_iter_is_an_integer(self, tmp_path):
+        config = parse_config(write_config(tmp_path, "max_iter = 5\n"))
+        assert config.solver_opts.max_iter == 5
         with pytest.raises(ConfigError, match="integer"):
-            parse_config(write_config(tmp_path, "max_restore = 2.5\n"))
+            parse_config(write_config(tmp_path, "max_iter = 2.5\n"))
 
     def test_dimensionless_override(self, tmp_path):
         config = parse_config(write_config(tmp_path, "e_act = 90.0\n"))
@@ -140,8 +140,7 @@ class TestParseConfig:
         assert set(cli._CONVERTERS) == grid_keys | field_names
 
     def test_every_solver_option_round_trips(self, tmp_path):
-        given = {"tol": 1e-9, "max_iter": 17, "sigma_c": 0.3, "eta_armijo": 0.2,
-                 "nu_backtrack": 0.7, "eps_interior": 1e-5, "max_restore": 9}
+        given = {"tol": 1e-9, "max_iter": 17}
         defaults = SolverOptions()
         assert set(given) == {f.name for f in fields(SolverOptions)}
         assert all(value != getattr(defaults, key) for key, value in given.items())
@@ -320,14 +319,21 @@ class TestMain:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", [
-        "eps_interior = 0", "eps_interior = -1e-6", "max_iter = 0",
-        "eta_armijo = -5", "eta_armijo = 1", "max_restore = -1",
-    ])
+    @pytest.mark.parametrize("line", ["max_iter = 0", "tol = 0"])
     def test_invalid_solver_option_exit_code(self, tmp_path, capsys, line):
         cfg = write_config(tmp_path, f"t_end = 0.0002\n{line}\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_c", "0.5"), ("eta_armijo", "0.1"), ("nu_backtrack", "0.8"),
+        ("eps_interior", "1e-6"), ("max_restore", "60"),
+    ])
+    def test_solver_constant_is_not_a_key(self, tmp_path, capsys, key, value):
+        # the solver's tuning values are constants: even the value it uses is refused
+        cfg = write_config(tmp_path, f"t_end = 0.0002\n{key} = {value}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"combust: configuration error: line 2: unknown key '{key}'\n"
 
     @pytest.mark.parametrize("text, flags", [
         ("domain_length = nan\n", []),
@@ -379,6 +385,23 @@ class TestMain:
             assert err.startswith("combust: cannot write output: ")
             assert "--out and --plot-script name the same file" in err
         assert (tmp_path / "f.csv").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot-script"])
+    def test_output_names_the_config_file_exit_code(self, tmp_path, capsys, monkeypatch, flag):
+        # the output would replace the configuration: refused before the run,
+        # and the file is left as it was
+        def no_run(*args):
+            raise AssertionError("computation started before the output check")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, SMALL_RUN)
+        args = ["run", "--config", cfg, "--out", "o.csv", "--plot-script", "p.gp"]
+        args[args.index(flag) + 1] = "./case.cfg"
+        assert main(args) == 1
+        assert capsys.readouterr().err == \
+            f"combust: cannot write output: {flag} names the --config file {cfg}\n"
+        assert (tmp_path / "case.cfg").read_text() == SMALL_RUN
 
     @pytest.mark.parametrize("command", ["run", "compare", "refine", "bench"])
     def test_out_is_directory_exit_code(self, tmp_path, capsys, monkeypatch, command):

@@ -16,7 +16,7 @@ from combust.discretization import (
     jacobian,
     residual,
 )
-from combust.mncp import MncpProblem, SolverOptions, direction
+from combust.mncp import MncpProblem, direction
 from combust.model import (
     BASE_PARAMS,
     DimensionlessParams,
@@ -413,4 +413,4 @@ class TestNewtonSolve:
         )
         with np.errstate(all="ignore"), pytest.raises(mncp.SingularJacobian):
             z = np.ones(4)
-            direction(z, *evaluated(z, prob), prob, SolverOptions())
+            direction(z, *evaluated(z, prob), prob)

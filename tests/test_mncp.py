@@ -32,11 +32,11 @@ def scalar_affine(slope=1.0, offset=2.0):
 class TestProblemSetup:
     def test_option_validation(self):
         with pytest.raises(ValueError):
-            SolverOptions(sigma_c=1.5)
-        with pytest.raises(ValueError):
-            SolverOptions(nu_backtrack=0.0)
-        with pytest.raises(ValueError):
             SolverOptions(tol=-1e-8)
+        with pytest.raises(ValueError):
+            SolverOptions(tol=0.0)
+        with pytest.raises(ValueError):
+            SolverOptions(max_iter=0)
 
 
 class TestMeritAndResidual:
@@ -96,20 +96,19 @@ class TestDirection:
         # z = 1, r = z + 2: H = 3, J_H = z*1 + r = 4,
         # rho = 0.5 * min(1, 3) * 3 = 1.5, so d = (-3 + 1.5) / 4 = -0.375
         prob = scalar_affine()
-        opts = SolverOptions(sigma_c=0.5)
         z = np.array([1.0])
-        d, g_dot_d = direction(z, *evaluated(z, prob), prob, opts)
+        d, g_dot_d = direction(z, *evaluated(z, prob), prob)
         assert d[0] == pytest.approx(-0.375, rel=1e-14)
         assert g_dot_d == pytest.approx(3.0 * 4.0 * -0.375, rel=1e-14)
 
-    def test_small_centering_is_newton(self):
+    def test_small_centering_is_newton(self, monkeypatch):
+        monkeypatch.setattr(mncp, "_SIGMA_C", 1e-14)
         prob = scalar_affine()
-        opts = SolverOptions(sigma_c=1e-14)
         z = np.array([1.0])
-        d, _ = direction(z, *evaluated(z, prob), prob, opts)
+        d, _ = direction(z, *evaluated(z, prob), prob)
         assert d[0] == pytest.approx(-0.75, rel=1e-10)
 
-    def test_descent_bound(self):
+    def test_descent_bound(self, monkeypatch):
         # grad(S)^T d <= -(1 - sigma_c) ||H||^2 must hold at any interior point
         rng = np.random.default_rng(5)
         prob = MncpProblem(
@@ -118,11 +117,11 @@ class TestDirection:
             jacobian=dense(lambda z: np.array([[2.0 * z[0], 1.0], [1.0, 2.0]])),
         )
         for sigma in (0.1, 0.5, 0.9):
-            opts = SolverOptions(sigma_c=sigma)
+            monkeypatch.setattr(mncp, "_SIGMA_C", sigma)
             for _ in range(25):
                 z = rng.uniform(0.05, 3.0, 2)
                 r, h, s = evaluated(z, prob)
-                _, g_dot_d = direction(z, r, h, s, prob, opts)
+                _, g_dot_d = direction(z, r, h, s, prob)
                 assert g_dot_d <= -(1.0 - sigma) * float(h @ h) + 1e-10
 
     def test_singular_jacobian_raises(self):
@@ -133,7 +132,7 @@ class TestDirection:
         )
         with pytest.raises(mncp.SingularJacobian):
             z = np.array([1.0, 1.0])
-            direction(z, *evaluated(z, prob), prob, SolverOptions())
+            direction(z, *evaluated(z, prob), prob)
 
 
 class TestLineSearch:
@@ -143,7 +142,7 @@ class TestLineSearch:
         _, _, s0 = evaluated(z, prob)
         d = np.array([-0.375])
         g_dot_d = -4.5
-        t, z_t, r_t, h_t, s_t, n_evals = line_search(z, d, g_dot_d, s0, prob, SolverOptions())
+        t, z_t, r_t, h_t, s_t, n_evals = line_search(z, d, g_dot_d, s0, prob)
         assert t == 1.0
         assert z_t[0] == pytest.approx(0.625)
         assert s_t < s0
@@ -154,7 +153,7 @@ class TestLineSearch:
         prob = scalar_affine()
         z = np.array([1.0])
         _, _, s0 = evaluated(z, prob)
-        t, z_t, _, _, _, _ = line_search(z, np.array([-1.05]), -4.5, s0, prob, SolverOptions())
+        t, z_t, _, _, _, _ = line_search(z, np.array([-1.05]), -4.5, s0, prob)
         assert t == pytest.approx(0.8)
         assert z_t[0] == pytest.approx(1.0 - 0.8 * 1.05)
 
@@ -164,25 +163,23 @@ class TestLineSearch:
             residual=lambda z: 10.0 * z - 1.0,
             jacobian=dense(lambda z: np.array([[10.0]])),
         )
-        opts = SolverOptions()
         z = np.array([2.0])
         r, h, s0 = evaluated(z, prob)
-        d, g_dot_d = direction(z, r, h, s0, prob, opts)
-        t, *_ = line_search(z, d, g_dot_d, s0, prob, opts)
-        k = round(np.log(t) / np.log(opts.nu_backtrack))
-        assert t == pytest.approx(opts.nu_backtrack ** k, rel=1e-12)
+        d, g_dot_d = direction(z, r, h, s0, prob)
+        t, *_ = line_search(z, d, g_dot_d, s0, prob)
+        k = round(np.log(t) / np.log(mncp._NU_BACKTRACK))
+        assert t == pytest.approx(mncp._NU_BACKTRACK ** k, rel=1e-12)
 
     def test_zero_is_not_interior(self):
         # along d = -1, the full step from z = 2 lands on a pair residual
         # r(z) = z - 1 of exactly 0.0, which the line search evaluates and
         # rejects; the full step from z = 1 lands on a pair variable of
         # exactly 0.0 (r(z) = z + 2), which it rejects before evaluating
-        opts = SolverOptions()
         for prob, z0, n_expected in ((scalar_affine(offset=-1.0), 2.0, 2), (scalar_affine(), 1.0, 1)):
             z = np.array([z0])
             _, _, s0 = evaluated(z, prob)
-            t, z_t, r_t, _, _, n_evals = line_search(z, np.array([-1.0]), -4.0, s0, prob, opts)
-            assert t == opts.nu_backtrack
+            t, z_t, r_t, _, _, n_evals = line_search(z, np.array([-1.0]), -4.0, s0, prob)
+            assert t == mncp._NU_BACKTRACK
             assert z_t[0] > 0.0 and r_t[0] > 0.0
             assert n_evals == n_expected
 
@@ -193,14 +190,13 @@ class TestLineSearch:
         with pytest.raises(mncp.LineSearchStall):
             # an ascent direction with a claimed steep descent slope can
             # never satisfy Armijo
-            line_search(z, np.array([1.0]), -100.0, s0, prob, SolverOptions())
+            line_search(z, np.array([1.0]), -100.0, s0, prob)
 
 
 class TestRestoreFeasibility:
     def test_clamps_to_interior(self):
         prob = scalar_affine()
-        opts = SolverOptions(eps_interior=1e-6)
-        z, r, _, _ = restore_feasibility(np.array([-3.0]), prob, opts)
+        z, r, _, _ = restore_feasibility(np.array([-3.0]), prob)
         assert z[0] == pytest.approx(1e-6)
         assert r[0] > 0.0
 
@@ -208,7 +204,7 @@ class TestRestoreFeasibility:
         # r(z) = z - 1 is non-positive at the clamped start, so the shift
         # must walk z past 1
         prob = scalar_affine(offset=-1.0)
-        z, r, n_evals, _ = restore_feasibility(np.array([0.0]), prob, SolverOptions())
+        z, r, n_evals, _ = restore_feasibility(np.array([0.0]), prob)
         assert z[0] > 1.0
         assert r[0] > 0.0
         assert n_evals > 1
@@ -216,7 +212,7 @@ class TestRestoreFeasibility:
     def test_zero_residual_keeps_doubling(self):
         # r(z) = z - 2 eps: the first doubling lands on r = 0.0 exactly,
         # which is not interior, so restoration doubles once more
-        eps = SolverOptions().eps_interior
+        eps = mncp._EPS_INTERIOR
         seen = []
 
         def residual(z):
@@ -225,20 +221,21 @@ class TestRestoreFeasibility:
 
         prob = MncpProblem(n_pairs=1, residual=residual,
                            jacobian=dense(lambda z: np.eye(1)))
-        z, r, n_evals, shift = restore_feasibility(np.array([0.0]), prob, SolverOptions())
+        z, r, n_evals, shift = restore_feasibility(np.array([0.0]), prob)
         assert seen == [-eps, 0.0, 2.0 * eps]
         assert n_evals == 3
         assert shift == 3.0 * eps
         assert z[0] == 4.0 * eps and r[0] == 2.0 * eps
 
-    def test_unrestorable_raises(self):
+    def test_unrestorable_raises(self, monkeypatch):
+        monkeypatch.setattr(mncp, "_MAX_RESTORE", 8)
         prob = MncpProblem(
             n_pairs=1,
             residual=lambda z: np.full(1, -1.0),
             jacobian=dense(lambda z: np.eye(1)),
         )
         with pytest.raises(InfeasibleStart):
-            restore_feasibility(np.array([1.0]), prob, SolverOptions(max_restore=8))
+            restore_feasibility(np.array([1.0]), prob)
 
 
 def toy_problems():
@@ -368,17 +365,28 @@ class TestSolve:
 
     def test_iterates_stay_interior_and_merit_decreases(self):
         prob, z0, _ = toy_problems()[2]
-        opts = SolverOptions()
-        z, _, _, _ = restore_feasibility(z0, prob, opts)
+        z, _, _, _ = restore_feasibility(z0, prob)
         for _ in range(15):
             r, h, s = evaluated(z, prob)
             if np.max(np.abs(h)) <= 1e-10:
                 break
-            d, g_dot_d = direction(z, r, h, s, prob, opts)
-            t, z, r, h, s_next, _ = line_search(z, d, g_dot_d, s, prob, opts)
+            d, g_dot_d = direction(z, r, h, s, prob)
+            t, z, r, h, s_next, _ = line_search(z, d, g_dot_d, s, prob)
             assert np.all(z[:prob.n_pairs] > 0.0)
             assert np.all(r[:prob.n_pairs] > 0.0)
             assert s_next < s
+
+    @pytest.mark.parametrize("case, z0", [(2, [0.0, 0.0]), (3, [-1.0, 2.0])],
+                             ids=["all_pairs", "pair_and_equality"])
+    def test_leaves_its_start_unchanged(self, case, z0):
+        # each start has a pair variable that restoration must clamp
+        prob, _, _ = toy_problems()[case]
+        z0 = np.array(z0)
+        before = z0.copy()
+        z, report = solve(prob, z0)
+        assert report.converged
+        np.testing.assert_array_equal(z0, before)
+        assert not np.shares_memory(z, z0)
 
     def test_deterministic(self):
         prob, z0, _ = toy_problems()[3]
@@ -409,7 +417,7 @@ class TestSolve:
             jacobian=dense(lambda z: np.eye(2)),
         )
         opts = SolverOptions(tol=1e-5)
-        z_start, r_start, _, _ = restore_feasibility(np.zeros(2), prob, opts)
+        z_start, r_start, _, _ = restore_feasibility(np.zeros(2), prob)
         assert natural_residual(z_start, r_start, prob) <= opts.tol
         assert np.abs(merit_vector(z_start, r_start, prob)).max() > opts.tol
         z, report = solve(prob, np.zeros(2), opts)

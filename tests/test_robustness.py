@@ -110,15 +110,16 @@ class TestFailureMessages:
         assert err.report.h_inf == 35.0
         assert STATE_TEXT.search(str(err)).group(1) == "0"
 
-    def test_restoration_failure_carries_timed_report_without_pair(self):
+    def test_restoration_failure_carries_timed_report_without_pair(self, monkeypatch):
         # no iterate was restored, so there is no worst pair to name
         prob = MncpProblem(
             n_pairs=1,
             residual=lambda z: np.full(1, -1.0),
             jacobian=dense(lambda z: np.eye(1)),
         )
+        monkeypatch.setattr(mncp, "_MAX_RESTORE", 3)
         with pytest.raises(mncp.InfeasibleStart) as excinfo:
-            solve(prob, np.array([1.0]), SolverOptions(max_restore=3))
+            solve(prob, np.array([1.0]))
         err = excinfo.value
         assert str(err) == "could not restore interiority; violated rows [0]"
         assert err.report.worst_pair is None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from combust import mncp, timestepper
-from combust.mncp import InfeasibleStart, MncpProblem, SolverOptions, restore_feasibility, solve
+from combust.mncp import InfeasibleStart, MncpProblem, restore_feasibility, solve
 from combust.timestepper import run
 
 from conftest import base_config, dense
@@ -33,7 +33,7 @@ def shifted_line(offset=-1.0):
 class TestRestoreFeasibility:
     def test_large_shift_takes_one_evaluation(self):
         prob, calls = shifted_line()
-        z, r, n_evals, shift = restore_feasibility(np.array([0.0]), prob, SolverOptions(), 2.0)
+        z, r, n_evals, shift = restore_feasibility(np.array([0.0]), prob, 2.0)
         assert n_evals == 1 and len(calls) == 1
         assert shift == 2.0
         assert z[0] == 1e-6 + 2.0
@@ -42,23 +42,24 @@ class TestRestoreFeasibility:
     def test_doubling_continues_from_shift(self):
         # 1e-6 + 0.25 and 1e-6 + 0.5 are infeasible; adding 0.5 then reaches 1e-6 + 1
         prob, _ = shifted_line()
-        z, r, n_evals, shift = restore_feasibility(np.array([0.0]), prob, SolverOptions(), 0.25)
+        z, r, n_evals, shift = restore_feasibility(np.array([0.0]), prob, 0.25)
         assert n_evals == 3
         assert shift == 1.0
         assert z[0] == pytest.approx(1e-6 + 1.0, rel=1e-15)
 
     def test_zero_shift_doubles_from_eps_interior(self):
         prob, _ = shifted_line(offset=-3.5e-6)
-        z, _, n_evals, shift = restore_feasibility(np.array([0.0]), prob, SolverOptions())
+        z, _, n_evals, shift = restore_feasibility(np.array([0.0]), prob)
         # 1e-6 + (1 + 2) * 1e-6 > 3.5e-6 after two doublings
         assert n_evals == 3
         assert shift == pytest.approx(3e-6, rel=1e-15)
         assert z[0] == pytest.approx(4e-6, rel=1e-15)
 
-    def test_unrestorable_raises_after_max_restore(self):
+    def test_unrestorable_raises_after_max_restore(self, monkeypatch):
+        monkeypatch.setattr(mncp, "_MAX_RESTORE", 8)
         prob, calls = counted(lambda z: np.full(1, -1.0))
         with pytest.raises(InfeasibleStart):
-            restore_feasibility(np.array([1.0]), prob, SolverOptions(max_restore=8), 1.0)
+            restore_feasibility(np.array([1.0]), prob, 1.0)
         assert len(calls) == 1 + 8
 
     def test_solve_reports_shift(self):
