@@ -304,7 +304,8 @@ class StepJacobian:
         eliminated in closed form, leaving a tridiagonal Schur complement in
         theta for LAPACK dgtsv.  The eta pivot is
         2 + k beta e^(...) >= 2 on equality rows and eta (2 + k beta e^(...))
-        + Q > 0 on pair rows at a strictly interior iterate.  On a zero pivot
+        + Q on pair rows, positive unless Q < 0 on a pair that the line
+        search identified active.  On a zero pivot
         or a non-finite result the solve is retried once with
         1e-12 (1 + |d_ii|) added to every diagonal entry;
         np.linalg.LinAlgError is raised if that fails too.

@@ -1,4 +1,4 @@
-"""Feasible-interior-point solver for mixed nonlinear complementarity problems.
+"""Interior-point solver for mixed nonlinear complementarity problems.
 
 The problem: find z with z_i >= 0 and r_i(z) >= 0 for every complementarity
 pair i, z_i r_i(z) = 0 on those pairs, and r_j(z) = 0 on the remaining
@@ -6,9 +6,15 @@ equality rows.  The pairs are the leading rows.  In "mncp" mode only some
 rows are pairs; in "ncp" mode every row is.
 
 The iteration is Newton's method on H(z) = (z_i r_i on pairs, r_j elsewhere)
-with a centering perturbation on the complementarity rows, an
-interiority-preserving backtracking line search, and Armijo decrease on the
-merit function S = 0.5 ||H||^2.  Every accepted iterate is strictly interior.
+with a centering perturbation on the complementarity rows, a backtracking
+line search that keeps the iterates interior, and Armijo decrease on the
+merit function S = 0.5 ||H||^2.  Every accepted iterate has positive pair
+variables, and a positive residual on every pair not identified active at
+the iterate it left: the line search lets r_i reach 0 where r_i < z_i, by
+the min-based identification of Facchinei, Fischer & Kanzow (SIAM J.
+Optim. 9, 1998).  The method is therefore no longer the paper's strictly
+feasible FDA-MNCP, whose line search keeps every pair residual positive and
+stalls where some r_i must reach 0 while z_i stays large.
 """
 
 from __future__ import annotations
@@ -29,9 +35,6 @@ _NU_BACKTRACK = 0.8     # step contraction factor
 _STEP_FLOOR = 1e-12
 _EPS_INTERIOR = 1e-6    # initial interiority floor
 _MAX_RESTORE = 60       # doubling cap in feasibility restoration
-# Floor of each pair's centering target as a fraction of its own product:
-# one Newton step shrinks a product z_i r_i by at most 1 / (_SIGMA_C * _KAPPA).
-_KAPPA = 0.02
 
 
 class SolverError(RuntimeError):
@@ -103,7 +106,7 @@ class SolverReport:
     js_evals: int = 0      # Jacobian builds / factorizations
     last_step: float = 1.0
     h_inf: float = np.inf
-    worst_pair: Optional[tuple] = None  # on failure: (row, z_row, r_row) with the largest min(z, r)
+    worst_pair: Optional[tuple] = None  # on failure: (row, z_row, r_row) with the largest |min(z, r)|
     shift: float = 0.0     # total restoration shift added to the pair variables
     wall_time: float = 0.0
 
@@ -117,56 +120,43 @@ def merit_vector(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> np.ndarr
 
 
 def natural_residual(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> float:
-    """max_i min(z_i, r_i) over complementarity pairs.
+    """max_i |min(z_i, r_i)| over complementarity pairs.
 
     A scale-aware complementarity measure: the product z_i r_i can fall
     under any tolerance when both factors are merely small, while
-    min(z_i, r_i) only does when one of them is genuinely near zero.
+    min(z_i, r_i) only does when one of them is genuinely near zero.  The
+    absolute value counts a negative pair residual, which the line search
+    allows on pairs identified active, as far from converged.
     """
     p = problem.n_pairs
     if p == 0:
         return 0.0
-    return float(np.maximum.reduce(np.minimum(z[:p], r[:p])))
+    return float(np.maximum.reduce(np.abs(np.minimum(z[:p], r[:p]))))
 
 
 def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: MncpProblem):
-    """Feasible descent direction at z: solve J_H d = -H + sigma_c rho, sigma_c = _SIGMA_C.
+    """Descent direction at z: solve J_H d = -H + sigma_c rho, sigma_c = _SIGMA_C.
 
     r, h and s are the residual, the merit vector H and the merit value
     S = 0.5 ||H||^2 at z, as the caller already holds them.
 
-    rho is 0 on equality rows and, on pair row i,
-    rho_i = max(min(1, ||H||_2) mu, kappa h_i) with the complementarity gap
-    mu = mean(h_i) over the pairs and kappa = _KAPPA.  The gap term centres
-    the pairs and fades as ||H|| -> 0; the floor kappa h_i does not.  It
-    keeps one step from shrinking any product z_i r_i by more than
-    1 / (sigma_c kappa); without it a pair whose product is already far
-    below the gap is driven at once toward z_i = r_i = 0, where the
-    curvature of r flips the sign of r_i and the line search collapses.
-    Near the solution the floor binds, so a full step shrinks each product
-    by sigma_c kappa = 1/100: local convergence is linear, not quadratic,
-    and the distance of the start point from the solution sets the number
-    of iterations.
+    rho is 0 on equality rows and, on every pair row, the one target
+    max(min(1, ||H||_2) mu, 0) with the complementarity gap mu = mean(h_i)
+    over the p pairs.  It centres the pairs and, being O(||H||^2) near the
+    solution, fades faster than ||H||.
 
     Descent: grad(S)^T d = h^T rhs = -||H||^2 + sigma_c sum_i h_i rho_i, the
-    sum over the pairs, where h_i > 0 at interior points.  As
-    min(1, ||H||) <= 1,
-        sum_i h_i rho_i <= sum_i h_i max(mu, kappa h_i)
-                         = mu sum_i h_i + sum_{kappa h_i > mu} h_i (kappa h_i - mu)
-                        <= mu sum_i h_i + sum_i (h_i - mu)^2
-                         = sum_i h_i^2 <= ||H||^2,
-    because for kappa <= 1/2 each (h_i - mu)^2 - h_i (kappa h_i - mu) =
-    (1 - kappa) h_i^2 - h_i mu + mu^2 >= ((h_i - mu)^2 + mu^2) / 2 >= 0.
-    Hence grad(S)^T d <= -(1 - sigma_c) ||H||^2 for every kappa <= 1/2.
+    sum over the pairs.  That sum is 0 when mu <= 0 and otherwise at most
+    sum_i h_i mu = p mu^2 <= sum_i h_i^2 <= ||H||^2 by Cauchy-Schwarz, for
+    h_i of either sign.  Hence grad(S)^T d <= -(1 - sigma_c) ||H||^2.
     Returns (d, grad_S_dot_d).
     """
     jac = problem.jacobian(z)
     p = problem.n_pairs
     rhs = -h
     if p:
-        h_p = h[:p]
-        mu = np.add.reduce(h_p) / p
-        rhs[:p] += _SIGMA_C * np.maximum(min(1.0, math.sqrt(2.0 * s)) * mu, _KAPPA * h_p)
+        mu = np.add.reduce(h[:p]) / p
+        rhs[:p] += _SIGMA_C * max(min(1.0, math.sqrt(2.0 * s)) * mu, 0.0)
     # Jacobian of H: pair rows are z_i (dr_i/dz) + e_i r_i, the others dr_j/dz
     try:
         d = jac.newton_solve(z, r, rhs, p)
@@ -177,13 +167,17 @@ def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: Mn
     return d, g_dot_d
 
 
-def line_search(z, d, g_dot_d, s0, problem: MncpProblem):
+def line_search(z, r, d, g_dot_d, s0, problem: MncpProblem):
     """Backtracking on the ladder {1, nu, nu^2, ...}, nu = _NU_BACKTRACK.
 
-    Accepts the largest t keeping z + t d strictly interior (positive pair
-    variables and positive pair residuals) with Armijo decrease on S by the
-    fraction _ETA_ARMIJO.  The minimum over no pairs is +inf, so without
-    pairs every probe is interior.
+    r is the residual at z.  Accepts the largest t whose probe z + t d is
+    interior, with Armijo decrease on S by the fraction _ETA_ARMIJO.  A
+    probe is interior when its pair variables are positive and its pair
+    residual is positive on every pair not identified active at z, that is
+    where r_i >= z_i; a pair with r_i < z_i is heading for r_i = 0 and may
+    reach it.  The strict test, every probe residual positive, runs first
+    and settles all but the probes it rejects.  The minimum over no pairs
+    is +inf, so without pairs every probe is interior.
     Returns (t, z_next, r_next, h_next, s_next, n_merit_evals).
     """
     p = problem.n_pairs
@@ -196,7 +190,8 @@ def line_search(z, d, g_dot_d, s0, problem: MncpProblem):
             h_t = merit_vector(z_t, r_t, problem)
             s_t = 0.5 * float(h_t @ h_t)
             n_evals += 1
-            if (np.minimum.reduce(r_t[:p], initial=np.inf) > 0.0
+            if ((np.minimum.reduce(r_t[:p], initial=np.inf) > 0.0
+                    or np.minimum.reduce(np.maximum(r_t[:p], z[:p] - r[:p])) > 0.0)
                     and s_t <= s0 + _ETA_ARMIJO * t * g_dot_d):
                 return t, z_t, r_t, h_t, s_t, n_evals
         t *= _NU_BACKTRACK
@@ -239,15 +234,16 @@ def restore_feasibility(z0, problem: MncpProblem, shift: float = 0.0):
 def _record_failure(report: SolverReport, z, r, problem: MncpProblem) -> str:
     """Set report.worst_pair from the last iterate; describe its residual levels.
 
-    The worst pair is the one with the largest min(z_i, r_i), so that minimum
-    is the natural residual.
+    The worst pair is the one with the largest |min(z_i, r_i)|, so that
+    value is the natural residual.
     """
     text = f"max|H| = {report.h_inf:.3e}"
     p = problem.n_pairs
     if p:
-        row = int(np.minimum(z[:p], r[:p]).argmax())
+        gap = np.abs(np.minimum(z[:p], r[:p]))
+        row = int(gap.argmax())
         report.worst_pair = (row, float(z[row]), float(r[row]))
-        text += (f", natural residual = {min(z[row], r[row]):.3e}, worst pair row {row}: "
+        text += (f", natural residual = {gap[row]:.3e}, worst pair row {row}: "
                  f"z = {z[row]:.3e}, r = {r[row]:.3e}")
     return text
 
@@ -258,7 +254,7 @@ def _h_inf(h: np.ndarray) -> float:
 
 def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = None,
           shift: float = 0.0):
-    """Run the feasible-interior-point iteration from z0.
+    """Run the interior-point iteration from z0.
 
     shift is the restoration shift to start from (see restore_feasibility);
     the total shift used is returned in the report.
@@ -271,7 +267,7 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
     Returns (z_star, SolverReport) on convergence; raises a SolverError
     subclass carrying the last iterate and report otherwise.
     A failure inside the iteration reports max|H|, the natural residual and
-    the pair with the largest min(z_i, r_i) in its message and report.
+    the pair with the largest |min(z_i, r_i)| in its message and report.
     """
     opts = opts if opts is not None else SolverOptions()
     report = SolverReport()
@@ -295,7 +291,7 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
                 raise MaxIterations(f"no convergence in {opts.max_iter} iterations", iterate=z)
             d, g_dot_d = direction(z, r, h, s, problem)
             report.js_evals += 1
-            t, z, r, h, s, n_evals = line_search(z, d, g_dot_d, s, problem)
+            t, z, r, h, s, n_evals = line_search(z, r, d, g_dot_d, s, problem)
             report.s_evals += n_evals
             report.iterations += 1
             report.last_step = t

@@ -173,11 +173,11 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     two levels, and its restoration starts from max(s / 2, tol), where s is
     the previous step's total shift (a shift of 0 stays 0).  The shift thus
     decays while the predicted start stays interior.  The tol floor keeps G
-    at the start point near tol, about 4 times the shift, and one Newton
-    step shrinks it 1 / (_SIGMA_C _KAPPA) = 100 fold, by the solver's
-    centering constants in mncp.  A shift decayed far below tol leaves
-    every other start point infeasible, and restoration doubles the shift
-    back.
+    at the start point near tol, about 4 times the shift, so the pairs
+    start at the scale of the stopping test and one Newton step, whose
+    centering fades with ||H||, brings them below it.  A shift decayed far
+    below tol leaves every other start point infeasible, and restoration
+    doubles the shift back.
     """
     grid = config.grid
     cache = assemble_matrices(grid, config.params)

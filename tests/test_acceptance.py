@@ -74,7 +74,7 @@ def test_criterion_1_solver_toys():
                 np.max(np.minimum(z[:prob.n_pairs], r[:prob.n_pairs])) > opts.tol:
             assert iterations < 30, f"more than 30 iterations for solution {z_star}"
             d, g_dot_d = direction(z, r, h, s, prob)
-            _, z, r, h, s_next, _ = line_search(z, d, g_dot_d, s, prob)
+            _, z, r, h, s_next, _ = line_search(z, r, d, g_dot_d, s, prob)
             assert np.all(z[:prob.n_pairs] > 0.0)
             assert np.all(r[:prob.n_pairs] > 0.0)
             assert s_next < s

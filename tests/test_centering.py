@@ -1,4 +1,4 @@
-"""The centering target of the Newton direction: gap term with a per-pair floor."""
+"""The centering target of the Newton direction: one gap target for every pair."""
 
 import numpy as np
 import pytest
@@ -18,45 +18,60 @@ def diagonal_problem(slope, offset):
     )
 
 
-def test_floor_binds_on_one_pair():
-    # r = z at z = (0.1, 0.001): h = (1e-2, 1e-6), ||H|| ~ 1e-2 and the gap
-    # mu ~ 5e-3, so the gap target min(1, ||H||) mu ~ 5e-5 lies between the
-    # floors kappa h = (2e-4, 2e-8): pair 0 takes its floor, pair 1 the gap.
+def test_scalar_target_hand_value():
+    # r = z at z = (0.1, 0.001): h = (1e-2, 1e-6), ||H|| = 1e-2 (1 + 5e-9)
+    # and the gap mu = 5.0005e-3, so both pairs aim at min(1, ||H||) mu =
+    # 5.0005e-5 (1 + 5e-9).  With the Newton matrix diag(z * 1 + r) =
+    # diag(2 z) and sigma_c = 0.5, d = (-h + 2.50025e-5 (1 + 5e-9)) / (2 z):
+    # pair 0 shrinks its product, and pair 1, far below the target, grows it.
     prob = diagonal_problem(np.ones(2), np.zeros(2))
     z = np.array([0.1, 0.001])
-    h = z * z
-    sigma = 0.5
-    kappa = mncp._KAPPA
-    target_gap = np.sqrt(h @ h) * h.mean()
-    assert kappa * h[1] < target_gap < kappa * h[0]
-
+    assert mncp._SIGMA_C == 0.5
     d, g_dot_d = direction(z, *evaluated(z, prob), prob)
-    # Newton matrix diag(z * 1 + r) = diag(2 z)
-    expected = np.array([-h[0] * (1.0 - sigma * kappa), -h[1] + sigma * target_gap]) / (2.0 * z)
-    np.testing.assert_allclose(d, expected, rtol=1e-13)
-    assert d[0] == pytest.approx(-0.0495, rel=1e-13)
-    assert g_dot_d == pytest.approx(h @ (2.0 * z * expected), rel=1e-13)
+    assert d[0] == pytest.approx(-0.04987498749937494, rel=1e-13)
+    assert d[1] == pytest.approx(0.01200125006250625, rel=1e-13)
+    h = z * z
+    assert g_dot_d == pytest.approx(h @ (2.0 * z * d), rel=1e-13)
+
+
+def test_no_centering_when_the_gap_is_negative():
+    # r = z - 1 at z = (0.6, 1.15): h = (-0.24, 0.1725), so mu < 0 and
+    # the target is 0, which leaves the plain Newton step d = -h / (2 z - 1)
+    prob = diagonal_problem(np.ones(2), -np.ones(2))
+    z = np.array([0.6, 1.15])
+    r, h, s = evaluated(z, prob)
+    assert h.mean() < 0.0
+    d, g_dot_d = direction(z, r, h, s, prob)
+    np.testing.assert_allclose(d, -h / (2.0 * z - 1.0), rtol=1e-14)
+    assert g_dot_d == pytest.approx(-float(h @ h), rel=1e-14)
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
 def test_descent_bound_with_many_skewed_pairs(sigma, monkeypatch):
-    # grad(S)^T d <= -(1 - sigma_c) ||H||^2 must survive the floor, which can
-    # only bind above the gap target when there are more than 1/kappa pairs
-    # or ||H|| < 1, so both regimes are sampled with products over 20 decades.
+    # grad(S)^T d <= -(1 - sigma_c) ||H||^2 for products over 20 decades, in
+    # both regimes ||H|| >= 1 and ||H|| < 1, and for pair residuals of
+    # either sign: every fourth trial has some h_i < 0 with mu > 0, and
+    # every fourth has mu < 0
     rng = np.random.default_rng(17)
     monkeypatch.setattr(mncp, "_SIGMA_C", sigma)
-    floor_bound = {True: 0, False: 0}    # keyed by ||H|| >= 1
+    negative_gap = mixed_signs = 0
     for trial in range(40):
         n = int(rng.integers(200, 601))
         slope = rng.uniform(0.5, 2.0, n)
         offset = 10.0 ** rng.uniform(-8.0, 2.0, n)
+        if trial % 4 == 2:
+            offset[rng.random(n) < 0.2] *= -1.0
+        elif trial % 4 == 3:
+            offset[rng.random(n) < 0.8] *= -1.0
         prob = diagonal_problem(slope, offset)
         z = 10.0 ** rng.uniform(-8.0, 2.0, n) * (1e-6 if trial % 2 else 1.0)
         r, h, s = evaluated(z, prob)
         norm_h2 = float(h @ h)
-        gap_target = min(1.0, np.sqrt(norm_h2)) * h.mean()
-        if (mncp._KAPPA * h > gap_target).any():
-            floor_bound[norm_h2 >= 1.0] += 1
+        if (h < 0.0).any():
+            if h.mean() < 0.0:
+                negative_gap += 1
+            else:
+                mixed_signs += 1
         _, g_dot_d = direction(z, r, h, s, prob)
         assert g_dot_d <= -(1.0 - sigma) * norm_h2 * (1.0 - 1e-12)
-    assert min(floor_bound.values()) >= 5
+    assert negative_gap >= 5 and mixed_signs >= 5

@@ -69,6 +69,16 @@ class TestMeritAndResidual:
         z = np.array([0.5])
         assert natural_residual(z, prob.residual(z), prob) == pytest.approx(0.5)
 
+    def test_natural_residual_counts_a_negative_residual(self):
+        # z = 1 against r = -2e-8: min(z, r) is negative, so the pair is
+        # 2e-8 from complementary, above the default tol of 1e-8
+        prob = scalar_affine(offset=-1.0 - 2e-8)
+        z = np.array([1.0])
+        r = prob.residual(z)
+        assert r[0] == pytest.approx(-2e-8, rel=1e-7)
+        assert natural_residual(z, r, prob) == -r[0]
+        assert natural_residual(z, r, prob) > SolverOptions().tol
+
     def test_natural_residual_no_pairs(self):
         prob = MncpProblem(
             n_pairs=0,
@@ -139,10 +149,10 @@ class TestLineSearch:
     def test_full_step_accepted(self):
         prob = scalar_affine()
         z = np.array([1.0])
-        _, _, s0 = evaluated(z, prob)
+        r, _, s0 = evaluated(z, prob)
         d = np.array([-0.375])
         g_dot_d = -4.5
-        t, z_t, r_t, h_t, s_t, n_evals = line_search(z, d, g_dot_d, s0, prob)
+        t, z_t, r_t, h_t, s_t, n_evals = line_search(z, r, d, g_dot_d, s0, prob)
         assert t == 1.0
         assert z_t[0] == pytest.approx(0.625)
         assert s_t < s0
@@ -152,8 +162,8 @@ class TestLineSearch:
         # the full step would cross z = 0, so the ladder drops to nu = 0.8
         prob = scalar_affine()
         z = np.array([1.0])
-        _, _, s0 = evaluated(z, prob)
-        t, z_t, _, _, _, _ = line_search(z, np.array([-1.05]), -4.5, s0, prob)
+        r, _, s0 = evaluated(z, prob)
+        t, z_t, _, _, _, _ = line_search(z, r, np.array([-1.05]), -4.5, s0, prob)
         assert t == pytest.approx(0.8)
         assert z_t[0] == pytest.approx(1.0 - 0.8 * 1.05)
 
@@ -166,31 +176,72 @@ class TestLineSearch:
         z = np.array([2.0])
         r, h, s0 = evaluated(z, prob)
         d, g_dot_d = direction(z, r, h, s0, prob)
-        t, *_ = line_search(z, d, g_dot_d, s0, prob)
+        t, *_ = line_search(z, r, d, g_dot_d, s0, prob)
         k = round(np.log(t) / np.log(mncp._NU_BACKTRACK))
         assert t == pytest.approx(mncp._NU_BACKTRACK ** k, rel=1e-12)
 
     def test_zero_is_not_interior(self):
         # along d = -1, the full step from z = 2 lands on a pair residual
-        # r(z) = z - 1 of exactly 0.0, which the line search evaluates and
-        # rejects; the full step from z = 1 lands on a pair variable of
+        # r(z) = 2z - 2 of exactly 0.0, which the line search evaluates and
+        # rejects (r = z = 2 at the start, so the pair is not identified
+        # active); the full step from z = 1 lands on a pair variable of
         # exactly 0.0 (r(z) = z + 2), which it rejects before evaluating
-        for prob, z0, n_expected in ((scalar_affine(offset=-1.0), 2.0, 2), (scalar_affine(), 1.0, 1)):
+        for prob, z0, n_expected in ((scalar_affine(slope=2.0, offset=-2.0), 2.0, 2),
+                                     (scalar_affine(), 1.0, 1)):
             z = np.array([z0])
-            _, _, s0 = evaluated(z, prob)
-            t, z_t, r_t, _, _, n_evals = line_search(z, np.array([-1.0]), -4.0, s0, prob)
+            r, _, s0 = evaluated(z, prob)
+            t, z_t, r_t, _, _, n_evals = line_search(z, r, np.array([-1.0]), -4.0, s0, prob)
             assert t == mncp._NU_BACKTRACK
             assert z_t[0] > 0.0 and r_t[0] > 0.0
             assert n_evals == n_expected
 
+    @pytest.mark.parametrize("slope, offset, t_expected", [(1.0, -1.1, 1.0), (3.0, -3.1, 0.8)],
+                             ids=["identified_active", "not_identified_active"])
+    def test_probe_residual_may_fall_to_zero_only_where_identified_active(
+            self, slope, offset, t_expected):
+        # the full step from z = 2 along d = -1 is the same probe in both
+        # cases, z = 1 with r = -0.1; at the start r = 0.9 < z identifies the
+        # pair as active, so the probe is accepted, while r = 2.9 >= z does
+        # not, so it is rejected and the next rung (r = 0.5) accepted
+        prob = scalar_affine(slope=slope, offset=offset)
+        z = np.array([2.0])
+        r, _, s0 = evaluated(z, prob)
+        assert (r[0] < z[0]) == (t_expected == 1.0)
+        t, z_t, r_t, _, _, n_evals = line_search(z, r, np.array([-1.0]), -1.0, s0, prob)
+        assert t == t_expected
+        assert z_t[0] > 0.0
+        if t == 1.0:
+            assert z_t[0] == 1.0 and r_t[0] == pytest.approx(-0.1, rel=1e-12)
+            assert n_evals == 1
+        else:
+            assert r_t[0] > 0.0
+            assert n_evals == 2
+
+    def test_identification_is_per_pair(self):
+        # two uncoupled pairs: pair 0 (r = z - 1.1) is identified active at
+        # z = 2 and pair 1 (r = 3z - 3.1) is not; the full step puts both
+        # residuals at -0.1, and a step that moves only pair 0 is accepted
+        prob = MncpProblem(
+            n_pairs=2,
+            residual=lambda z: np.array([z[0] - 1.1, 3.0 * z[1] - 3.1]),
+            jacobian=dense(lambda z: np.diag([1.0, 3.0])),
+        )
+        z = np.array([2.0, 2.0])
+        r, _, s0 = evaluated(z, prob)
+        t_both, *_ = line_search(z, r, np.array([-1.0, -1.0]), -1.0, s0, prob)
+        assert t_both == mncp._NU_BACKTRACK
+        t_one, _, r_t, _, _, _ = line_search(z, r, np.array([-1.0, 0.0]), -1.0, s0, prob)
+        assert t_one == 1.0
+        assert r_t[0] < 0.0 < r_t[1]
+
     def test_stall_raises(self):
         prob = scalar_affine()
         z = np.array([1.0])
-        _, _, s0 = evaluated(z, prob)
+        r, _, s0 = evaluated(z, prob)
         with pytest.raises(mncp.LineSearchStall):
             # an ascent direction with a claimed steep descent slope can
             # never satisfy Armijo
-            line_search(z, np.array([1.0]), -100.0, s0, prob)
+            line_search(z, r, np.array([1.0]), -100.0, s0, prob)
 
 
 class TestRestoreFeasibility:
@@ -364,17 +415,25 @@ class TestSolve:
         assert report.h_inf == np.abs(h).max()
 
     def test_iterates_stay_interior_and_merit_decreases(self):
+        # both pairs end at r = 0 with z = 0.5, so both are identified active
+        # on the way and their residuals may cross 0; a pair with r >= z at
+        # an iterate keeps r > 0 at the next
         prob, z0, _ = toy_problems()[2]
+        p = prob.n_pairs
         z, _, _, _ = restore_feasibility(z0, prob)
+        crossed = False
         for _ in range(15):
             r, h, s = evaluated(z, prob)
             if np.max(np.abs(h)) <= 1e-10:
                 break
             d, g_dot_d = direction(z, r, h, s, prob)
-            t, z, r, h, s_next, _ = line_search(z, d, g_dot_d, s, prob)
-            assert np.all(z[:prob.n_pairs] > 0.0)
-            assert np.all(r[:prob.n_pairs] > 0.0)
+            not_active = r[:p] >= z[:p]
+            _, z, r_next, _, s_next, _ = line_search(z, r, d, g_dot_d, s, prob)
+            assert np.all(z[:p] > 0.0)
+            assert np.all(r_next[:p][not_active] > 0.0)
+            crossed |= bool((r_next[:p] <= 0.0).any())
             assert s_next < s
+        assert crossed
 
     @pytest.mark.parametrize("case, z0", [(2, [0.0, 0.0]), (3, [-1.0, 2.0])],
                              ids=["all_pairs", "pair_and_equality"])

@@ -44,15 +44,54 @@ def test_base_case_m6400_reaches_t_0_001(method):
     assert np.all((final.eta >= 0.0) & (final.eta <= 1.0 + 1e-8))
 
 
+def check_bounded_and_burning_forward(series, n_steps):
+    """theta >= 0 and 0 <= eta <= 1 (to round-off; NCP reaches 1 + 2e-16)
+    at every snapshot, and eta never falls from one snapshot to the next by
+    more than round-off."""
+    assert len(series.per_step) == n_steps
+    theta = np.array([state.theta for _, state in series.snapshots])
+    eta = np.array([state.eta for _, state in series.snapshots])
+    assert len(eta) == n_steps + 1
+    assert np.all(theta >= 0.0)
+    assert np.all((eta >= 0.0) & (eta <= 1.0 + 1e-12))
+    assert np.diff(eta, axis=0).min() >= -1e-12
+
+
+@pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
+@pytest.mark.parametrize("m, max_iterations", [(100, 16), (400, 24)])
+def test_ignition_case_reaches_t_1(method, m, max_iterations):
+    # the base case on a domain 100 times longer with k = 1e-3: the front
+    # ignites, and theta >= 0 binds in the troughs of the centred convection
+    # wiggles upstream of it (cell Peclet number 264 at M = 100, 66 at
+    # M = 400).  Elsewhere G_i = 0 at the solution while theta_i stays
+    # large, so a Newton step may take G_i to 0 or below there.  The most
+    # iterations a step takes is 14 / 14 at M = 100 and 21 / 22 at M = 400
+    # (MNCP / NCP)
+    grid = Grid(length=5.0, m=m, k=1e-3, n_steps=1000)
+    config = RunConfig(grid=grid, params=BASE_PARAMS, method=method,
+                       record_times=tuple(np.arange(grid.n_steps + 1) * grid.k))
+    series = run(config)
+    check_bounded_and_burning_forward(series, grid.n_steps)
+    assert max(s.iterations for s in series.per_step) <= max_iterations
+
+
+@pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
+def test_base_case_m12800_takes_10_steps(method):
+    # step 0 drives node 1 to z = r = 3.2e-7; each step takes 11 or 12
+    # iterations
+    config = base_config(12800, method, record_times=tuple(np.arange(11) * 1e-5))
+    series = run(replace(config, grid=replace(config.grid, n_steps=10)))
+    check_bounded_and_burning_forward(series, 10)
+    assert max(s.iterations for s in series.per_step) <= 14
+
+
 @pytest.mark.parametrize("eta0", [np.zeros(6), np.linspace(0.0, 0.5, 6)], ids=["eta_zero", "eta_ramp"])
-@pytest.mark.parametrize("method", [mncp.MNCP, pytest.param(mncp.NCP, marks=pytest.mark.xfail(
-    strict=True, raises=StepFailed,
-    reason="known failure, ROADMAP item 1: NCP stalls at step 0 (LineSearchStall) with a natural "
-           "residual of 1.2e-7 / 2.7e-7 at eta node 1; every probe it rejects has some G_i <= 0. "
-           "Item 1 must turn this into a passing gate"))])
+@pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
 def test_warm_start_with_zero_eta(method, eta0):
-    # theta = 0.25 everywhere and eta = 0 at node 1 at least; MNCP takes at
-    # most 3 iterations per step from these states
+    # theta = 0.25 everywhere and eta = 0 at node 1 at least.  MNCP takes at
+    # most 2 iterations per step from these states; NCP takes 7 / 8 on
+    # step 0, where it accepts iterates with some pair residual <= 0 on
+    # pairs identified active
     grid = Grid(length=0.05, m=6, k=1e-5, n_steps=12)
     config = RunConfig(grid=grid, params=BASE_PARAMS, method=method,
                        record_times=(grid.n_steps * grid.k,))
@@ -89,7 +128,7 @@ class TestFailureMessages:
         row, z_row, r_row = err.report.worst_pair
         z = err.iterate
         r = prob.residual(z)
-        gap = np.minimum(z, r)
+        gap = np.abs(np.minimum(z, r))
         assert row == int(gap.argmax())
         assert (z_row, r_row) == (z[row], r[row])
         assert int(STATE_TEXT.search(str(err)).group(1)) == row
