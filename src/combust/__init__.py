@@ -1,39 +1,1 @@
 """Combustion front simulation via Crank-Nicolson and interior-point complementarity solvers."""
-
-from combust.model import (
-    DimensionalParams,
-    DimensionlessParams,
-    Scales,
-    BASE_PARAMS,
-    TYPICAL_RESERVOIR,
-    TYPICAL_SCALES,
-    nondimensionalize,
-)
-from combust.discretization import Grid, State, SchemeCache, assemble_matrices
-from combust.mncp import MncpProblem, SolverOptions, SolverReport, MNCP, NCP, solve
-from combust.timestepper import RunConfig, TimeSeries, initial_state, run, step
-
-__all__ = [
-    "DimensionalParams",
-    "DimensionlessParams",
-    "Scales",
-    "BASE_PARAMS",
-    "TYPICAL_RESERVOIR",
-    "TYPICAL_SCALES",
-    "nondimensionalize",
-    "Grid",
-    "State",
-    "SchemeCache",
-    "assemble_matrices",
-    "MncpProblem",
-    "SolverOptions",
-    "SolverReport",
-    "MNCP",
-    "NCP",
-    "solve",
-    "RunConfig",
-    "TimeSeries",
-    "initial_state",
-    "run",
-    "step",
-]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,8 +12,9 @@ from combust.mncp import MNCP, NCP
 from combust.timestepper import RunConfig, TimeSeries, run
 
 
-@dataclass
-class DiffRow:
+class DiffRow(NamedTuple):
+    """One row of the `compare` CSV, fields in column order."""
+
     time: float
     theta_max: float
     theta_l2: float
@@ -21,15 +22,16 @@ class DiffRow:
     eta_l2: float
 
 
-@dataclass
-class ErrorRow:
+class ErrorRow(NamedTuple):
+    """One row of the `refine` CSV, fields in column order."""
+
     time: float
-    variable: str            # "theta" or "eta"
     e_h: float
     e_h2: float
     e_h4: float
     ratio1: float            # e_h / e_h2, nan when undefined
     ratio2: float            # e_h2 / e_h4, nan when undefined
+    variable: str            # "theta" or "eta"
 
 
 def diff_series(a: TimeSeries, b: TimeSeries) -> list:
@@ -107,9 +109,10 @@ def refine_errors(base_config: RunConfig, times) -> list:
         for var in ("theta", "eta"):
             e_h, e_h2, e_h4 = errors[var]
             rows.append(ErrorRow(
-                time=t, variable=var, e_h=e_h, e_h2=e_h2, e_h4=e_h4,
+                time=t, e_h=e_h, e_h2=e_h2, e_h4=e_h4,
                 ratio1=e_h / e_h2 if e_h2 > 0.0 else float("nan"),
                 ratio2=e_h2 / e_h4 if e_h4 > 0.0 else float("nan"),
+                variable=var,
             ))
     return rows
 

@@ -14,7 +14,7 @@ from combust import analysis
 from combust.discretization import ETA_B, THETA_B, Grid
 from combust.mncp import MNCP, NCP, SolverOptions
 from combust.model import BASE_PARAMS, DimensionalParams, DimensionlessParams, Scales, nondimensionalize
-from combust.timestepper import RunConfig, StepFailed, TimeSeries, run
+from combust.timestepper import RunConfig, StepFailed, TimeSeries, nearest_step, run
 
 DEFAULT_RECORD_TIMES = (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)
 
@@ -128,7 +128,7 @@ def _build_config(values, lines) -> RunConfig:
     t_end = values.get("t_end", 0.01)
     # Grid rejects k <= 0, so n_steps must not divide by it first.
     grid = Grid(length=values.get("domain_length", 0.05), m=values.get("m_subintervals", 50),
-                k=k, n_steps=round(t_end / k) if k > 0.0 else 0)
+                k=k, n_steps=nearest_step(t_end, k) if k > 0.0 else 0)
     return RunConfig(grid=grid, params=params, method=values.get("method", MNCP),
                      solver_opts=SolverOptions(**_given(values, SolverOptions)),
                      record_times=values.get("record_times", DEFAULT_RECORD_TIMES))
@@ -157,21 +157,6 @@ def emit_profiles(ts: TimeSeries, grid: Grid, path) -> None:
         [repr(float(t_snap)), repr(float(x_i)), repr(float(theta)), repr(float(eta))]
         for t_snap, state in ts.snapshots
         for x_i, theta, eta in zip(x, np.r_[THETA_B, state.theta], np.r_[ETA_B, state.eta])
-    ))
-
-
-def emit_diff(rows, path) -> None:
-    _write_csv(path, ["time", "theta_max", "theta_l2", "eta_max", "eta_l2"], (
-        [repr(row.time), repr(row.theta_max), repr(row.theta_l2), repr(row.eta_max), repr(row.eta_l2)]
-        for row in rows
-    ))
-
-
-def emit_error_table(rows, path) -> None:
-    _write_csv(path, ["t", "E_h", "E_h2", "E_h4", "ratio1", "ratio2", "variable"], (
-        [repr(row.time), repr(row.e_h), repr(row.e_h2), repr(row.e_h4),
-         repr(row.ratio1), repr(row.ratio2), row.variable]
-        for row in rows
     ))
 
 
@@ -216,7 +201,8 @@ def emit_plot_script(command, csv_path, path) -> None:
 
 
 def _load_config(args) -> RunConfig:
-    """The --config file's values with --method, --m and --tend put in, then one build."""
+    """The --config file's values with --method, --m and --tend put in, each flag's
+    text converted as its key's line in the file would be, then one build."""
     values, lines = _read_config(args.config) if args.config is not None else ({}, {})
     for key, flag in (("method", args.method), ("m_subintervals", args.m), ("t_end", args.tend)):
         if flag is not None:
@@ -237,9 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="key = value configuration file")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--method", choices=[MNCP, NCP], default=None)
-        p.add_argument("--m", type=int, default=None, help="override interior node count")
-        p.add_argument("--tend", type=float, default=None, help="override final time")
+        p.add_argument("--method", default=None, help="override method (mncp or ncp)")
+        p.add_argument("--m", default=None, help="override interior node count")
+        p.add_argument("--tend", default=None, help="override final time")
         if name in ("run", "refine"):
             p.add_argument("--plot-script", default=None, help="also emit a gnuplot script here")
     return parser
@@ -289,10 +275,12 @@ def main(argv=None) -> int:
             ts = run(config)
             emit_profiles(ts, config.grid, args.out)
         elif args.command == "compare":
-            emit_diff(analysis.compare_methods(config), args.out)
+            _write_csv(args.out, ["time", "theta_max", "theta_l2", "eta_max", "eta_l2"],
+                       analysis.compare_methods(config))
         elif args.command == "refine":
             times = tuple(t for t in config.record_times if t > 0.0)
-            emit_error_table(analysis.refine_errors(config, times), args.out)
+            _write_csv(args.out, ["t", "E_h", "E_h2", "E_h4", "ratio1", "ratio2", "variable"],
+                       analysis.refine_errors(config, times))
         elif args.command == "bench":
             emit_bench(analysis.bench(config), args.out)
         if getattr(args, "plot_script", None) is not None:

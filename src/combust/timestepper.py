@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -147,15 +148,17 @@ def step(state: State, equations: StepEquations, config: RunConfig, shift: float
     return State.stacked(z, state.n + 1), report
 
 
+def nearest_step(t: float, k: float) -> int:
+    """The step index nearest to time t with time step k; a tie goes to the lower step."""
+    n = math.floor(t / k)
+    return n if t - n * k <= (n + 1) * k - t else n + 1
+
+
 def snapshot_indices(grid: Grid, record_times) -> dict:
-    """Map each requested time to the nearest step index (ties to the lower step)."""
+    """Map each requested time to its nearest step, clamped to the run's steps."""
     out = {}
     for t in record_times:
-        n_lo = int(np.floor(t / grid.k))
-        n_lo = min(max(n_lo, 0), grid.n_steps)
-        n_hi = min(n_lo + 1, grid.n_steps)
-        n = n_lo if (t - n_lo * grid.k) <= (n_hi * grid.k - t) else n_hi
-        out.setdefault(n, t)
+        out.setdefault(min(max(nearest_step(t, grid.k), 0), grid.n_steps), t)
     return out
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from combust import analysis, cli
+from combust import analysis, cli, timestepper
 from combust.cli import ConfigError, main, parse_config
 from combust.mncp import MNCP, NCP, SolverOptions
 from combust.model import (
@@ -177,12 +177,35 @@ class TestParseConfig:
         flags = write_config(tmp_path, base + "m_subintervals = 8\n", name="flags.cfg")
         keys = write_config(tmp_path, base + "method = ncp\nm_subintervals = 6\nt_end = 3e-5\n",
                             name="keys.cfg")
-        argv = ["run", "--out", "o.csv", "--method", "ncp", "--m", "6", "--tend", "3e-5"]
-        if with_file:
-            argv += ["--config", flags]
-        config = cli._load_config(cli._build_parser().parse_args(argv))
-        assert config == parse_config(keys)
-        assert (config.grid.m, config.grid.n_steps, config.method) == (6, 3, NCP)
+        # the method is case-insensitive as a flag, as it is as a key
+        for method in ("ncp", "NCP"):
+            argv = ["run", "--out", "o.csv", "--method", method, "--m", "6", "--tend", "3e-5"]
+            if with_file:
+                argv += ["--config", flags]
+            config = cli._load_config(cli._build_parser().parse_args(argv))
+            assert config == parse_config(keys)
+            assert (config.grid.m, config.grid.n_steps, config.method) == (6, 3, NCP)
+
+
+class TestTimeToStep:
+    # k = 2**-10 and t_end = (j + 1/2) k are exact in binary: every t_end is a tie
+    K = 2.0**-10
+
+    @pytest.mark.parametrize("j", range(21))
+    def test_t_end_is_the_last_step(self, tmp_path, j):
+        t_end = (j + 0.5) * self.K
+        config = parse_config(write_config(tmp_path, f"time_step = {self.K!r}\nt_end = {t_end!r}\n"))
+        assert config.grid.n_steps == j
+        assert timestepper.snapshot_indices(config.grid, (t_end,)) == {config.grid.n_steps: t_end}
+
+    def test_run_at_a_tie_writes_its_final_state(self, tmp_path):
+        t_end = 11.5 * self.K
+        config = parse_config(write_config(
+            tmp_path, f"m_subintervals = 10\ntime_step = {self.K!r}\nt_end = {t_end!r}\n"
+                      f"record_times = 0.0, {t_end!r}\n"))
+        series = timestepper.run(config)
+        assert config.grid.n_steps == 11
+        assert [state.n for _, state in series.snapshots] == [0, config.grid.n_steps]
 
 
 SMALL_RUN = """
@@ -352,6 +375,18 @@ class TestMain:
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"), *flags]) == 1
         assert "combust: configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--m", "abc", "m_subintervals"), ("--tend", "x", "t_end"), ("--method", "foo", "method"),
+    ])
+    def test_unparsable_flag_exit_code(self, tmp_path, capsys, flag, value, key):
+        # a flag is converted as its key in the file is: a configuration error, not a usage error
+        assert main(["run", "--out", str(tmp_path / "o.csv"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("combust: configuration error: ")
+        assert key in err
+        assert "usage:" not in err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("out, script", [("missing/o.csv", "p.gp"), ("o.csv", "missing/p.gp")])
     def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch, out, script):
