@@ -126,6 +126,11 @@ def _build_config(values, lines) -> RunConfig:
 
     k = values.get("time_step", 1e-5)
     t_end = values.get("t_end", 0.01)
+    # Above 2**53 steps, float64 step indices are not exact and nearest_step
+    # cannot place times; such a run would not end in any case.
+    if k > 0.0 and t_end / k > 2.0**53:
+        raise ConfigError(f"t_end / time_step = {t_end / k:.3g} exceeds 2**53 steps",
+                          lines.get("t_end", lines.get("time_step", 0)))
     # Grid rejects k <= 0, so n_steps must not divide by it first.
     grid = Grid(length=values.get("domain_length", 0.05), m=values.get("m_subintervals", 50),
                 k=k, n_steps=nearest_step(t_end, k) if k > 0.0 else 0)
@@ -207,6 +212,7 @@ def _load_config(args) -> RunConfig:
     for key, flag in (("method", args.method), ("m_subintervals", args.m), ("t_end", args.tend)):
         if flag is not None:
             values[key] = _CONVERTERS[key](flag, key, 0)
+            lines.pop(key, None)
     return _build_config(values, lines)
 
 

@@ -127,19 +127,26 @@ def _failure_reason(err: SolverError, m: int) -> str:
 
 
 def step(state: State, equations: StepEquations, config: RunConfig, shift: float = 0.0,
-         previous: Optional[State] = None):
+         previous: Optional[State] = None, earlier: Optional[State] = None):
     """Advance one time level from the restoration shift `shift`.
 
     equations hold the level data of `state` and are advanced to those of
-    the next state.  The solve starts from z^n or, given the previous level,
-    from the linear extrapolation 2 z^n - z^(n-1) on both theta and eta.  The
+    the next state.  The solve starts from z^n; given the previous level,
+    from the linear extrapolation 2 z^n - z^(n-1); given also the level
+    before it (`earlier`), from the quadratic extrapolation
+    3 (z^n - z^(n-1)) + z^(n-2).  Both act on theta and eta alike.  The
     start is not clipped: restoration clamps the pair variables, on a copy,
-    so `state` is left as it was.
+    so no input state is changed.
     Returns (next_state, report): next_state holds the solver's z itself,
     which nothing else references, and report is the SolverReport of the
     solve, whose shift is the total restoration shift the solve used.
     """
-    z0 = state.z if previous is None else 2.0 * state.z - previous.z
+    if previous is None:
+        z0 = state.z
+    elif earlier is None:
+        z0 = 2.0 * state.z - previous.z
+    else:
+        z0 = 3.0 * (state.z - previous.z) + earlier.z
     try:
         z, report = solve(equations.problem, z0, config.solver_opts, shift)
     except SolverError as err:
@@ -173,8 +180,15 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     to the next level (see StepEquations.advance).
 
     Every step after the first starts from the extrapolation of the last
-    two levels, and its restoration starts from max(s / 2, tol), where s is
-    the previous step's total shift (a shift of 0 stays 0).  The shift thus
+    two levels, or of the last three after a slow step: one that took more
+    than its two residual evaluations (an extra Newton iteration, a
+    restoration doubling or a backtracked probe).  The quadratic start
+    shortens the transient after the cold start and through ignition.  On
+    every other step the linear start is kept: it carries the levels'
+    tolerance-sized errors with weights (2, 1) instead of (3, 3, 1), and
+    the quadratic start on every step costs restoration doublings and
+    accuracy.  Restoration starts from max(s / 2, tol), where s is the
+    previous step's total shift (a shift of 0 stays 0).  The shift thus
     decays while the predicted start stays interior.  The tol floor keeps G
     at the start point near tol, about 4 times the shift, so the pairs
     start at the scale of the stopping test and one Newton step, whose
@@ -191,16 +205,17 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     snapshots = []
     per_step = []
     shift = 0.0
-    previous = None
+    previous = earlier = None
     if 0 in snap_at:
         snapshots.append((0.0, state))
     for n in range(grid.n_steps):
         try:
-            next_state, report = step(state, equations, config, shift, previous)
+            next_state, report = step(state, equations, config, shift, previous, earlier)
         except StepFailed as err:
             err.partial = TimeSeries(snapshots=snapshots, per_step=per_step)
             raise
         per_step.append(report)
+        earlier = previous if report.s_evals > 2 else None
         previous, state = state, next_state
         shift = max(0.5 * report.shift, config.solver_opts.tol) if report.shift > 0.0 else 0.0
         if state.n in snap_at:

@@ -207,6 +207,16 @@ class TestTimeToStep:
         assert config.grid.n_steps == 11
         assert [state.n for _, state in series.snapshots] == [0, config.grid.n_steps]
 
+    def test_at_most_2_53_steps(self, tmp_path):
+        # float64 step indices are exact up to 2**53: one step more is refused,
+        # as nearest_step could not place a time beyond it
+        top = 2.0**53 * self.K
+        config = parse_config(write_config(tmp_path, f"time_step = {self.K!r}\nt_end = {top!r}\n"))
+        assert config.grid.n_steps == 2**53
+        beyond = float(np.nextafter(top, np.inf))
+        with pytest.raises(ConfigError, match=r"^line 2: t_end / time_step = .* exceeds 2\*\*53 steps$"):
+            parse_config(write_config(tmp_path, f"time_step = {self.K!r}\nt_end = {beyond!r}\n"))
+
 
 SMALL_RUN = """
 m_subintervals = 8
@@ -375,6 +385,17 @@ class TestMain:
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"), *flags]) == 1
         assert "combust: configuration error" in capsys.readouterr().err
+
+    def test_tend_beyond_2_53_steps_exit_code(self, tmp_path, capsys, monkeypatch):
+        # at the default k = 1e-5 the run would never end: it is refused before it starts
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        cfg = write_config(tmp_path, "t_end = 0.0002\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--tend", "1e300"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "combust: configuration error: t_end / time_step = 1e+305 exceeds 2**53 steps")
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--m", "abc", "m_subintervals"), ("--tend", "x", "t_end"), ("--method", "foo", "method"),

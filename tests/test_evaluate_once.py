@@ -60,9 +60,9 @@ def test_long_run_matches_fresh_assembly(monkeypatch, method):
     _, carried = run(config).snapshots[-1]
     original = timestepper.step
 
-    def assembling(state, equations, config, shift=0.0, previous=None):
+    def assembling(state, equations, config, shift=0.0, previous=None, earlier=None):
         fresh = timestepper.StepEquations(equations.cache, config.method, state)
-        return original(state, fresh, config, shift, previous)
+        return original(state, fresh, config, shift, previous, earlier)
 
     monkeypatch.setattr(timestepper, "step", assembling)
     _, fresh = run(config).snapshots[-1]

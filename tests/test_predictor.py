@@ -1,4 +1,5 @@
-"""Each step starts from the linear extrapolation of the last two levels."""
+"""Each step starts from the extrapolation of the last two levels, or of the
+last three after a slow step."""
 
 from dataclasses import replace
 
@@ -35,31 +36,45 @@ def start_points(monkeypatch):
 
 @pytest.mark.parametrize("method", [MNCP, NCP])
 def test_step_with_previous_extrapolates(start_points, method):
+    # given the previous level, the start is 2 z^n - z^(n-1); given also the
+    # level before it, 3 (z^n - z^(n-1)) + z^(n-2)
     config = three_steps(method)
     cache = assemble_matrices(config.grid, config.params)
     rng = np.random.default_rng(3)
-    previous = State(theta=rng.uniform(0.0, 1e-3, 8), eta=rng.uniform(0.0, 1e-2, 8), n=4)
+    earlier = State(theta=rng.uniform(0.0, 1e-3, 8), eta=rng.uniform(0.0, 1e-2, 8), n=3)
+    previous = State(theta=earlier.theta + rng.uniform(0.0, 1e-5, 8),
+                     eta=earlier.eta + rng.uniform(0.0, 1e-4, 8), n=4)
     current = State(theta=previous.theta + rng.uniform(0.0, 1e-5, 8),
                     eta=previous.eta + rng.uniform(0.0, 1e-4, 8), n=5)
     step(current, timestepper.StepEquations(cache, method, current), config, 0.0, previous)
+    step(current, timestepper.StepEquations(cache, method, current), config, 0.0, previous, earlier)
     np.testing.assert_array_equal(
         start_points[0],
         np.concatenate((2.0 * current.theta - previous.theta, 2.0 * current.eta - previous.eta)))
+    np.testing.assert_array_equal(
+        start_points[1],
+        np.concatenate((3.0 * (current.theta - previous.theta) + earlier.theta,
+                        3.0 * (current.eta - previous.eta) + earlier.eta)))
 
 
 @pytest.mark.parametrize("initial", [None, State(theta=np.full(8, 0.25), eta=np.full(8, 0.5))])
 def test_run_extrapolates_after_the_first_step(start_points, initial):
-    config = three_steps(record_times=tuple(i * 1e-5 for i in range(4)))
-    series = run(config, initial=initial)
-    levels = [s for _, s in series.snapshots]
-    assert len(start_points) == 3
-    # the first step starts from the initial level itself
-    np.testing.assert_array_equal(start_points[0], np.concatenate((levels[0].theta, levels[0].eta)))
-    for n in (1, 2):
-        np.testing.assert_array_equal(
-            start_points[n],
-            np.concatenate((2.0 * levels[n].theta - levels[n - 1].theta,
-                            2.0 * levels[n].eta - levels[n - 1].eta)))
+    # the first step starts from the initial level and the second from two
+    # levels; each later step starts from three levels after a step that
+    # took more than two residual evaluations, and from two otherwise.
+    # Within 12 steps both initial levels reach both cases
+    config = base_config(8, MNCP, record_times=tuple(i * 1e-5 for i in range(13)))
+    series = run(replace(config, grid=replace(config.grid, n_steps=12)), initial=initial)
+    z = [s.z for _, s in series.snapshots]
+    assert len(start_points) == len(z) - 1 == 12
+    np.testing.assert_array_equal(start_points[0], z[0])
+    np.testing.assert_array_equal(start_points[1], 2.0 * z[1] - z[0])
+    slow_before = []
+    for n in range(2, 12):
+        slow_before.append(series.per_step[n - 1].s_evals > 2)
+        expected = 3.0 * (z[n] - z[n - 1]) + z[n - 2] if slow_before[-1] else 2.0 * z[n] - z[n - 1]
+        np.testing.assert_array_equal(start_points[n], expected)
+    assert any(slow_before) and not all(slow_before)
 
 
 @pytest.mark.parametrize("fixture", ["run_m50_mncp", "run_m50_ncp"])
@@ -87,9 +102,9 @@ def test_base_case_counts(request, fixture):
     # the counts of the paper's base case (M = 50, k = 1e-5, t = 0.01) in
     # both modes; a change to the iteration shows here first
     per_step = request.getfixturevalue(fixture).per_step
-    assert sum(s.iterations for s in per_step) == 1008
-    assert sum(s.s_evals for s in per_step) == 2011
-    assert sum(s.js_evals for s in per_step) == 1008
+    assert sum(s.iterations for s in per_step) == 1007
+    assert sum(s.s_evals for s in per_step) == 2010
+    assert sum(s.js_evals for s in per_step) == 1007
     assert max(s.iterations for s in per_step) == 3
 
 
@@ -98,7 +113,7 @@ def test_m400_counts(method):
     # the same counts at M = 400 (k = 1e-5, t = 0.01), the grid size of the
     # benchmark's fine_m400 and ncp_m400 workloads, where a step can take 4
     per_step = run(base_config(400, method, record_times=())).per_step
-    assert sum(s.iterations for s in per_step) == 1015
-    assert sum(s.s_evals for s in per_step) == 2018
-    assert sum(s.js_evals for s in per_step) == 1015
+    assert sum(s.iterations for s in per_step) == 1011
+    assert sum(s.s_evals for s in per_step) == 2016
+    assert sum(s.js_evals for s in per_step) == 1011
     assert max(s.iterations for s in per_step) <= 4

@@ -97,9 +97,9 @@ def test_run_halves_the_shift_down_to_tol(monkeypatch):
     passed, used = [], []
     original = timestepper.step
 
-    def recording(state, equations, config, shift=0.0, previous=None):
+    def recording(state, equations, config, shift=0.0, previous=None, earlier=None):
         passed.append(shift)
-        next_state, report = original(state, equations, config, shift, previous)
+        next_state, report = original(state, equations, config, shift, previous, earlier)
         if next_state.n == 5:
             report = replace(report, shift=0.0)
         used.append(report.shift)
