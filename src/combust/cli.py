@@ -292,12 +292,13 @@ def main(argv=None) -> int:
         if getattr(args, "plot_script", None) is not None:
             emit_plot_script(args.command, args.out, args.plot_script)
     except StepFailed as err:
-        kind = type(err.cause).__name__
-        print(f"combust: solver failure ({kind}) at time step {err.time_index}: {err.reason}",
-              file=sys.stderr)
+        print(f"combust: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"combust: cannot write output: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"combust: out of memory: {err}", file=sys.stderr)
         return 1
     return 0
 

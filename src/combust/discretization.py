@@ -68,6 +68,13 @@ class Grid:
             raise ValueError("grid length and time step must be positive and finite")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
+        try:
+            finite = math.isfinite(self.mu)
+        except (ZeroDivisionError, OverflowError):   # h**2 underflows to 0 or overflows
+            finite = False
+        if not finite:
+            raise ValueError(f"grid spacing h = {self.h:.3g} and time step k = {self.k:.3g} "
+                             "give no finite k/h^2")
 
     @property
     def h(self) -> float:

@@ -38,7 +38,7 @@ _MAX_RESTORE = 60       # doubling cap in feasibility restoration
 
 
 class SolverError(RuntimeError):
-    """Base class for solver failures; carries the last iterate and report."""
+    """Base class for solver failures; carries the report and the last iterate (see solve)."""
 
     def __init__(self, message: str, iterate=None, report=None):
         super().__init__(message)
@@ -79,12 +79,13 @@ class MncpProblem:
     """Evaluation contract for one complementarity problem.
 
     residual maps z to the full residual vector.  The first n_pairs rows are
-    the complementarity pairs (pair i couples z_i with residual row i); every
-    later row is an equality.  jacobian maps z to its derivative J, whose
-    newton_solve(z, r, rhs, n_pairs), given the residual r at z, returns the
-    solution d of the Newton matrix of H, (diag(s) J + diag(a)) d = rhs with
-    s = z and a = r on the first n_pairs rows and s = 1, a = 0 on the
-    others, and raises np.linalg.LinAlgError when that matrix is singular.
+    the complementarity pairs (pair i couples z_i with residual row i), with
+    n_pairs >= 1; every later row is an equality.  jacobian maps z to its
+    derivative J, whose newton_solve(z, r, rhs, n_pairs), given the
+    residual r at z, returns the solution d of the Newton matrix of H,
+    (diag(s) J + diag(a)) d = rhs with s = z and a = r on the first n_pairs
+    rows and s = 1, a = 0 on the others, and raises np.linalg.LinAlgError
+    when that matrix is singular.
 
     jacobian(z) is called only at the point z of the latest residual call,
     unmodified since: solve() hands direction() the restored start or the
@@ -100,7 +101,6 @@ class MncpProblem:
 
 @dataclass
 class SolverReport:
-    converged: bool = False
     iterations: int = 0
     s_evals: int = 0       # merit evaluations, line-search probes included
     js_evals: int = 0      # Jacobian builds / factorizations
@@ -129,8 +129,6 @@ def natural_residual(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> floa
     allows on pairs identified active, as far from converged.
     """
     p = problem.n_pairs
-    if p == 0:
-        return 0.0
     return float(np.maximum.reduce(np.abs(np.minimum(z[:p], r[:p]))))
 
 
@@ -154,14 +152,13 @@ def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: Mn
     jac = problem.jacobian(z)
     p = problem.n_pairs
     rhs = -h
-    if p:
-        mu = np.add.reduce(h[:p]) / p
-        rhs[:p] += _SIGMA_C * max(min(1.0, math.sqrt(2.0 * s)) * mu, 0.0)
+    mu = np.add.reduce(h[:p]) / p
+    rhs[:p] += _SIGMA_C * max(min(1.0, math.sqrt(2.0 * s)) * mu, 0.0)
     # Jacobian of H: pair rows are z_i (dr_i/dz) + e_i r_i, the others dr_j/dz
     try:
         d = jac.newton_solve(z, r, rhs, p)
     except np.linalg.LinAlgError as err:
-        raise SingularJacobian("Newton matrix is singular", iterate=z) from err
+        raise SingularJacobian("Newton matrix is singular") from err
     # grad(S)^T d = h^T J_H d = h^T rhs for the matrix actually solved
     g_dot_d = float(h @ rhs)
     return d, g_dot_d
@@ -176,8 +173,7 @@ def line_search(z, r, d, g_dot_d, s0, problem: MncpProblem):
     residual is positive on every pair not identified active at z, that is
     where r_i >= z_i; a pair with r_i < z_i is heading for r_i = 0 and may
     reach it.  The strict test, every probe residual positive, runs first
-    and settles all but the probes it rejects.  The minimum over no pairs
-    is +inf, so without pairs every probe is interior.
+    and settles all but the probes it rejects.
     Returns (t, z_next, r_next, h_next, s_next, n_merit_evals).
     """
     p = problem.n_pairs
@@ -185,17 +181,17 @@ def line_search(z, r, d, g_dot_d, s0, problem: MncpProblem):
     n_evals = 0
     while t >= _STEP_FLOOR:
         z_t = z + d if t == 1.0 else z + t * d
-        if np.minimum.reduce(z_t[:p], initial=np.inf) > 0.0:
+        if np.minimum.reduce(z_t[:p]) > 0.0:
             r_t = problem.residual(z_t)
             h_t = merit_vector(z_t, r_t, problem)
             s_t = 0.5 * float(h_t @ h_t)
             n_evals += 1
-            if ((np.minimum.reduce(r_t[:p], initial=np.inf) > 0.0
+            if ((np.minimum.reduce(r_t[:p]) > 0.0
                     or np.minimum.reduce(np.maximum(r_t[:p], z[:p] - r[:p])) > 0.0)
                     and s_t <= s0 + _ETA_ARMIJO * t * g_dot_d):
                 return t, z_t, r_t, h_t, s_t, n_evals
         t *= _NU_BACKTRACK
-    raise LineSearchStall(f"line search stalled below t={_STEP_FLOOR} (S={s0:.3e})", iterate=z)
+    raise LineSearchStall(f"line search stalled below t={_STEP_FLOOR} (S={s0:.3e})")
 
 
 def restore_feasibility(z0, problem: MncpProblem, shift: float = 0.0):
@@ -218,7 +214,7 @@ def restore_feasibility(z0, problem: MncpProblem, shift: float = 0.0):
     n_evals = 1
     delta = shift if shift > 0.0 else _EPS_INTERIOR
     doublings = 0
-    while np.minimum.reduce(r[:p], initial=np.inf) <= 0.0:
+    while np.minimum.reduce(r[:p]) <= 0.0:
         if doublings >= _MAX_RESTORE:
             bad = [int(i) for i in np.flatnonzero(r[:p] <= 0.0)]
             raise InfeasibleStart(f"could not restore interiority; violated rows {bad}", iterate=z)
@@ -237,15 +233,12 @@ def _record_failure(report: SolverReport, z, r, problem: MncpProblem) -> str:
     The worst pair is the one with the largest |min(z_i, r_i)|, so that
     value is the natural residual.
     """
-    text = f"max|H| = {report.h_inf:.3e}"
     p = problem.n_pairs
-    if p:
-        gap = np.abs(np.minimum(z[:p], r[:p]))
-        row = int(gap.argmax())
-        report.worst_pair = (row, float(z[row]), float(r[row]))
-        text += (f", natural residual = {gap[row]:.3e}, worst pair row {row}: "
-                 f"z = {z[row]:.3e}, r = {r[row]:.3e}")
-    return text
+    gap = np.abs(np.minimum(z[:p], r[:p]))
+    row = int(gap.argmax())
+    report.worst_pair = (row, float(z[row]), float(r[row]))
+    return (f"max|H| = {report.h_inf:.3e}, natural residual = {gap[row]:.3e}, "
+            f"worst pair row {row}: z = {z[row]:.3e}, r = {r[row]:.3e}")
 
 
 def _h_inf(h: np.ndarray) -> float:
@@ -264,10 +257,10 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
     one), so max|H| is computed only when it passes, and on the way out of a
     failure.  report.h_inf is max|H| at the returned iterate, and at the last
     iterate of a failure.
-    Returns (z_star, SolverReport) on convergence; raises a SolverError
-    subclass carrying the last iterate and report otherwise.
-    A failure inside the iteration reports max|H|, the natural residual and
-    the pair with the largest |min(z_i, r_i)| in its message and report.
+    Returns (z_star, SolverReport) on convergence.  Otherwise raises a
+    SolverError subclass carrying the report and, after restoration, the
+    last accepted iterate, with max|H|, the natural residual and the pair
+    with the largest |min(z_i, r_i)| there in its message and report.
     """
     opts = opts if opts is not None else SolverOptions()
     report = SolverReport()
@@ -285,10 +278,9 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
             if natural_residual(z, r, problem) <= opts.tol:
                 report.h_inf = _h_inf(h)
                 if report.h_inf <= opts.tol:
-                    report.converged = True
                     return z, report
             if report.iterations >= opts.max_iter:
-                raise MaxIterations(f"no convergence in {opts.max_iter} iterations", iterate=z)
+                raise MaxIterations(f"no convergence in {opts.max_iter} iterations")
             d, g_dot_d = direction(z, r, h, s, problem)
             report.js_evals += 1
             t, z, r, h, s, n_evals = line_search(z, r, d, g_dot_d, s, problem)
@@ -299,6 +291,7 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
         err.report = report
         # a failure after restoration names the worst pair of the last iterate
         if z is not None:
+            err.iterate = z
             report.h_inf = _h_inf(h)
             err.args = (f"{err}; {_record_failure(report, z, r, problem)}",)
         raise

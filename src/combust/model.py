@@ -14,6 +14,7 @@ finite-difference scheme coefficient is purely k/h.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,9 @@ class DimensionlessParams:
 
     def __post_init__(self) -> None:
         _require_positive(self)
+        # F'(theta) = u theta0^2 / (theta + theta0)^2 squares theta0
+        if not math.isfinite(self.theta0 * self.theta0):
+            raise ValueError(f"DimensionlessParams.theta0 = {self.theta0} is too large: theta0^2 overflows")
 
     @property
     def h_diff(self) -> float:

@@ -38,18 +38,26 @@ class TimeSeries:
 
 
 class StepFailed(RuntimeError):
-    """A per-step complementarity solve failed; carries the time index.
+    """The solve of time step time_index failed with the SolverError cause.
 
-    reason is the solver's message, with the worst pair's row named by its
-    1-based node and variable when the solver reported one.
+    The message is "solver failure (<Kind>) at time step <n>: <reason>":
+    Kind is the cause's class and reason its message, followed, when the
+    solver reported a worst pair, by that pair's stacked row named by node.
+    With M interior nodes, row i < M is theta at node i + 1, paired with G,
+    and row i >= M is eta at node i - M + 1, paired with Q.  run() attaches
+    the steps completed before the failure as partial.
     """
 
-    def __init__(self, reason: str, time_index: int, cause: SolverError, partial=None):
-        super().__init__(f"solver failed at time step {time_index}: {reason}")
-        self.reason = reason
+    def __init__(self, cause: SolverError, time_index: int, m: int):
+        reason = str(cause)
+        if cause.report.worst_pair is not None:
+            row = cause.report.worst_pair[0]
+            var, res, node = ("theta", "G", row + 1) if row < m else ("eta", "Q", row - m + 1)
+            reason += f"; row {row} is {var} at node {node}, paired with {res}"
+        super().__init__(f"solver failure ({type(cause).__name__}) at time step {time_index}: {reason}")
         self.time_index = time_index
         self.cause = cause
-        self.partial = partial
+        self.partial = None
 
 
 def initial_state(grid: Grid) -> State:
@@ -112,20 +120,6 @@ class StepEquations:
         self.level = self._w * z - self._r - self.level
 
 
-def _failure_reason(err: SolverError, m: int) -> str:
-    """The solver's message, naming the worst pair's stacked row by node.
-
-    With M interior nodes, row i < M is theta at node i + 1, paired with G,
-    and row i >= M is eta at node i - M + 1, paired with Q.
-    """
-    reason = str(err)
-    if err.report is not None and err.report.worst_pair is not None:
-        row = err.report.worst_pair[0]
-        var, res, node = ("theta", "G", row + 1) if row < m else ("eta", "Q", row - m + 1)
-        reason += f"; row {row} is {var} at node {node}, paired with {res}"
-    return reason
-
-
 def step(state: State, equations: StepEquations, config: RunConfig, shift: float = 0.0,
          previous: Optional[State] = None, earlier: Optional[State] = None):
     """Advance one time level from the restoration shift `shift`.
@@ -150,7 +144,7 @@ def step(state: State, equations: StepEquations, config: RunConfig, shift: float
     try:
         z, report = solve(equations.problem, z0, config.solver_opts, shift)
     except SolverError as err:
-        raise StepFailed(_failure_reason(err, equations.m), time_index=state.n, cause=err) from err
+        raise StepFailed(err, state.n, equations.m) from err
     equations.advance(z)
     return State.stacked(z, state.n + 1), report
 

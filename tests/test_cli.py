@@ -380,6 +380,9 @@ class TestMain:
         ("t_end = nan\n", []),
         ("t_end = 1e300\ntime_step = 1e-300\n", []),
         ("t_end = 0.0002\n", ["--tend", "inf"]),
+        # h^2 underflows to 0 or overflows: k/h^2 has no finite value
+        ("domain_length = 1e-300\n", []),
+        ("domain_length = 1e300\n", []),
     ])
     def test_non_finite_grid_exit_code(self, tmp_path, capsys, text, flags):
         cfg = write_config(tmp_path, text)
@@ -396,6 +399,23 @@ class TestMain:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--tend", "1e300"]) == 1
         assert capsys.readouterr().err.startswith(
             "combust: configuration error: t_end / time_step = 1e+305 exceeds 2**53 steps")
+
+    def test_theta0_too_large_to_square_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "theta0 = 1e200\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == ("combust: configuration error: DimensionlessParams.theta0 "
+                                           "= 1e+200 is too large: theta0^2 overflows\n")
+
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        # numpy raises a MemoryError subclass for a grid too large to allocate
+        message = "Unable to allocate 745. GiB for an array with shape (99999999999,) and data type float64"
+
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run", no_memory)
+        assert main(["run", "--m", "99999999999", "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"combust: out of memory: {message}\n"
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--m", "abc", "m_subintervals"), ("--tend", "x", "t_end"), ("--method", "foo", "method"),

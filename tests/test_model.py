@@ -1,4 +1,6 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +41,16 @@ class TestNondimensionalize:
                               8.314, 101325.0, 372.0)
         with pytest.raises(ValueError, match="x_star"):
             Scales(-1.0, 1.0, 1.0)
+
+    def test_theta0_whose_square_overflows_rejected(self):
+        # F'(theta) squares theta0 as a Python float, which raises OverflowError
+        # past sqrt(max float); the largest theta0 with a finite square is kept
+        largest = math.sqrt(sys.float_info.max)
+        assert replace(BASE_PARAMS, theta0=largest).theta0 == largest
+        with pytest.raises(ValueError, match="theta0"):
+            replace(BASE_PARAMS, theta0=1e200)
+        with pytest.raises(ValueError, match="theta0"):
+            nondimensionalize(TYPICAL_RESERVOIR, Scales(9.1e4, 1.48e8, 1e-200))
 
     def test_h_diff_inverse_of_peclet(self):
         assert BASE_PARAMS.h_diff * BASE_PARAMS.pe_t == pytest.approx(1.0, rel=1e-15)

