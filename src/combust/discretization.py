@@ -283,8 +283,7 @@ class StepJacobian:
         dQ/deta   = diag(q_eta)
     Unknowns are stacked as (theta_1, ..., theta_M, eta_1, ..., eta_M) and
     rows as (G; Q), in to_dense() and in the vectors newton_solve() takes
-    and returns.  Which rows are complementarity pairs is the problem's to
-    say: newton_solve() takes the pair count.
+    and returns.
     """
 
     sub: np.ndarray
@@ -300,30 +299,25 @@ class StepJacobian:
         return np.block([[_tri_dense(self.sub, self.diag, self.sup), np.diag(self.g_eta)],
                          [np.diag(self.q_theta), np.diag(self.q_eta)]])
 
-    def newton_solve(self, z: np.ndarray, r: np.ndarray, rhs: np.ndarray,
-                     n_pairs: int) -> np.ndarray:
-        """Solve (diag(s) J + diag(a)) d = rhs, the Newton matrix of H at z.
+    def newton_solve(self, s: np.ndarray, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve (diag(s) J + diag(a)) d = rhs, with s and a given on the first s.size rows.
 
-        The first n_pairs rows are the pairs: n_pairs is M (MNCP, the theta
-        rows against G) or 2M (NCP, every row).  s = z and a = r, the
-        residual at z, on the pair rows; s = 1 and a = 0 on the equality
-        rows, whose products this skips.  Each node's eta correction is
-        eliminated in closed form, leaving a tridiagonal Schur complement in
-        theta for LAPACK dgtsv.  The eta pivot is
-        2 + k beta e^(...) >= 2 on equality rows and eta (2 + k beta e^(...))
-        + Q on pair rows, positive unless Q < 0 on a pair that the line
-        search identified active.  On a zero pivot
-        or a non-finite result the solve is retried once with
+        s.size is M (the theta rows) or 2M (every row); the rows past it are
+        J's own.  Each node's eta correction is eliminated in closed form,
+        leaving a tridiagonal Schur complement in theta for LAPACK dgtsv.
+        The eta pivot is 2 + k beta e^(...) >= 2 on a row of J's own and
+        s_i (2 + k beta e^(...)) + a_i on a scaled row.  On a zero pivot or
+        a non-finite result the solve is retried once with
         1e-12 (1 + |d_ii|) added to every diagonal entry;
         np.linalg.LinAlgError is raised if that fails too.
         """
         m = self.diag.size
-        s_t = z[:m]
-        diag_t = s_t * self.diag + r[:m]
-        if n_pairs > m:
-            s_e = z[m:]
+        s_t = s[:m]
+        diag_t = s_t * self.diag + a[:m]
+        if s.size > m:
+            s_e = s[m:]
             coupling = s_e * self.q_theta
-            diag_e = s_e * self.q_eta + r[m:]
+            diag_e = s_e * self.q_eta + a[m:]
         else:
             coupling = self.q_theta
             diag_e = self.q_eta

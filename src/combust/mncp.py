@@ -81,11 +81,10 @@ class MncpProblem:
     residual maps z to the full residual vector.  The first n_pairs rows are
     the complementarity pairs (pair i couples z_i with residual row i), with
     n_pairs >= 1; every later row is an equality.  jacobian maps z to its
-    derivative J, whose newton_solve(z, r, rhs, n_pairs), given the
-    residual r at z, returns the solution d of the Newton matrix of H,
-    (diag(s) J + diag(a)) d = rhs with s = z and a = r on the first n_pairs
-    rows and s = 1, a = 0 on the others, and raises np.linalg.LinAlgError
-    when that matrix is singular.
+    derivative J, whose newton_solve(s, a, rhs), given vectors s and a over
+    the first s.size rows, returns the solution d of
+    (diag(s) J + diag(a)) d = rhs, where the rows past s.size are J's own,
+    and raises np.linalg.LinAlgError when that matrix is singular.
 
     jacobian(z) is called only at the point z of the latest residual call,
     unmodified since: solve() hands direction() the restored start or the
@@ -147,6 +146,10 @@ def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: Mn
     sum over the pairs.  That sum is 0 when mu <= 0 and otherwise at most
     sum_i h_i mu = p mu^2 <= sum_i h_i^2 <= ||H||^2 by Cauchy-Schwarz, for
     h_i of either sign.  Hence grad(S)^T d <= -(1 - sigma_c) ||H||^2.
+
+    J_H is J with its pair rows scaled by z_i and r_i added to their
+    diagonal, which may vanish: the line search allows r_i < 0 on a pair
+    identified active.
     Returns (d, grad_S_dot_d).
     """
     jac = problem.jacobian(z)
@@ -154,9 +157,8 @@ def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: Mn
     rhs = -h
     mu = np.add.reduce(h[:p]) / p
     rhs[:p] += _SIGMA_C * max(min(1.0, math.sqrt(2.0 * s)) * mu, 0.0)
-    # Jacobian of H: pair rows are z_i (dr_i/dz) + e_i r_i, the others dr_j/dz
     try:
-        d = jac.newton_solve(z, r, rhs, p)
+        d = jac.newton_solve(z[:p], r[:p], rhs)
     except np.linalg.LinAlgError as err:
         raise SingularJacobian("Newton matrix is singular") from err
     # grad(S)^T d = h^T J_H d = h^T rhs for the matrix actually solved
@@ -200,9 +202,7 @@ def restore_feasibility(z0, problem: MncpProblem, shift: float = 0.0):
     Clamp pair variables to _EPS_INTERIOR and add shift to them, then add a
     doubling increment, starting at shift (at _EPS_INTERIOR when shift is 0),
     until every pair residual is strictly positive, or raise InfeasibleStart
-    after _MAX_RESTORE doublings.  z0 is not written.  Passing the total
-    shift of the previous time step lets a run find its shift once instead
-    of replaying the doublings every step.
+    after _MAX_RESTORE doublings.  z0 is not written.
     Returns (z, r, n_residual_evals, total_shift).
     """
     p = problem.n_pairs
@@ -246,11 +246,17 @@ def _h_inf(h: np.ndarray) -> float:
 
 
 def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = None,
-          shift: float = 0.0):
+          previous_shift: float = 0.0):
     """Run the interior-point iteration from z0.
 
-    shift is the restoration shift to start from (see restore_feasibility);
-    the total shift used is returned in the report.
+    previous_shift is the total restoration shift of the previous solve in
+    a sequence, and the report holds this one's.  Restoration starts from
+    max(previous_shift / 2, min(tol, _EPS_INTERIOR)), or from 0 after 0, so
+    a sequence finds its shift once and it decays while the start stays
+    interior.  The floor starts the pairs at the stopping test's scale,
+    from which one Newton step converges; far below tol the next start is
+    infeasible and restoration doubles the shift back.  A tol above
+    _EPS_INTERIOR, the pairs' clamp, sets no such scale.
     An iterate is converged when both its natural residual and max|H| are at
     most tol.  The natural residual is tested first: it is the test that
     fails at a non-converged iterate (on the benchmark workloads, at every
@@ -267,6 +273,8 @@ def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = 
     t_start = time.perf_counter()
     z = None
     try:
+        floor = min(opts.tol, _EPS_INTERIOR)
+        shift = max(0.5 * previous_shift, floor) if previous_shift > 0.0 else 0.0
         z, r, n_evals, report.shift = restore_feasibility(z0, problem, shift)
         report.s_evals += n_evals
         h = merit_vector(z, r, problem)

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _require_positive(obj) -> None:
+def _require_finite_positive(obj) -> None:
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if not value > 0.0:
-            raise ValueError(f"{type(obj).__name__}.{f.name} must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class DimensionalParams:
     rho_f_res: float   # initial molar density of fuel [mol/m^3]
 
     def __post_init__(self) -> None:
-        _require_positive(self)
+        _require_finite_positive(self)
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class Scales:
     dt_star: float   # reference temperature increment [K]
 
     def __post_init__(self) -> None:
-        _require_positive(self)
+        _require_finite_positive(self)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class DimensionlessParams:
     u: float        # dimensionless velocity
 
     def __post_init__(self) -> None:
-        _require_positive(self)
+        _require_finite_positive(self)
         # F'(theta) = u theta0^2 / (theta + theta0)^2 squares theta0
         if not math.isfinite(self.theta0 * self.theta0):
             raise ValueError(f"DimensionlessParams.theta0 = {self.theta0} is too large: theta0^2 overflows")
@@ -106,13 +106,17 @@ BASE_PARAMS = DimensionlessParams(pe_t=1406.0, beta=7.44e10, e_act=93.8, theta0=
 
 def nondimensionalize(dim: DimensionalParams, scales: Scales) -> DimensionlessParams:
     """Map dimensional reservoir constants to the dimensionless parameter set."""
-    return DimensionlessParams(
-        pe_t=scales.x_star / (dim.lambda_th * scales.dt_star),
-        beta=dim.rho_f_res * dim.k_p * dim.q_r,
-        e_act=dim.e_r / (dim.r_gas * scales.dt_star),
-        theta0=dim.t_res / scales.dt_star,
-        u=dim.u_inj * scales.t_star / scales.x_star,
-    )
+    try:
+        return DimensionlessParams(
+            pe_t=scales.x_star / (dim.lambda_th * scales.dt_star),
+            beta=dim.rho_f_res * dim.k_p * dim.q_r,
+            e_act=dim.e_r / (dim.r_gas * scales.dt_star),
+            theta0=dim.t_res / scales.dt_star,
+            u=dim.u_inj * scales.t_star / scales.x_star,
+        )
+    except ZeroDivisionError:
+        raise ValueError("a product of the dimensional constants in a denominator "
+                         "underflows to 0") from None
 
 
 def flux(theta, p: DimensionlessParams):

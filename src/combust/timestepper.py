@@ -120,9 +120,9 @@ class StepEquations:
         self.level = self._w * z - self._r - self.level
 
 
-def step(state: State, equations: StepEquations, config: RunConfig, shift: float = 0.0,
+def step(state: State, equations: StepEquations, config: RunConfig, previous_shift: float = 0.0,
          previous: Optional[State] = None, earlier: Optional[State] = None):
-    """Advance one time level from the restoration shift `shift`.
+    """Advance one time level; previous_shift is the previous step's restoration shift.
 
     equations hold the level data of `state` and are advanced to those of
     the next state.  The solve starts from z^n; given the previous level,
@@ -142,7 +142,7 @@ def step(state: State, equations: StepEquations, config: RunConfig, shift: float
     else:
         z0 = 3.0 * (state.z - previous.z) + earlier.z
     try:
-        z, report = solve(equations.problem, z0, config.solver_opts, shift)
+        z, report = solve(equations.problem, z0, config.solver_opts, previous_shift)
     except SolverError as err:
         raise StepFailed(err, state.n, equations.m) from err
     equations.advance(z)
@@ -181,14 +181,7 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     every other step the linear start is kept: it carries the levels'
     tolerance-sized errors with weights (2, 1) instead of (3, 3, 1), and
     the quadratic start on every step costs restoration doublings and
-    accuracy.  Restoration starts from max(s / 2, tol), where s is the
-    previous step's total shift (a shift of 0 stays 0).  The shift thus
-    decays while the predicted start stays interior.  The tol floor keeps G
-    at the start point near tol, about 4 times the shift, so the pairs
-    start at the scale of the stopping test and one Newton step, whose
-    centering fades with ||H||, brings them below it.  A shift decayed far
-    below tol leaves every other start point infeasible, and restoration
-    doubles the shift back.
+    accuracy.  Each solve is handed the previous solve's shift (mncp.solve).
     """
     grid = config.grid
     cache = assemble_matrices(grid, config.params)
@@ -211,7 +204,7 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
         per_step.append(report)
         earlier = previous if report.s_evals > 2 else None
         previous, state = state, next_state
-        shift = max(0.5 * report.shift, config.solver_opts.tol) if report.shift > 0.0 else 0.0
+        shift = report.shift
         if state.n in snap_at:
             snapshots.append((state.n * grid.k, state))
     return TimeSeries(snapshots=snapshots, per_step=per_step)

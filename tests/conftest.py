@@ -15,17 +15,18 @@ TABLE_TIMES = tuple(round(0.001 * i, 6) for i in range(1, 11))
 
 
 class DenseJacobian:
-    """Dense matrix with the newton_solve contract of MncpProblem.jacobian;
-    its first n_pairs rows, as newton_solve is told, are the pairs."""
+    """Dense matrix with the newton_solve contract of MncpProblem.jacobian:
+    newton_solve(s, a, rhs) scales the first s.size rows by s and adds a to
+    their diagonal."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
 
-    def newton_solve(self, z, r, rhs, n_pairs):
+    def newton_solve(self, s, a, rhs):
         scale = np.ones(rhs.size)
-        scale[:n_pairs] = z[:n_pairs]
+        scale[:s.size] = s
         diag_add = np.zeros(rhs.size)
-        diag_add[:n_pairs] = r[:n_pairs]
+        diag_add[:s.size] = a
         d = np.linalg.solve(self.matrix * scale[:, None] + np.diag(diag_add), rhs)
         if not np.all(np.isfinite(d)):
             raise np.linalg.LinAlgError("non-finite direction")

@@ -2,7 +2,7 @@ import csv
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,25 +27,13 @@ def write_config(tmp_path, text, name="case.cfg"):
     return str(path)
 
 
-DIMENSIONAL_BLOCK = "\n".join(
-    f"{key} = {value!r}"
-    for key, value in {
-        "t_res": TYPICAL_RESERVOIR.t_res,
-        "c_m": TYPICAL_RESERVOIR.c_m,
-        "c_g": TYPICAL_RESERVOIR.c_g,
-        "lambda_th": TYPICAL_RESERVOIR.lambda_th,
-        "q_r": TYPICAL_RESERVOIR.q_r,
-        "u_inj": TYPICAL_RESERVOIR.u_inj,
-        "e_r": TYPICAL_RESERVOIR.e_r,
-        "k_p": TYPICAL_RESERVOIR.k_p,
-        "r_gas": TYPICAL_RESERVOIR.r_gas,
-        "pressure": TYPICAL_RESERVOIR.pressure,
-        "rho_f_res": TYPICAL_RESERVOIR.rho_f_res,
-        "x_star": TYPICAL_SCALES.x_star,
-        "t_star": TYPICAL_SCALES.t_star,
-        "dt_star": TYPICAL_SCALES.dt_star,
-    }.items()
-)
+def dimensional_block(**values):
+    """The dimensional block of TYPICAL_RESERVOIR and TYPICAL_SCALES, with values replacing keys."""
+    constants = {**asdict(TYPICAL_RESERVOIR), **asdict(TYPICAL_SCALES), **values}
+    return "\n".join(f"{key} = {value!r}" for key, value in constants.items())
+
+
+DIMENSIONAL_BLOCK = dimensional_block()
 
 
 class TestParseConfig:
@@ -405,6 +393,20 @@ class TestMain:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == ("combust: configuration error: DimensionlessParams.theta0 "
                                            "= 1e+200 is too large: theta0^2 overflows\n")
+
+    @pytest.mark.parametrize("values, message", [
+        # lambda_th dt_star, the denominator of pe_t, underflows to 0
+        ({"lambda_th": 1e-200, "dt_star": 1e-200}, "a product of the dimensional constants in a "
+                                                   "denominator underflows to 0"),
+        # rho_f_res k_p q_r overflows
+        ({"rho_f_res": 1e200, "k_p": 1e200}, "DimensionlessParams.beta must be positive and "
+                                             "finite, got inf"),
+    ], ids=["underflow", "overflow"])
+    def test_dimensional_block_without_finite_parameters_exit_code(self, tmp_path, capsys,
+                                                                   values, message):
+        cfg = write_config(tmp_path, dimensional_block(**values) + "\nt_end = 0.0002\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"combust: configuration error: {message}\n"
 
     def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
         # numpy raises a MemoryError subclass for a grid too large to allocate

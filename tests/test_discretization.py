@@ -351,8 +351,8 @@ class TestNewtonSolve:
     @pytest.mark.parametrize("mode", [mncp.MNCP, mncp.NCP])
     def test_matches_dense_solve(self, m, mode):
         # at a strictly interior iterate the pair variables and the pair
-        # residuals (row scale and diagonal addend) are positive; the
-        # equality rows' residuals must not enter the matrix
+        # residuals (row scale and diagonal addend) are positive; the rows
+        # past them are the Jacobian's own
         rng = np.random.default_rng(m)
         cache = assemble_matrices(base_grid(m), BASE_PARAMS)
         n_pairs = m if mode == mncp.MNCP else 2 * m
@@ -364,8 +364,8 @@ class TestNewtonSolve:
             r[:n_pairs] = rng.uniform(1e-6, 1.0, n_pairs)
             rhs = rng.normal(size=2 * m)
             jac = jacobian(closure(theta, eta, BASE_PARAMS), cache)
-            d = jac.newton_solve(z, r, rhs, n_pairs)
-            ref = DenseJacobian(jac.to_dense()).newton_solve(z, r, rhs, n_pairs)
+            d = jac.newton_solve(z[:n_pairs], r[:n_pairs], rhs)
+            ref = DenseJacobian(jac.to_dense()).newton_solve(z[:n_pairs], r[:n_pairs], rhs)
             assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_pivot_retries_perturbed(self):
@@ -373,7 +373,7 @@ class TestNewtonSolve:
         for n_pairs in (2, 4):
             jac = zero_pivot_jacobian()
             rhs = np.array([1.0, 2.0, 3.0, 4.0])
-            d = jac.newton_solve(np.ones(4), np.zeros(4), rhs, n_pairs)
+            d = jac.newton_solve(np.ones(n_pairs), np.zeros(n_pairs), rhs)
             # the retry solves the matrix with 1e-12 (1 + |d_ii|) on its
             # diagonal, (theta_1, theta_2, eta_1, eta_2)
             diag = np.array([0.0, 1.0, 1.0, 1.0])
@@ -392,7 +392,7 @@ class TestNewtonSolve:
         rhs = np.array([1e200, -2e200, 3e200, 4.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = jac.newton_solve(np.ones(4), np.zeros(4), rhs, 2)
+            d = jac.newton_solve(np.ones(2), np.zeros(2), rhs)
         assert not np.isfinite(np.vdot(d, d))
         np.testing.assert_allclose(d, np.linalg.solve(jac.to_dense(), rhs), rtol=1e-14)
 
@@ -401,7 +401,7 @@ class TestNewtonSolve:
         # moves 1e200 * 1e100 onto it: theta_1 overflows
         jac = zero_pivot_jacobian(g_eta=1e200)
         with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
-            jac.newton_solve(np.ones(4), np.zeros(4), np.array([0.0, 0.0, 1e100, 0.0]), 2)
+            jac.newton_solve(np.ones(2), np.zeros(2), np.array([0.0, 0.0, 1e100, 0.0]))
 
         # the same through the solver: the theta rows are the pairs, the
         # residual of the first is 0, and the right-hand side on the eta_1

@@ -98,6 +98,60 @@ def test_ignition_ladder_reaches_t_1(method, m, max_iterations, max_mean):
     assert final.n == 1000 and np.all(final.theta >= 0.0)
 
 
+# The most iterations a step took in each case of the robustness sweep, over
+# 200 steps: per (domain_length, M), the (MNCP, NCP) pair at k = 1e-4, 1e-3
+# and 1e-2.  None marks a case that fails before step 200.
+SWEEP_MAX_ITERATIONS = {
+    (0.05, 50): ((4, 4), (7, 7), (13, 13)),
+    (0.05, 200): ((5, 5), (9, 9), (16, 16)),
+    (0.05, 800): ((7, 7), (12, 12), (19, 19)),
+    (0.5, 50): ((3, 3), (5, 5), (10, 10)),
+    (0.5, 200): ((3, 3), (5, 5), (11, 11)),
+    (0.5, 800): ((4, 4), (8, 8), (14, 14)),
+    (5.0, 50): ((3, 3), (4, 4), (15, 16)),
+    (5.0, 200): ((3, 3), (4, 4), (21, 22)),
+    (5.0, 800): ((3, 3), (5, 5), (30, 33)),
+    (50.0, 50): ((3, 3), (4, 4), (15, 17)),
+    (50.0, 200): ((3, 3), (4, 4), (13, 15)),
+    (50.0, 800): ((3, 3), (4, 4), (20, None)),
+}
+
+SWEEP_XFAILS = {
+    (50.0, 800, 1e-2, mncp.NCP): pytest.mark.xfail(
+        raises=StepFailed, strict=True,
+        reason="LineSearchStall at step 33: eta at node 1 collapses to z = 3.1e-14 with "
+               "Q = -0.437, a spurious zero of the product merit"),
+    (50.0, 50, 1e-2, mncp.NCP): pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="eta exceeds 1 + 1e-12 on 140 of the 201 levels, up to 1 + 1.2e-9 at step 88"),
+}
+
+
+def sweep_cases():
+    for (length, m), by_k in SWEEP_MAX_ITERATIONS.items():
+        for k, by_method in zip((1e-4, 1e-3, 1e-2), by_k):
+            for method, most in zip((mncp.MNCP, mncp.NCP), by_method):
+                yield pytest.param(length, m, k, method, most,
+                                   marks=SWEEP_XFAILS.get((length, m, k, method), ()),
+                                   id=f"L{length:g}-m{m}-k{k:.0e}-{method}")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("length, m, k, method, most", sweep_cases())
+def test_sweep(length, m, k, method, most):
+    # 72 cases, about 10 s in all: every case reaches step 200 with
+    # theta >= 0 and eta <= 1 + 1e-12 at every level, and no step takes more
+    # than 2 + 10% iterations over the most measured
+    grid = Grid(length=length, m=m, k=k, n_steps=200)
+    series = run(RunConfig(grid=grid, params=BASE_PARAMS, method=method,
+                           record_times=tuple(np.arange(grid.n_steps + 1) * k)))
+    assert len(series.per_step) == 200 and len(series.snapshots) == 201
+    for _, state in series.snapshots:
+        assert np.all(state.theta >= 0.0)
+        assert np.all(state.eta <= 1.0 + 1e-12)
+    assert max(s.iterations for s in series.per_step) <= most + 2 + most // 10
+
+
 @pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
 def test_base_case_m12800_takes_10_steps(method):
     # step 0 drives node 1 to z = r = 3.2e-7; each step takes 11 or 12

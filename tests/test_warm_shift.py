@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from combust import mncp, timestepper
-from combust.mncp import InfeasibleStart, MncpProblem, restore_feasibility, solve
+from combust.mncp import InfeasibleStart, MncpProblem, SolverOptions, restore_feasibility, solve
 from combust.timestepper import run
 
 from conftest import base_config, dense
@@ -63,8 +63,9 @@ class TestRestoreFeasibility:
         assert len(calls) == 1 + 8
 
     def test_solve_reports_shift(self):
+        # restoration starts from half the previous shift, 0.25, as above
         prob, _ = shifted_line()
-        z, report = solve(prob, np.array([0.0]), shift=0.25)
+        z, report = solve(prob, np.array([0.0]), previous_shift=0.5)
         assert report.shift == 1.0
         assert z[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -91,28 +92,53 @@ def test_run_finds_its_shift_once(monkeypatch):
 
 
 def test_run_halves_the_shift_down_to_tol(monkeypatch):
-    # each step is handed max(s / 2, tol), where s is the previous step's
-    # shift; step 5's shift is forced to 0 to check that 0 is passed on as 0
-    passed, used = [], []
-    original = timestepper.step
+    # run hands each solve the previous solve's total shift s, and the solve
+    # starts restoration from max(s / 2, tol); step 5's shift is forced to 0
+    # to check that restoration then starts from 0
+    handed, started, used = [], [], []
+    original_step = timestepper.step
+    original_restore = mncp.restore_feasibility
 
-    def recording(state, equations, config, shift=0.0, previous=None, earlier=None):
-        passed.append(shift)
-        next_state, report = original(state, equations, config, shift, previous, earlier)
+    def recording_step(state, equations, config, previous_shift=0.0, previous=None, earlier=None):
+        handed.append(previous_shift)
+        next_state, report = original_step(state, equations, config, previous_shift, previous,
+                                           earlier)
         if next_state.n == 5:
             report = replace(report, shift=0.0)
         used.append(report.shift)
         return next_state, report
 
-    monkeypatch.setattr(timestepper, "step", recording)
+    def recording_restore(z0, problem, shift=0.0):
+        started.append(shift)
+        return original_restore(z0, problem, shift)
+
+    monkeypatch.setattr(timestepper, "step", recording_step)
+    monkeypatch.setattr(mncp, "restore_feasibility", recording_restore)
     config = base_config(50, record_times=())
     config = replace(config, grid=replace(config.grid, n_steps=30))
     tol = config.solver_opts.tol
     run(config)
-    assert passed[0] == 0.0
-    assert passed[5] == 0.0
-    for shift, next_shift in zip(used, passed[1:]):
-        assert next_shift == (max(0.5 * shift, tol) if shift > 0.0 else 0.0)
+    assert handed == [0.0] + used[:-1]
+    assert started[0] == 0.0
+    assert started[5] == 0.0
+    for shift, start in zip(used, started[1:]):
+        assert start == (max(0.5 * shift, tol) if shift > 0.0 else 0.0)
     # both sides of the floor are reached
-    assert any(s > tol for s in passed[1:5])
-    assert passed[-1] == tol
+    assert any(s > tol for s in started[1:5])
+    assert started[-1] == tol
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1.0, 1e300])
+def test_loose_tol_floors_the_shift_at_the_interior_clamp(tol):
+    # above the clamp on the pair variables the floor is the clamp itself,
+    # 1e-6, so no start is shifted by tol; the run ends with no
+    # RuntimeWarning (pytest turns one into an error)
+    config = replace(base_config(8, record_times=(3e-5,)), solver_opts=SolverOptions(tol=tol))
+    config = replace(config, grid=replace(config.grid, n_steps=3))
+    series = run(config)
+    assert len(series.per_step) == 3
+    _, final = series.snapshots[-1]
+    assert np.all(final.theta < 1.0)
+    prob, _ = shifted_line(offset=1.0)
+    _, report = solve(prob, np.array([0.0]), SolverOptions(tol=tol), previous_shift=1e-9)
+    assert report.shift == 1e-6
