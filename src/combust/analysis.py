@@ -65,8 +65,7 @@ def restrict(fine: State, fine_grid: Grid, coarse_grid: Grid) -> State:
             f"incompatible grids: fine m={fine_grid.m}, coarse m={coarse_grid.m}, "
             f"lengths {fine_grid.length} vs {coarse_grid.length}"
         )
-    # M is even, so the odd entries of z = (theta; eta) are theta[1::2], then eta[1::2]
-    return State.stacked(fine.z[1::2].copy(), fine.n)
+    return State(fine.theta[1::2], fine.eta[1::2], fine.n)
 
 
 def _relative_error(coarse_vec: np.ndarray, ref_vec: np.ndarray) -> float:

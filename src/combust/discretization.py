@@ -52,6 +52,12 @@ class NumericError(SolverError):
         self.node = node
 
 
+def stacked_row(row: int, m: int) -> tuple:
+    """(variable, residual, node) of a row of the stacked system with M = m:
+    row i < M is theta and G at node i + 1, row i >= M eta and Q at node i - M + 1."""
+    return ("theta", "G", row + 1) if row < m else ("eta", "Q", row - m + 1)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform space-time grid. M interior unknown nodes, spacing h = length/M."""
@@ -245,8 +251,8 @@ def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
     written into the two halves of r with the operations of
     A theta + lambda_s P(theta) - 2k Phi - LD and 2 eta - k Phi - LDQ, in
     that order, so each entry is rounded as in those expressions.  A
-    non-finite entry raises NumericError naming its node, the first
-    non-finite G entry's, else the first non-finite Q entry's.
+    non-finite entry raises NumericError naming its residual and node (see
+    stacked_row), the first non-finite G entry's, else the first Q entry's.
     """
     k = cache.k
     lam = cache.lambda_s
@@ -266,8 +272,8 @@ def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
     q -= k * phi_next
     out -= level
     if not _all_finite(out):
-        bad = int(np.flatnonzero(~np.isfinite(out))[0]) % m + 1
-        raise NumericError(f"non-finite residual at node {bad}", node=bad)
+        _, res, node = stacked_row(int(np.flatnonzero(~np.isfinite(out))[0]), m)
+        raise NumericError(f"non-finite residual {res} at node {node}", node=node)
     return out, terms
 
 

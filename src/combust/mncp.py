@@ -76,7 +76,7 @@ class SolverOptions:
 
 @dataclass
 class MncpProblem:
-    """Evaluation contract for one complementarity problem.
+    """The n_pairs, residual and jacobian solve() reads; any object with them will do.
 
     residual maps z to the full residual vector.  The first n_pairs rows are
     the complementarity pairs (pair i couples z_i with residual row i), with

@@ -17,8 +17,9 @@ from combust.discretization import (
     assemble_matrices,
     jacobian,
     residual,
+    stacked_row,
 )
-from combust.mncp import MNCP, NCP, MncpProblem, SolverError, SolverOptions, solve
+from combust.mncp import MNCP, NCP, SolverError, SolverOptions, solve
 from combust.model import DimensionlessParams
 
 
@@ -41,18 +42,16 @@ class StepFailed(RuntimeError):
     """The solve of time step time_index failed with the SolverError cause.
 
     The message is "solver failure (<Kind>) at time step <n>: <reason>":
-    Kind is the cause's class and reason its message, followed, when the
-    solver reported a worst pair, by that pair's stacked row named by node.
-    With M interior nodes, row i < M is theta at node i + 1, paired with G,
-    and row i >= M is eta at node i - M + 1, paired with Q.  run() attaches
-    the steps completed before the failure as partial.
+    Kind is the cause's class and reason its message, then the worst pair's
+    stacked row (discretization.stacked_row), if the solver reported one.
+    run() attaches the steps completed before the failure as partial.
     """
 
     def __init__(self, cause: SolverError, time_index: int, m: int):
         reason = str(cause)
         if cause.report.worst_pair is not None:
             row = cause.report.worst_pair[0]
-            var, res, node = ("theta", "G", row + 1) if row < m else ("eta", "Q", row - m + 1)
+            var, res, node = stacked_row(row, m)
             reason += f"; row {row} is {var} at node {node}, paired with {res}"
         super().__init__(f"solver failure ({type(cause).__name__}) at time step {time_index}: {reason}")
         self.time_index = time_index
@@ -71,11 +70,11 @@ class StepEquations:
     z = (theta_1, ..., theta_M, eta_1, ..., eta_M), with residual rows
     (G; Q) and the stacked level data level = (LD; LDQ) of the step at hand.
 
-    Built once per run from the run's first level: problem is the
-    MncpProblem every step solves, and advance() moves the level data on to
-    the next level once a step is solved.  In mncp mode the M theta entries
-    are the complementarity pairs against G; in ncp mode all 2M entries
-    are pairs.
+    Built once per run from the run's first level, it is the problem every
+    step hands mncp.solve: n_pairs, residual and jacobian meet the contract
+    of mncp.MncpProblem, and advance() moves the level data on to the next
+    level once a step is solved.  In mncp mode the M theta entries are the
+    complementarity pairs against G; in ncp mode all 2M entries are pairs.
 
     The latest residual evaluation is kept, not its point: the residual and
     the closure terms (s, e, Phi, F).  By MncpProblem's contract the
@@ -85,15 +84,11 @@ class StepEquations:
 
     def __init__(self, cache: SchemeCache, method: str, state: State):
         m = cache.grid.m
-        if method == MNCP:
-            n_pairs = m
-        elif method == NCP:
-            n_pairs = 2 * m
-        else:
+        if method not in (MNCP, NCP):
             raise ValueError(f"unknown method {method!r}")
         self.m = m
+        self.n_pairs = m if method == MNCP else 2 * m
         self.cache = cache
-        self.problem = MncpProblem(n_pairs, self.residual, self.jacobian)
         self.level = np.concatenate((assemble_LD(state, cache), assemble_LDQ(state, cache)))
         self._w = np.concatenate((np.full(m, 8.0), np.full(m, 4.0)))
         self._r = self._terms = None   # residual and closure of the latest residual call
@@ -142,7 +137,7 @@ def step(state: State, equations: StepEquations, config: RunConfig, previous_shi
     else:
         z0 = 3.0 * (state.z - previous.z) + earlier.z
     try:
-        z, report = solve(equations.problem, z0, config.solver_opts, previous_shift)
+        z, report = solve(equations, z0, config.solver_opts, previous_shift)
     except SolverError as err:
         raise StepFailed(err, state.n, equations.m) from err
     equations.advance(z)

@@ -15,6 +15,7 @@ from combust.discretization import (
     assemble_P,
     jacobian,
     residual,
+    stacked_row,
 )
 from combust.mncp import MncpProblem, direction
 from combust.model import (
@@ -226,7 +227,7 @@ class TestResidual:
         with pytest.raises(NumericError) as err:
             residual(state.z, cache, level)
         assert err.value.node == node
-        assert f"node {node}" in str(err.value)
+        assert str(err.value) == f"non-finite residual {'G' if row < 5 else 'Q'} at node {node}"
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     @pytest.mark.parametrize("row, node", [(0, 1), (7, 3), (3, 4), (9, 5)])
@@ -238,7 +239,7 @@ class TestResidual:
         with pytest.raises(NumericError) as err:
             residual(state.z, cache, level)
         assert err.value.node == node
-        assert f"node {node}" in str(err.value)
+        assert str(err.value) == f"non-finite residual {'G' if row < 5 else 'Q'} at node {node}"
 
     def test_huge_finite_entries_pass_without_warning(self):
         # the squared norm of the residual overflows, its entries do not:
@@ -263,6 +264,13 @@ class TestResidual:
         with pytest.raises(NumericError) as err:
             residual(state.z, cache, level)
         assert err.value.node == 2
+        assert str(err.value) == "non-finite residual Q at node 2"
+
+    @pytest.mark.parametrize("row, named", [(0, ("theta", "G", 1)), (4, ("theta", "G", 5)),
+                                            (5, ("eta", "Q", 1)), (9, ("eta", "Q", 5))])
+    def test_stacked_row_names_variable_residual_and_node(self, row, named):
+        # M = 5: rows 0..4 are theta and G at nodes 1..5, rows 5..9 eta and Q
+        assert stacked_row(row, 5) == named
 
 
 def dense_jacobian_fd(theta, eta, cache, step=1e-6):

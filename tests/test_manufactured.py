@@ -66,7 +66,7 @@ def max_errors(m, method):
     for n in range(grid.n_steps):
         source_next = np.concatenate(sources(x, (n + 1) * grid.k))
         equations.level = equations.level + weight * (source + source_next)
-        z, _ = solve(equations.problem, z)
+        z, _ = solve(equations, z)
         equations.advance(z)
         source = source_next
     theta, eta = exact(x, T_END)

@@ -66,8 +66,7 @@ class TestStepEquations:
         state = initial_state(config.grid)
         rng = np.random.default_rng(4)
         for method, n_pairs in ((MNCP, 4), (NCP, 8)):
-            equations = StepEquations(cache, method, state)
-            prob = equations.problem
+            prob = equations = StepEquations(cache, method, state)
             assert prob.n_pairs == n_pairs
             # z = (theta; eta) and r = (G; Q)
             theta, eta = np.linspace(0.1, 0.4, 4), np.linspace(0.5, 0.8, 4)
@@ -178,18 +177,26 @@ class TestSnapshotIndices:
 
 class TestRun:
     def test_every_step_solves_one_shared_problem(self, monkeypatch):
-        # the pair index and the problem are built once per run, not per step
+        # the step equations are built once per run, not per step, and are
+        # themselves the problem every solve is handed
         problems = []
-        original = timestepper.solve
+        built = []
+        original_solve = timestepper.solve
+        original_equations = timestepper.StepEquations
 
         def recording(problem, *args):
             problems.append(problem)
-            return original(problem, *args)
+            return original_solve(problem, *args)
+
+        def building(*args):
+            built.append(original_equations(*args))
+            return built[-1]
 
         monkeypatch.setattr(timestepper, "solve", recording)
+        monkeypatch.setattr(timestepper, "StepEquations", building)
         run(tiny_config(m=6, n_steps=4))
-        assert len(problems) == 4
-        assert all(p is problems[0] for p in problems)
+        assert len(built) == 1 and len(problems) == 4
+        assert all(p is built[0] for p in problems)
 
     def test_zero_steps_records_initial(self):
         config = tiny_config(m=5, n_steps=0, record_times=(0.0,))
@@ -237,7 +244,7 @@ class TestRun:
         equations = StepEquations(cache, MNCP, state)
         for _ in range(5):
             # the problem of this step, kept at its level while the step advances `equations`
-            prob = StepEquations(cache, MNCP, state).problem
+            prob = StepEquations(cache, MNCP, state)
             state, _ = step(state, equations, config)
             z = np.concatenate((state.theta, state.eta))
             r = prob.residual(z)
