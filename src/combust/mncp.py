@@ -29,7 +29,7 @@ import numpy as np
 MNCP = "mncp"
 NCP = "ncp"
 
-_SIGMA_C = 0.5          # centering fraction
+_SIGMA_C = 0.01         # centering fraction; 0.5 stalls NCP and slows ignition (README)
 _ETA_ARMIJO = 0.1       # sufficient-decrease fraction
 _NU_BACKTRACK = 0.8     # step contraction factor
 _STEP_FLOOR = 1e-12

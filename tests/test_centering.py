@@ -19,17 +19,17 @@ def diagonal_problem(slope, offset):
 
 
 def test_scalar_target_hand_value():
-    # r = z at z = (0.1, 0.001): h = (1e-2, 1e-6), ||H|| = 1e-2 (1 + 5e-9)
-    # and the gap mu = 5.0005e-3, so both pairs aim at min(1, ||H||) mu =
-    # 5.0005e-5 (1 + 5e-9).  With the Newton matrix diag(z * 1 + r) =
-    # diag(2 z) and sigma_c = 0.5, d = (-h + 2.50025e-5 (1 + 5e-9)) / (2 z):
+    # r = z at z = (0.1, 1e-4): h = (1e-2, 1e-8), ||H|| = 1e-2 (1 + 5e-13)
+    # and the gap mu = 5.000005e-3, so both pairs aim at min(1, ||H||) mu =
+    # 5.000005e-5 (1 + 5e-13).  With the Newton matrix diag(z * 1 + r) =
+    # diag(2 z) and sigma_c = 0.01, d = (-h + 5.000005e-7 (1 + 5e-13)) / (2 z):
     # pair 0 shrinks its product, and pair 1, far below the target, grows it.
     prob = diagonal_problem(np.ones(2), np.zeros(2))
-    z = np.array([0.1, 0.001])
-    assert mncp._SIGMA_C == 0.5
+    z = np.array([0.1, 1e-4])
+    assert mncp._SIGMA_C == 0.01
     d, g_dot_d = direction(z, *evaluated(z, prob), prob)
-    assert d[0] == pytest.approx(-0.04987498749937494, rel=1e-13)
-    assert d[1] == pytest.approx(0.01200125006250625, rel=1e-13)
+    assert d[0] == pytest.approx(-0.04999749999749999875, rel=1e-13)
+    assert d[1] == pytest.approx(0.0024500025000012500, rel=1e-13)
     h = z * z
     assert g_dot_d == pytest.approx(h @ (2.0 * z * d), rel=1e-13)
 

@@ -527,4 +527,5 @@ class TestMain:
         cfg = write_config(tmp_path, "beta = 1e308\ntime_step = 1\nt_end = 3\nm_subintervals = 10\n")
         with np.errstate(all="ignore"):
             assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
-        assert "solver failure (NumericError) at time step 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver failure (NumericError) at time step 0: non-finite residual G at node 1" in err

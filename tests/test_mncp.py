@@ -82,12 +82,12 @@ class TestMeritAndResidual:
 class TestDirection:
     def test_hand_value_with_centering(self):
         # z = 1, r = z + 2: H = 3, J_H = z*1 + r = 4,
-        # rho = 0.5 * min(1, 3) * 3 = 1.5, so d = (-3 + 1.5) / 4 = -0.375
+        # rho = 0.01 * min(1, 3) * 3 = 0.03, so d = (-3 + 0.03) / 4 = -0.7425
         prob = scalar_affine()
         z = np.array([1.0])
         d, g_dot_d = direction(z, *evaluated(z, prob), prob)
-        assert d[0] == pytest.approx(-0.375, rel=1e-14)
-        assert g_dot_d == pytest.approx(3.0 * 4.0 * -0.375, rel=1e-14)
+        assert d[0] == pytest.approx(-0.7425, rel=1e-14)
+        assert g_dot_d == pytest.approx(3.0 * 4.0 * -0.7425, rel=1e-14)
 
     def test_small_centering_is_newton(self, monkeypatch):
         monkeypatch.setattr(mncp, "_SIGMA_C", 1e-14)
@@ -443,14 +443,14 @@ class TestSolve:
         assert f"max|H| = {np.abs(h).max():.3e}" in str(excinfo.value)
 
     def test_numeric_error_at_a_probe_carries_the_iterate(self):
-        # r(z) = z + 2 has no finite value below z = 0.5, where the residual
+        # r(z) = z + 2 has no finite value below z = 0.2, where the residual
         # raises NumericError as the step residual does.  From z = 1 the
-        # first Newton step is accepted at z = 0.625 (d = -1.5 / 4); the
-        # second step's first probe, z = 0.373, raises
+        # first Newton step is accepted at z = 0.2575 (d = -2.97 / 4); the
+        # second step's first probe, z = 0.028, raises
         def residual(z):
-            r = np.where(z >= 0.5, z + 2.0, np.nan)
+            r = np.where(z >= 0.2, z + 2.0, np.nan)
             if not np.isfinite(r).all():
-                raise NumericError("non-finite residual at node 1", node=1)
+                raise NumericError("non-finite residual G at node 1", node=1)
             return r
 
         prob = MncpProblem(n_pairs=1, residual=residual, jacobian=dense(lambda z: np.eye(1)))
@@ -458,10 +458,11 @@ class TestSolve:
             solve(prob, np.array([1.0]))
         err = excinfo.value
         assert err.report.iterations == 1
-        np.testing.assert_array_equal(err.iterate, [0.625])
-        assert err.report.worst_pair == (0, 0.625, 2.625)
-        assert str(err) == ("non-finite residual at node 1; max|H| = 1.641e+00, natural residual "
-                            "= 6.250e-01, worst pair row 0: z = 6.250e-01, r = 2.625e+00")
+        z = err.iterate[0]
+        assert z == pytest.approx(0.2575, rel=1e-15)
+        assert err.report.worst_pair == (0, z, z + 2.0)
+        assert str(err) == ("non-finite residual G at node 1; max|H| = 5.813e-01, natural residual "
+                            "= 2.575e-01, worst pair row 0: z = 2.575e-01, r = 2.257e+00")
 
     def test_natural_residual_alone_does_not_stop(self):
         # the pair is complementary to within tol at the restored start, but
