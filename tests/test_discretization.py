@@ -15,7 +15,6 @@ from combust.discretization import (
     assemble_P,
     jacobian,
     residual,
-    stacked_row,
 )
 from combust.mncp import MncpProblem, direction
 from combust.model import (
@@ -265,12 +264,6 @@ class TestResidual:
             residual(state.z, cache, level)
         assert err.value.node == 2
         assert str(err.value) == "non-finite residual Q at node 2"
-
-    @pytest.mark.parametrize("row, named", [(0, ("theta", "G", 1)), (4, ("theta", "G", 5)),
-                                            (5, ("eta", "Q", 1)), (9, ("eta", "Q", 5))])
-    def test_stacked_row_names_variable_residual_and_node(self, row, named):
-        # M = 5: rows 0..4 are theta and G at nodes 1..5, rows 5..9 eta and Q
-        assert stacked_row(row, 5) == named
 
 
 def dense_jacobian_fd(theta, eta, cache, step=1e-6):

@@ -83,7 +83,7 @@ def test_ignition_case_reaches_t_1(method, m, max_iterations, max_mean):
 @pytest.mark.parametrize("m, max_iterations, max_mean", [(1600, 15, 9.5), (6400, 18, 12.0)],
                          ids=["m1600", "m6400"])
 def test_ignition_ladder_reaches_t_1(method, m, max_iterations, max_mean):
-    # the ignition case at M = 1600 and 6400, about 15 s in all: every step
+    # the ignition case at M = 1600 and 6400, about 20 s in all: every step
     # converges, within a small margin over the most iterations a step was
     # measured to take (13 and 16), and the mean per step stays within a
     # small margin over the measured 8.53 / 8.52 and 10.95 / 10.94
