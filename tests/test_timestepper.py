@@ -66,17 +66,17 @@ class TestStepEquations:
         state = initial_state(config.grid)
         rng = np.random.default_rng(4)
         for method, n_pairs in ((MNCP, 4), (NCP, 8)):
-            prob = equations = StepEquations(cache, method, state)
-            assert prob.n_pairs == n_pairs
+            equations = StepEquations(cache, method, state)
+            assert equations.n_pairs == n_pairs
             # z = (theta; eta) and r = (G; Q)
             theta, eta = np.linspace(0.1, 0.4, 4), np.linspace(0.5, 0.8, 4)
             z = np.concatenate((theta, eta))
-            r = prob.residual(z)
+            r = equations.residual(z)
             np.testing.assert_array_equal(r, residual(z, cache, equations.level)[0])
             # the Newton matrix scales the problem's pair rows, and no others
             rhs = rng.normal(size=8)
             jac = equations.jacobian(z)
-            p = prob.n_pairs
+            p = equations.n_pairs
             d = jac.newton_solve(z[:p], r[:p], rhs)
             ref = DenseJacobian(jac.to_dense()).newton_solve(z[:p], r[:p], rhs)
             assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
