@@ -264,7 +264,7 @@ def main(argv=None) -> int:
         return 0 if exit_.code == 0 else 1
     try:
         config = _load_config(args)
-    except (ConfigError, OSError, ValueError, OverflowError) as err:
+    except (OSError, ValueError, OverflowError) as err:
         print(f"combust: configuration error: {err}", file=sys.stderr)
         return 1
     problem = _output_problem(args.out, getattr(args, "plot_script", None), args.config)

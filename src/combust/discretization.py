@@ -199,15 +199,15 @@ def assemble_matrices(grid: Grid, params: DimensionlessParams) -> SchemeCache:
                        k=grid.k, lambda_s=grid.lambda_s, grid=grid, params=params)
 
 
-def assemble_P(theta: np.ndarray, theta_b: float, params: DimensionlessParams) -> np.ndarray:
+def assemble_P(theta: np.ndarray, params: DimensionlessParams) -> np.ndarray:
     """Centered flux differences: row m = F(theta_{m+1}) - F(theta_{m-1}).
 
-    Row 1 uses the boundary value; row M is identically zero because the
-    Neumann mirror makes F_{M+1} = F_{M-1} cancel.
+    Row 1 uses the boundary value THETA_B; row M is identically zero because
+    the Neumann mirror makes F_{M+1} = F_{M-1} cancel.
     """
     m = theta.size
     full = np.empty(m + 1)
-    full[0] = theta_b
+    full[0] = THETA_B
     full[1:] = theta
     f = flux(full, params)
     p_vec = np.zeros(m)
@@ -221,7 +221,7 @@ def assemble_LD(state: State, cache: SchemeCache) -> np.ndarray:
     phi_n = phi(state.theta, state.eta, cache.params)
     return (
         _tri_matvec(cache.b_diag, cache.b_off, state.theta)
-        - cache.lambda_s * assemble_P(state.theta, THETA_B, cache.params)
+        - cache.lambda_s * assemble_P(state.theta, cache.params)
         + 2.0 * cache.k * phi_n
     )
 

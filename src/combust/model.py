@@ -32,15 +32,12 @@ class DimensionalParams:
     """Physical reservoir constants, SI units."""
 
     t_res: float       # initial reservoir temperature [K]
-    c_m: float         # volumetric heat capacity of porous medium [J/(m^3 K)]
-    c_g: float         # molar heat capacity of gas [J/(mol K)]
     lambda_th: float   # thermal conductivity of porous medium [J/(m s K)]
     q_r: float         # reaction enthalpy [J/mol]
     u_inj: float       # Darcy velocity of gas injection [m/s]
     e_r: float         # activation energy [J/mol]
     k_p: float         # pre-exponential factor [1/s]
     r_gas: float       # ideal gas constant [J/(mol K)]
-    pressure: float    # prevailing pressure [Pa]
     rho_f_res: float   # initial molar density of fuel [mol/m^3]
 
     def __post_init__(self) -> None:
@@ -86,15 +83,12 @@ class DimensionlessParams:
 # Typical reservoir data for solid-fuel in-situ combustion.
 TYPICAL_RESERVOIR = DimensionalParams(
     t_res=273.0,
-    c_m=2e6,
-    c_g=27.42,
     lambda_th=0.87,
     q_r=4e5,
     u_inj=0.0023,
     e_r=58000.0,
     k_p=500.0,
     r_gas=8.314,
-    pressure=101325.0,
     rho_f_res=372.0,
 )
 

@@ -150,12 +150,9 @@ def nearest_step(t: float, k: float) -> int:
     return n if t - n * k <= (n + 1) * k - t else n + 1
 
 
-def snapshot_indices(grid: Grid, record_times) -> dict:
-    """Map each requested time to its nearest step, clamped to the run's steps."""
-    out = {}
-    for t in record_times:
-        out.setdefault(min(max(nearest_step(t, grid.k), 0), grid.n_steps), t)
-    return out
+def snapshot_indices(grid: Grid, record_times) -> set:
+    """The step nearest to each requested time, clamped to the run's steps."""
+    return {min(max(nearest_step(t, grid.k), 0), grid.n_steps) for t in record_times}
 
 
 def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:

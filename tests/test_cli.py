@@ -97,7 +97,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("text, message", [
         ("x_star = 1.0\nt_res = 300.0\n", "line 1: dimensional block incomplete"),
-        ("u = 3.0\nx_star = 1.0\nc_g = 27.0\n", "line 2: dimensionless keys"),
+        ("u = 3.0\nx_star = 1.0\nr_gas = 8.0\n", "line 2: dimensionless keys"),
     ])
     def test_block_error_names_first_dimensional_line(self, tmp_path, text, message):
         with pytest.raises(ConfigError, match=message):
@@ -127,6 +127,24 @@ class TestParseConfig:
                        for f in fields(cls)}
         assert set(cli._CONVERTERS) == grid_keys | field_names
 
+    # a value other than the default for each key outside the parameter blocks
+    NEW_VALUES = {"domain_length": "0.1", "m_subintervals": "20", "time_step": "2e-5",
+                  "t_end": "0.02", "record_times": "0.0, 0.005", "method": "ncp",
+                  "tol": "1e-9", "max_iter": "17"}
+
+    @pytest.mark.parametrize("key", list(cli._CONVERTERS))
+    def test_every_key_changes_the_configuration(self, tmp_path, key):
+        # a key that nothing reads would be accepted, even required, and change nothing
+        typical = {**asdict(TYPICAL_RESERVOIR), **asdict(TYPICAL_SCALES)}
+        if key in typical:
+            before, after = DIMENSIONAL_BLOCK, dimensional_block(**{key: 1.5 * typical[key]})
+        elif key in self.NEW_VALUES:
+            before, after = "", f"{key} = {self.NEW_VALUES[key]}\n"
+        else:
+            before, after = "", f"{key} = {1.5 * getattr(BASE_PARAMS, key)!r}\n"
+        assert (parse_config(write_config(tmp_path, after))
+                != parse_config(write_config(tmp_path, before, name="before.cfg")))
+
     def test_every_solver_option_round_trips(self, tmp_path):
         given = {"tol": 1e-9, "max_iter": 17}
         defaults = SolverOptions()
@@ -143,10 +161,11 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, "tol = x\nm_subintervals = y\n"))
 
     def test_first_bad_dimensional_line_for_every_hash_seed(self, tmp_path):
-        # t_res on line 1 and u_inj on line 6 are both malformed
+        # t_res on line 1 and u_inj on a later line are both malformed
         lines = DIMENSIONAL_BLOCK.splitlines()
+        assert lines[0].startswith("t_res =")
         lines[0] = "t_res = warm"
-        lines[5] = "u_inj = slow"
+        lines[[line.split(" =")[0] for line in lines].index("u_inj")] = "u_inj = slow"
         cfg = write_config(tmp_path, "\n".join(lines) + "\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         for seed in ("1", "5"):
@@ -184,7 +203,7 @@ class TestTimeToStep:
         t_end = (j + 0.5) * self.K
         config = parse_config(write_config(tmp_path, f"time_step = {self.K!r}\nt_end = {t_end!r}\n"))
         assert config.grid.n_steps == j
-        assert timestepper.snapshot_indices(config.grid, (t_end,)) == {config.grid.n_steps: t_end}
+        assert timestepper.snapshot_indices(config.grid, (t_end,)) == {config.grid.n_steps}
 
     def test_run_at_a_tie_writes_its_final_state(self, tmp_path):
         t_end = 11.5 * self.K
@@ -340,6 +359,17 @@ class TestMain:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_line_without_equals_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "m_subintervals 20\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == ("combust: configuration error: line 1: expected "
+                                           "'key = value', got 'm_subintervals 20'\n")
+
+    def test_negative_tend_exit_code(self, tmp_path, capsys):
+        assert main(["run", "--tend", "-1", "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == "combust: configuration error: n_steps must be nonnegative\n"
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("line", [
         "eps_interior = 0", "eps_interior = -1e-6", "max_iter = 0",
         "eta_armijo = -5", "eta_armijo = 1", "max_restore = -1", "tol = 0",
@@ -446,6 +476,20 @@ class TestMain:
             err = capsys.readouterr().err
             assert "combust: cannot write output:" in err
             assert str(tmp_path / "missing") in err
+
+    def test_write_failure_after_the_run_exit_code(self, tmp_path, capsys, monkeypatch):
+        # /dev/full passes the pre-run check and fails the write; a
+        # system without it gets the same error from the writer
+        if not Path("/dev/full").exists():
+            def full(*args):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(cli, "_write_csv", full)
+        cfg = write_config(tmp_path, SMALL_RUN)
+        assert main(["run", "--config", cfg, "--out", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\ncombust: cannot write output: [Errno 28] No space left on device\n")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("script", ["f.csv", "./f.csv", "sub/../f.csv"])
     def test_out_and_plot_script_same_file_exit_code(self, tmp_path, capsys, monkeypatch, script):

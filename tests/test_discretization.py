@@ -9,6 +9,7 @@ from combust.discretization import (
     NumericError,
     State,
     StepJacobian,
+    THETA_B,
     assemble_LD,
     assemble_LDQ,
     assemble_matrices,
@@ -89,19 +90,21 @@ class TestAssembleMatrices:
 
 class TestAssembleP:
     def test_constant_field_cancels(self):
-        p_vec = assemble_P(np.full(8, 0.7), 0.7, BASE_PARAMS)
-        np.testing.assert_allclose(p_vec, np.zeros(8), atol=1e-16)
+        # the interior rows cancel; row 1 differences against the boundary value
+        p_vec = assemble_P(np.full(8, 0.7), BASE_PARAMS)
+        np.testing.assert_allclose(p_vec[1:], np.zeros(7), atol=1e-16)
+        assert p_vec[0] == pytest.approx(flux(0.7, BASE_PARAMS) - flux(THETA_B, BASE_PARAMS), rel=1e-15)
 
     def test_last_component_zero(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             theta = rng.uniform(0.0, 5.0, 9)
-            assert assemble_P(theta, 0.0, BASE_PARAMS)[-1] == 0.0
+            assert assemble_P(theta, BASE_PARAMS)[-1] == 0.0
 
     def test_small_instance_closed_form(self):
         p = BASE_PARAMS
         theta = np.array([1.0, 2.0, 3.0])
-        p_vec = assemble_P(theta, 0.0, p)
+        p_vec = assemble_P(theta, p)
         assert p_vec[0] == pytest.approx(flux(2.0, p) - flux(0.0, p), rel=1e-15)
         assert p_vec[1] == pytest.approx(flux(3.0, p) - flux(1.0, p), rel=1e-15)
         assert p_vec[2] == 0.0
@@ -148,7 +151,7 @@ class TestLevelNVectors:
             b_theta = np.diag(b) * theta
             b_theta[1:] += np.diag(b, -1) * theta[:-1]
             b_theta[:-1] += np.diag(b, 1) * theta[1:]
-            expected = (b_theta - grid.lambda_s * assemble_P(theta, 0.0, BASE_PARAMS)
+            expected = (b_theta - grid.lambda_s * assemble_P(theta, BASE_PARAMS)
                         + 2.0 * grid.k * phi(theta, eta, BASE_PARAMS))
             np.testing.assert_array_equal(assemble_LD(State(theta, eta), cache), expected)
 
@@ -176,7 +179,7 @@ class TestResidual:
             res, _ = residual(state.z, cache, level_of(state, cache))
             direct_g = (
                 (cache.a_dense() - cache.b_dense()) @ theta
-                + 2.0 * grid.lambda_s * assemble_P(theta, 0.0, BASE_PARAMS)
+                + 2.0 * grid.lambda_s * assemble_P(theta, BASE_PARAMS)
                 - 4.0 * grid.k * phi(theta, eta, BASE_PARAMS)
             )
             np.testing.assert_allclose(res[:8], direct_g, rtol=1e-12, atol=1e-14)
@@ -208,7 +211,7 @@ class TestResidual:
             a_theta[1:] += np.diag(cache.a_dense(), -1) * theta[:-1]
             a_theta[:-1] += np.diag(cache.a_dense(), 1) * theta[1:]
             phi_next = phi(theta, eta, BASE_PARAMS)
-            g = (a_theta + grid.lambda_s * assemble_P(theta, 0.0, BASE_PARAMS)
+            g = (a_theta + grid.lambda_s * assemble_P(theta, BASE_PARAMS)
                  - 2.0 * grid.k * phi_next - ld)
             q = 2.0 * eta - grid.k * phi_next - ldq
             res, _ = residual(np.concatenate((theta, eta)), cache, np.concatenate((ld, ldq)))

@@ -31,14 +31,15 @@ class TestNondimensionalize:
         assert p.u == pytest.approx(3.74, abs=0.01)
 
     def test_identity_scales(self):
-        dim = DimensionalParams(*([1.0] * 11))
+        dim = DimensionalParams(t_res=1.0, lambda_th=1.0, q_r=1.0, u_inj=1.0, e_r=1.0, k_p=1.0,
+                                r_gas=1.0, rho_f_res=1.0)
         p = nondimensionalize(dim, Scales(1.0, 1.0, 1.0))
         assert (p.pe_t, p.beta, p.e_act, p.theta0, p.u) == (1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_nonpositive_field_rejected(self):
         with pytest.raises(ValueError, match="lambda_th"):
-            DimensionalParams(273.0, 2e6, 27.42, 0.0, 4e5, 0.0023, 58000.0, 500.0,
-                              8.314, 101325.0, 372.0)
+            DimensionalParams(t_res=273.0, lambda_th=0.0, q_r=4e5, u_inj=0.0023, e_r=58000.0,
+                              k_p=500.0, r_gas=8.314, rho_f_res=372.0)
         with pytest.raises(ValueError, match="x_star"):
             Scales(-1.0, 1.0, 1.0)
 

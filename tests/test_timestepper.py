@@ -159,20 +159,16 @@ class TestStep:
 class TestSnapshotIndices:
     def test_exact_hits(self):
         grid = Grid(length=0.05, m=4, k=1e-5, n_steps=1000)
-        out = snapshot_indices(grid, (0.0, 0.002, 0.01))
-        assert out == {0: 0.0, 200: 0.002, 1000: 0.01}
+        assert snapshot_indices(grid, (0.0, 0.002, 0.01)) == {0, 200, 1000}
 
     def test_nearest_with_tie_to_lower(self):
         grid = Grid(length=1.0, m=4, k=0.1, n_steps=10)
-        out = snapshot_indices(grid, (0.24, 0.26, 0.25))
-        assert set(out) == {2, 3}
-        assert out[2] == 0.24
-        assert out[3] == 0.26
+        assert snapshot_indices(grid, (0.24, 0.26, 0.25)) == {2, 3}
+        assert snapshot_indices(grid, (0.25,)) == {2}
 
     def test_clamped_to_run_range(self):
         grid = Grid(length=1.0, m=4, k=0.1, n_steps=5)
-        out = snapshot_indices(grid, (99.0,))
-        assert out == {5: 99.0}
+        assert snapshot_indices(grid, (99.0,)) == {5}
 
 
 class TestRun:
