@@ -199,20 +199,20 @@ def assemble_matrices(grid: Grid, params: DimensionlessParams) -> SchemeCache:
                        k=grid.k, lambda_s=grid.lambda_s, grid=grid, params=params)
 
 
-def assemble_P(theta: np.ndarray, params: DimensionlessParams) -> np.ndarray:
-    """Centered flux differences: row m = F(theta_{m+1}) - F(theta_{m-1}).
-
-    Row 1 uses the boundary value THETA_B; row M is identically zero because
-    the Neumann mirror makes F_{M+1} = F_{M-1} cancel.
-    """
-    m = theta.size
-    full = np.empty(m + 1)
-    full[0] = THETA_B
-    full[1:] = theta
-    f = flux(full, params)
-    p_vec = np.zeros(m)
-    p_vec[: m - 1] = f[2:] - f[: m - 1]
+def _flux_difference(f: np.ndarray) -> np.ndarray:
+    """Centered flux differences P from the fluxes f at nodes 1..M: row m is
+    F_{m+1} - F_{m-1}, row 1 differences against F(THETA_B) = 0 and row M is
+    zero, as the Neumann mirror makes F_{M+1} = F_{M-1} cancel."""
+    p_vec = np.empty_like(f)
+    p_vec[0] = f[1]
+    np.subtract(f[2:], f[:-2], out=p_vec[1:-1])
+    p_vec[-1] = 0.0
     return p_vec
+
+
+def assemble_P(theta: np.ndarray, params: DimensionlessParams) -> np.ndarray:
+    """Centered flux differences P(theta) (see _flux_difference)."""
+    return _flux_difference(flux(theta, params))
 
 
 def assemble_LD(state: State, cache: SchemeCache) -> np.ndarray:
@@ -264,9 +264,7 @@ def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
     g = out[:m]
     q = out[m:]
     _tri_matvec(cache.a_diag, cache.a_off, theta_next, out=g)
-    # lambda_s P: row 1 differences against F(THETA_B) = 0, row M is zero
-    g[0] += lam * f[1]
-    g[1:-1] += lam * (f[2:] - f[:-2])
+    g += lam * _flux_difference(f)
     g -= 2.0 * k * phi_next
     np.multiply(2.0, eta_next, out=q)
     q -= k * phi_next

@@ -44,10 +44,10 @@ class StepFailed(RuntimeError):
     The message is "solver failure (<Kind>) at time step <n>: <reason>":
     Kind is the cause's class and reason its message, then the worst pair's
     stacked row (discretization.stacked_row), if the solver reported one.
-    run() attaches the steps completed before the failure as partial.
+    partial is the TimeSeries of the steps completed before the failure.
     """
 
-    def __init__(self, cause: SolverError, time_index: int, m: int):
+    def __init__(self, cause: SolverError, time_index: int, m: int, partial: TimeSeries):
         reason = str(cause)
         if cause.report.worst_pair is not None:
             row = cause.report.worst_pair[0]
@@ -56,7 +56,7 @@ class StepFailed(RuntimeError):
         super().__init__(f"solver failure ({type(cause).__name__}) at time step {time_index}: {reason}")
         self.time_index = time_index
         self.cause = cause
-        self.partial = None
+        self.partial = partial
 
 
 def initial_state(grid: Grid) -> State:
@@ -86,7 +86,6 @@ class StepEquations:
         m = cache.grid.m
         if method not in (MNCP, NCP):
             raise ValueError(f"unknown method {method!r}")
-        self.m = m
         self.n_pairs = m if method == MNCP else 2 * m
         self.cache = cache
         self.level = np.concatenate((assemble_LD(state, cache), assemble_LDQ(state, cache)))
@@ -128,7 +127,8 @@ def step(state: State, equations: StepEquations, config: RunConfig, previous_shi
     so no input state is changed.
     Returns (next_state, report): next_state holds the solver's z itself,
     which nothing else references, and report is the SolverReport of the
-    solve, whose shift is the total restoration shift the solve used.
+    solve, whose shift is the total restoration shift the solve used.  A
+    failed solve raises its SolverError, which run() turns into StepFailed.
     """
     if previous is None:
         z0 = state.z
@@ -136,10 +136,7 @@ def step(state: State, equations: StepEquations, config: RunConfig, previous_shi
         z0 = 2.0 * state.z - previous.z
     else:
         z0 = 3.0 * (state.z - previous.z) + earlier.z
-    try:
-        z, report = solve(equations, z0, config.solver_opts, previous_shift)
-    except SolverError as err:
-        raise StepFailed(err, state.n, equations.m) from err
+    z, report = solve(equations, z0, config.solver_opts, previous_shift)
     equations.advance(z)
     return State.stacked(z, state.n + 1), report
 
@@ -174,29 +171,33 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     tolerance-sized errors with weights (2, 1) instead of (3, 3, 1), and
     the quadratic start on every step costs restoration doublings and
     accuracy.  Each solve is handed the previous solve's shift (mncp.solve).
+
+    A solver failure raises StepFailed with the steps completed before it.
+    The run ignores floating-point overflow, invalid and divide-by-zero: a
+    non-finite value meets a typed check (the residual's, the direction's,
+    or Armijo on an infinite merit), so it ends as StepFailed under any
+    warnings filter.
     """
     grid = config.grid
-    cache = assemble_matrices(grid, config.params)
-    state = initial.copy() if initial is not None else initial_state(grid)
-    equations = StepEquations(cache, config.method, state)
-    snap_at = snapshot_indices(grid, config.record_times)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cache = assemble_matrices(grid, config.params)
+        state = initial.copy() if initial is not None else initial_state(grid)
+        equations = StepEquations(cache, config.method, state)
+        snap_at = snapshot_indices(grid, config.record_times)
 
-    snapshots = []
-    per_step = []
-    shift = 0.0
-    previous = earlier = None
-    if 0 in snap_at:
-        snapshots.append((0.0, state))
-    for n in range(grid.n_steps):
-        try:
-            next_state, report = step(state, equations, config, shift, previous, earlier)
-        except StepFailed as err:
-            err.partial = TimeSeries(snapshots=snapshots, per_step=per_step)
-            raise
-        per_step.append(report)
-        earlier = previous if report.s_evals > 2 else None
-        previous, state = state, next_state
-        shift = report.shift
-        if state.n in snap_at:
-            snapshots.append((state.n * grid.k, state))
+        snapshots = [(0.0, state)] if 0 in snap_at else []
+        per_step = []
+        shift = 0.0
+        previous = earlier = None
+        for n in range(grid.n_steps):
+            try:
+                next_state, report = step(state, equations, config, shift, previous, earlier)
+            except SolverError as err:
+                raise StepFailed(err, state.n, grid.m, TimeSeries(snapshots, per_step)) from err
+            per_step.append(report)
+            earlier = previous if report.s_evals > 2 else None
+            previous, state = state, next_state
+            shift = report.shift
+            if state.n in snap_at:
+                snapshots.append((state.n * grid.k, state))
     return TimeSeries(snapshots=snapshots, per_step=per_step)

@@ -38,7 +38,7 @@ def test_carried_level_data_equal_assembly(monkeypatch, method):
 
     def recording(state, equations, *args):
         out = original(state, equations, *args)
-        m = equations.m
+        m = equations.cache.grid.m
         carried.append((out[0], (equations.level[:m], equations.level[m:]), equations.cache))
         return out
 

@@ -9,10 +9,10 @@ import pytest
 
 from combust import mncp, timestepper
 from combust.cli import main
-from combust.discretization import Grid, State, assemble_matrices
+from combust.discretization import Grid, State
 from combust.mncp import LineSearchStall, MaxIterations, MncpProblem, SolverOptions, solve
 from combust.model import BASE_PARAMS
-from combust.timestepper import RunConfig, StepEquations, StepFailed, initial_state, run, step
+from combust.timestepper import RunConfig, StepFailed, run
 
 from conftest import base_config, dense
 
@@ -244,10 +244,8 @@ class TestFailureMessages:
     def test_step_failure_names_node(self, method):
         config = base_config(50, method)
         config = replace(config, solver_opts=SolverOptions(max_iter=1))
-        cache = assemble_matrices(config.grid, config.params)
-        state = initial_state(config.grid)
         with pytest.raises(StepFailed) as excinfo:
-            step(state, StepEquations(cache, method, state), config)
+            run(config)
         err = excinfo.value
         row, z_row, _ = err.cause.report.worst_pair
         m = config.grid.m
@@ -269,12 +267,24 @@ class TestFailureMessages:
             raise MaxIterations("no convergence", report=mncp.SolverReport(worst_pair=(row, 0.1, 0.2)))
 
         monkeypatch.setattr(timestepper, "solve", failing)
-        config = base_config(5, mncp.NCP)
-        state = initial_state(config.grid)
-        equations = StepEquations(assemble_matrices(config.grid, config.params), mncp.NCP, state)
         with pytest.raises(StepFailed) as excinfo:
-            step(state, equations, config)
+            run(base_config(5, mncp.NCP))
         assert str(excinfo.value) == f"solver failure (MaxIterations) at time step 0: no convergence; {text}"
+
+    @pytest.mark.parametrize("hot", [False, True])
+    def test_overflow_ends_as_step_failure(self, hot):
+        # beta = 1e308 overflows 2k Phi in the first residual; from theta = 1e6,
+        # where Phi is near beta, it overflows the first level's data as well.
+        # Tier-1 turns a RuntimeWarning into an error, so the overflow must
+        # reach the residual's finiteness check without raising one.
+        grid = Grid(length=0.05, m=10, k=1.0, n_steps=3)
+        config = RunConfig(grid=grid, params=replace(BASE_PARAMS, beta=1e308))
+        start = State(np.full(10, 1e6), np.zeros(10)) if hot else None
+        with pytest.raises(StepFailed) as excinfo:
+            run(config, start)
+        err = excinfo.value
+        assert str(err) == "solver failure (NumericError) at time step 0: non-finite residual G at node 1"
+        assert err.partial.per_step == []
 
     def test_cli_prints_cause(self, tmp_path, capsys):
         cfg = tmp_path / "case.cfg"

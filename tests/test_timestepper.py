@@ -3,7 +3,7 @@ import pytest
 
 from combust import timestepper
 from combust.discretization import Grid, State, assemble_matrices, residual
-from combust.mncp import MNCP, NCP, SolverOptions, merit_vector, solve
+from combust.mncp import MNCP, NCP, MaxIterations, SolverOptions, merit_vector, solve
 from combust.model import BASE_PARAMS, phi
 from combust.timestepper import (
     RunConfig,
@@ -151,8 +151,10 @@ class TestStep:
         cache = assemble_matrices(config.grid, config.params)
         state = initial_state(config.grid)
         state = State(theta=state.theta, eta=state.eta, n=3)
-        with pytest.raises(StepFailed) as excinfo:
+        with pytest.raises(MaxIterations):
             step(state, StepEquations(cache, MNCP, state), config)
+        with pytest.raises(StepFailed) as excinfo:
+            run(config, initial=state)
         assert excinfo.value.time_index == 3
 
 
