@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from combust import analysis
 from combust.discretization import ETA_B, THETA_B, Grid
 from combust.mncp import MNCP, NCP, SolverOptions
 from combust.model import BASE_PARAMS, DimensionalParams, DimensionlessParams, Scales, nondimensionalize
@@ -271,6 +270,10 @@ def main(argv=None) -> int:
     if problem is not None:
         print(f"combust: cannot write output: {problem}", file=sys.stderr)
         return 1
+    if args.command != "run":
+        # Only compare, refine and bench load the analysis drivers: importing
+        # them costs about a tenth of a cold start that a run never uses.
+        from combust import analysis
 
     try:
         if args.command == "run":

@@ -573,3 +573,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert "solver failure (NumericError) at time step 0: non-finite residual G at node 1" in err
         assert "RuntimeWarning" not in err
+
+
+RUN_PATH_MODULES = ["combust", "combust.cli", "combust.discretization", "combust.mncp",
+                    "combust.model", "combust.timestepper"]
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (None, RUN_PATH_MODULES),
+    ("run", RUN_PATH_MODULES),
+    ("compare", sorted(RUN_PATH_MODULES + ["combust.analysis"])),
+], ids=["import", "run", "compare"])
+def test_only_the_analysis_commands_load_analysis(tmp_path, command, loaded):
+    """The run path loads the solver's modules alone; compare, refine and bench
+    also load combust.analysis, whose import costs start-up time a run never uses."""
+    script = "import sys\nimport combust.cli\n"
+    if command is not None:
+        argv = [command, "--tend", "0.0001", "--out", str(tmp_path / "o.csv")]
+        script += f"assert combust.cli.main({argv!r}) == 0\n"
+    script += "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'combust'))\n"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == loaded
