@@ -12,7 +12,7 @@ import numpy as np
 
 from combust.discretization import ETA_B, THETA_B, Grid
 from combust.mncp import MNCP, NCP, SolverOptions
-from combust.model import BASE_PARAMS, DimensionalParams, DimensionlessParams, Scales, nondimensionalize
+from combust.model import BASE_PARAMS, DimensionalParams, DimensionlessParams, nondimensionalize
 from combust.timestepper import RunConfig, StepFailed, TimeSeries, nearest_step, run
 
 DEFAULT_RECORD_TIMES = (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)
@@ -65,7 +65,7 @@ _CONVERTERS = {
     "method": _to_method,
 } | {
     f.name: _to_int if f.type in (int, "int") else _to_float
-    for cls in (SolverOptions, DimensionlessParams, DimensionalParams, Scales)
+    for cls in (SolverOptions, DimensionlessParams, DimensionalParams)
     for f in fields(cls)
 }
 
@@ -106,20 +106,18 @@ def _build_config(values, lines) -> RunConfig:
     """
     dimless = _given(values, DimensionlessParams)
     dim = _given(values, DimensionalParams)
-    scales = _given(values, Scales)
-    dim_used = sorted(dim.keys() | scales.keys())
-    if dim_used:
-        line = min(lines.get(key, 0) for key in dim_used)
+    if dim:
+        line = min(lines.get(key, 0) for key in dim)
         if dimless:
             raise ConfigError(
-                f"dimensionless keys {sorted(dimless)} and dimensional keys {dim_used} "
+                f"dimensionless keys {sorted(dimless)} and dimensional keys {sorted(dim)} "
                 "are mutually exclusive",
                 line,
             )
-        missing = sorted(f.name for f in fields(DimensionalParams) + fields(Scales) if f.name not in values)
+        missing = sorted(f.name for f in fields(DimensionalParams) if f.name not in values)
         if missing:
             raise ConfigError(f"dimensional block incomplete, missing {missing}", line)
-        params = nondimensionalize(DimensionalParams(**dim), Scales(**scales))
+        params = nondimensionalize(DimensionalParams(**dim))
     else:
         params = replace(BASE_PARAMS, **dimless)
 

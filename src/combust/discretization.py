@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -139,8 +140,7 @@ class State:
         return f"State(theta={self.theta!r}, eta={self.eta!r}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class SchemeCache:
+class SchemeCache(NamedTuple):
     """Immutable per-run algebra: the coefficients of the tridiagonal A and B,
     and the grid's k and lambda_s, which every residual and Jacobian uses.
 
@@ -275,8 +275,7 @@ def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
     return out, terms
 
 
-@dataclass
-class StepJacobian:
+class StepJacobian(NamedTuple):
     """Analytic Jacobian of (G, Q), stored by block.
 
     Only dG/dtheta couples neighbouring nodes; the other three blocks are

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class MaxIterations(SolverError):
 
 @dataclass
 class SolverOptions:
+    """The stopping tolerance and the iteration limit of one solve."""
+
     tol: float = 1e-8               # stopping tolerance on max|H|
     max_iter: int = 200
 
@@ -74,8 +76,7 @@ class SolverOptions:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-@dataclass
-class MncpProblem:
+class MncpProblem(NamedTuple):
     """The n_pairs, residual and jacobian solve() reads; any object with them will do.
 
     residual maps z to the full residual vector.  The first n_pairs rows are
@@ -100,6 +101,9 @@ class MncpProblem:
 
 @dataclass
 class SolverReport:
+    """What one solve did: its counts, last step length and final max|H|,
+    the restoration shift, the wall time and, on failure, the worst pair."""
+
     iterations: int = 0
     s_evals: int = 0       # merit evaluations, line-search probes included
     js_evals: int = 0      # Jacobian builds / factorizations

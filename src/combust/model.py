@@ -13,15 +13,14 @@ finite-difference scheme coefficient is purely k/h.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 
 def _require_finite_positive(obj) -> None:
-    for f in dataclasses.fields(obj):
+    for f in fields(obj):
         value = getattr(obj, f.name)
         if not 0.0 < value < math.inf:
             raise ValueError(f"{type(obj).__name__}.{f.name} must be positive and finite, got {value}")
@@ -29,7 +28,8 @@ def _require_finite_positive(obj) -> None:
 
 @dataclass(frozen=True)
 class DimensionalParams:
-    """Physical reservoir constants, SI units."""
+    """Physical reservoir constants and the reference magnitudes that
+    nondimensionalize the model, SI units."""
 
     t_res: float       # initial reservoir temperature [K]
     lambda_th: float   # thermal conductivity of porous medium [J/(m s K)]
@@ -39,18 +39,9 @@ class DimensionalParams:
     k_p: float         # pre-exponential factor [1/s]
     r_gas: float       # ideal gas constant [J/(mol K)]
     rho_f_res: float   # initial molar density of fuel [mol/m^3]
-
-    def __post_init__(self) -> None:
-        _require_finite_positive(self)
-
-
-@dataclass(frozen=True)
-class Scales:
-    """Reference magnitudes used to nondimensionalize the model."""
-
-    x_star: float    # reference length [m]
-    t_star: float    # reference time [s]
-    dt_star: float   # reference temperature increment [K]
+    x_star: float      # reference length [m]
+    t_star: float      # reference time [s]
+    dt_star: float     # reference temperature increment [K]
 
     def __post_init__(self) -> None:
         _require_finite_positive(self)
@@ -80,7 +71,7 @@ class DimensionlessParams:
         return 1.0 / self.pe_t
 
 
-# Typical reservoir data for solid-fuel in-situ combustion.
+# Typical reservoir data and scales for solid-fuel in-situ combustion.
 TYPICAL_RESERVOIR = DimensionalParams(
     t_res=273.0,
     lambda_th=0.87,
@@ -90,23 +81,24 @@ TYPICAL_RESERVOIR = DimensionalParams(
     k_p=500.0,
     r_gas=8.314,
     rho_f_res=372.0,
+    x_star=9.1e4,
+    t_star=1.48e8,
+    dt_star=74.4,
 )
-
-TYPICAL_SCALES = Scales(x_star=9.1e4, t_star=1.48e8, dt_star=74.4)
 
 # Dimensionless base case used by all default runs.
 BASE_PARAMS = DimensionlessParams(pe_t=1406.0, beta=7.44e10, e_act=93.8, theta0=3.67, u=3.76)
 
 
-def nondimensionalize(dim: DimensionalParams, scales: Scales) -> DimensionlessParams:
+def nondimensionalize(dim: DimensionalParams) -> DimensionlessParams:
     """Map dimensional reservoir constants to the dimensionless parameter set."""
     try:
         return DimensionlessParams(
-            pe_t=scales.x_star / (dim.lambda_th * scales.dt_star),
+            pe_t=dim.x_star / (dim.lambda_th * dim.dt_star),
             beta=dim.rho_f_res * dim.k_p * dim.q_r,
-            e_act=dim.e_r / (dim.r_gas * scales.dt_star),
-            theta0=dim.t_res / scales.dt_star,
-            u=dim.u_inj * scales.t_star / scales.x_star,
+            e_act=dim.e_r / (dim.r_gas * dim.dt_star),
+            theta0=dim.t_res / dim.dt_star,
+            u=dim.u_inj * dim.t_star / dim.x_star,
         )
     except ZeroDivisionError:
         raise ValueError("a product of the dimensional constants in a denominator "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from combust.model import DimensionlessParams
 
 @dataclass
 class RunConfig:
+    """One run: the grid, the dimensionless parameters, the method (MNCP or
+    NCP), the solver's options and the times at which to record snapshots."""
+
     grid: Grid
     params: DimensionlessParams
     method: str = MNCP
@@ -32,8 +35,7 @@ class RunConfig:
     record_times: tuple = ()
 
 
-@dataclass
-class TimeSeries:
+class TimeSeries(NamedTuple):
     snapshots: list          # (time, State) pairs, times strictly increasing
     per_step: list           # the solver's report of each completed step
 

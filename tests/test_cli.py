@@ -14,10 +14,8 @@ from combust.mncp import MNCP, NCP, SolverOptions
 from combust.model import (
     BASE_PARAMS,
     TYPICAL_RESERVOIR,
-    TYPICAL_SCALES,
     DimensionalParams,
     DimensionlessParams,
-    Scales,
 )
 
 
@@ -28,8 +26,8 @@ def write_config(tmp_path, text, name="case.cfg"):
 
 
 def dimensional_block(**values):
-    """The dimensional block of TYPICAL_RESERVOIR and TYPICAL_SCALES, with values replacing keys."""
-    constants = {**asdict(TYPICAL_RESERVOIR), **asdict(TYPICAL_SCALES), **values}
+    """The dimensional block of TYPICAL_RESERVOIR, with values replacing keys."""
+    constants = {**asdict(TYPICAL_RESERVOIR), **values}
     return "\n".join(f"{key} = {value!r}" for key, value in constants.items())
 
 
@@ -123,9 +121,10 @@ class TestParseConfig:
 
     def test_keys_are_grid_keys_and_dataclass_fields(self):
         grid_keys = {"domain_length", "m_subintervals", "time_step", "t_end", "record_times", "method"}
-        field_names = {f.name for cls in (SolverOptions, DimensionlessParams, DimensionalParams, Scales)
+        field_names = {f.name for cls in (SolverOptions, DimensionlessParams, DimensionalParams)
                        for f in fields(cls)}
         assert set(cli._CONVERTERS) == grid_keys | field_names
+        assert len(cli._CONVERTERS) == 24
 
     # a value other than the default for each key outside the parameter blocks
     NEW_VALUES = {"domain_length": "0.1", "m_subintervals": "20", "time_step": "2e-5",
@@ -135,7 +134,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key", list(cli._CONVERTERS))
     def test_every_key_changes_the_configuration(self, tmp_path, key):
         # a key that nothing reads would be accepted, even required, and change nothing
-        typical = {**asdict(TYPICAL_RESERVOIR), **asdict(TYPICAL_SCALES)}
+        typical = asdict(TYPICAL_RESERVOIR)
         if key in typical:
             before, after = DIMENSIONAL_BLOCK, dimensional_block(**{key: 1.5 * typical[key]})
         elif key in self.NEW_VALUES:

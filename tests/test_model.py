@@ -8,10 +8,8 @@ import pytest
 from combust.model import (
     BASE_PARAMS,
     TYPICAL_RESERVOIR,
-    TYPICAL_SCALES,
     DimensionalParams,
     DimensionlessParams,
-    Scales,
     flux,
     flux_d,
     nondimensionalize,
@@ -23,7 +21,7 @@ from combust.model import (
 
 class TestNondimensionalize:
     def test_typical_values(self):
-        p = nondimensionalize(TYPICAL_RESERVOIR, TYPICAL_SCALES)
+        p = nondimensionalize(TYPICAL_RESERVOIR)
         assert p.beta == 372.0 * 500.0 * 4e5 == 7.44e10
         assert p.e_act == pytest.approx(93.8, abs=0.05)
         assert p.theta0 == pytest.approx(3.67, abs=0.005)
@@ -32,16 +30,15 @@ class TestNondimensionalize:
 
     def test_identity_scales(self):
         dim = DimensionalParams(t_res=1.0, lambda_th=1.0, q_r=1.0, u_inj=1.0, e_r=1.0, k_p=1.0,
-                                r_gas=1.0, rho_f_res=1.0)
-        p = nondimensionalize(dim, Scales(1.0, 1.0, 1.0))
+                                r_gas=1.0, rho_f_res=1.0, x_star=1.0, t_star=1.0, dt_star=1.0)
+        p = nondimensionalize(dim)
         assert (p.pe_t, p.beta, p.e_act, p.theta0, p.u) == (1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_nonpositive_field_rejected(self):
         with pytest.raises(ValueError, match="lambda_th"):
-            DimensionalParams(t_res=273.0, lambda_th=0.0, q_r=4e5, u_inj=0.0023, e_r=58000.0,
-                              k_p=500.0, r_gas=8.314, rho_f_res=372.0)
+            replace(TYPICAL_RESERVOIR, lambda_th=0.0)
         with pytest.raises(ValueError, match="x_star"):
-            Scales(-1.0, 1.0, 1.0)
+            replace(TYPICAL_RESERVOIR, x_star=-1.0)
 
     def test_theta0_whose_square_overflows_rejected(self):
         # F'(theta) squares theta0 as a Python float, which raises OverflowError
@@ -51,7 +48,7 @@ class TestNondimensionalize:
         with pytest.raises(ValueError, match="theta0"):
             replace(BASE_PARAMS, theta0=1e200)
         with pytest.raises(ValueError, match="theta0"):
-            nondimensionalize(TYPICAL_RESERVOIR, Scales(9.1e4, 1.48e8, 1e-200))
+            nondimensionalize(replace(TYPICAL_RESERVOIR, dt_star=1e-200))
 
     def test_h_diff_inverse_of_peclet(self):
         assert BASE_PARAMS.h_diff * BASE_PARAMS.pe_t == pytest.approx(1.0, rel=1e-15)

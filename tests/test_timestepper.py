@@ -3,7 +3,7 @@ import pytest
 
 from combust import timestepper
 from combust.discretization import Grid, State, assemble_matrices, residual
-from combust.mncp import MNCP, NCP, MaxIterations, SolverOptions, merit_vector, solve
+from combust.mncp import MNCP, NCP, MaxIterations, MncpProblem, SolverOptions, merit_vector, solve
 from combust.model import BASE_PARAMS, phi
 from combust.timestepper import (
     RunConfig,
@@ -295,3 +295,27 @@ class TestRun:
         partial = excinfo.value.partial
         assert partial is not None
         assert len(partial.snapshots) == 1
+
+
+def _records():
+    """One of each of the solver's records, by class name, as a run builds them."""
+    config = tiny_config(m=4, n_steps=1)
+    cache = assemble_matrices(config.grid, config.params)
+    equations = StepEquations(cache, MNCP, initial_state(config.grid))
+    z = np.full(8, 0.5)
+    equations.residual(z)
+    problem = MncpProblem(n_pairs=4, residual=equations.residual, jacobian=equations.jacobian)
+    records = (cache, equations.jacobian(z), run(config), problem)
+    return {type(record).__name__: record for record in records}
+
+
+@pytest.mark.parametrize("name", ["SchemeCache", "StepJacobian", "TimeSeries", "MncpProblem"])
+def test_solver_records_are_immutable(name):
+    # no field of a record can be rebound: a StepJacobian's retry, for one,
+    # perturbs copies of its blocks, never the blocks themselves
+    record = _records()[name]
+    for field in type(record).__annotations__:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) is before
