@@ -311,8 +311,8 @@ def _records():
 
 @pytest.mark.parametrize("name", ["SchemeCache", "StepJacobian", "TimeSeries", "MncpProblem"])
 def test_solver_records_are_immutable(name):
-    # no field of a record can be rebound: a StepJacobian's retry, for one,
-    # perturbs copies of its blocks, never the blocks themselves
+    # no field of these records can be rebound; a StepJacobian's retry, for
+    # one, must perturb copies of its blocks
     record = _records()[name]
     for field in type(record).__annotations__:
         before = getattr(record, field)
