@@ -13,7 +13,8 @@ import numpy as np
 from combust.discretization import ETA_B, THETA_B, Grid
 from combust.mncp import MNCP, NCP, SolverOptions
 from combust.model import BASE_PARAMS, DimensionalParams, DimensionlessParams, nondimensionalize
-from combust.timestepper import RunConfig, StepFailed, TimeSeries, nearest_step, run
+from combust.timestepper import (RunConfig, StepFailed, TimeSeries, nearest_step, run,
+                                 snapshot_indices)
 
 DEFAULT_RECORD_TIMES = (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)
 
@@ -123,6 +124,8 @@ def _build_config(values, lines) -> RunConfig:
 
     k = values.get("time_step", 1e-5)
     t_end = values.get("t_end", 0.01)
+    if t_end < 0.0:
+        raise ConfigError(f"t_end must be nonnegative, got {t_end!r}", lines.get("t_end", 0))
     # Above 2**53 steps, float64 step indices are not exact and nearest_step
     # cannot place times; such a run would not end in any case.
     if k > 0.0 and t_end / k > 2.0**53:
@@ -206,7 +209,8 @@ def _load_config(args) -> RunConfig:
     """The --config file's values with --method, --m and --tend put in, each flag's
     text converted as its key's line in the file would be, then one build."""
     values, lines = _read_config(args.config) if args.config is not None else ({}, {})
-    for key, flag in (("method", args.method), ("m_subintervals", args.m), ("t_end", args.tend)):
+    for key, flag in (("method", getattr(args, "method", None)), ("m_subintervals", args.m),
+                      ("t_end", args.tend)):
         if flag is not None:
             values[key] = _CONVERTERS[key](flag, key, 0)
             lines.pop(key, None)
@@ -226,10 +230,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="key = value configuration file")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--method", default=None, help="override method (mncp or ncp)")
         p.add_argument("--m", default=None, help="override interior node count")
         p.add_argument("--tend", default=None, help="override final time")
+        # compare and bench run both methods
         if name in ("run", "refine"):
+            p.add_argument("--method", default=None, help="override method (mncp or ncp)")
             p.add_argument("--plot-script", default=None, help="also emit a gnuplot script here")
     return parser
 
@@ -261,6 +266,13 @@ def main(argv=None) -> int:
         return 0 if exit_.code == 0 else 1
     try:
         config = _load_config(args)
+        # refine and bench compare snapshots after step 0; with none, every run is wasted
+        if args.command in ("refine", "bench") and not any(
+                snapshot_indices(config.grid, config.record_times)):
+            times = ", ".join(map(repr, config.record_times))
+            raise ConfigError(f"{args.command} needs a snapshot after step 0, but no time in "
+                              f"record_times = {times} falls after step 0 of the "
+                              f"{config.grid.n_steps}-step run")
     except (OSError, ValueError, OverflowError) as err:
         print(f"combust: configuration error: {err}", file=sys.stderr)
         return 1

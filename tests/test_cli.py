@@ -34,6 +34,13 @@ def dimensional_block(**values):
 DIMENSIONAL_BLOCK = dimensional_block()
 
 
+def readme_block(first_line):
+    """The ```ini block of README.md that begins with first_line."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return next(block.split("```")[0] for block in readme.read_text().split("```ini\n")[1:]
+                if block.startswith(first_line))
+
+
 class TestParseConfig:
     def test_empty_file_gives_base_case(self, tmp_path):
         config = parse_config(write_config(tmp_path, ""))
@@ -345,6 +352,29 @@ class TestMain:
         else:
             assert f"warning: cell Peclet number u h Pe_t = {peclet} exceeds 2" in err
 
+    @pytest.mark.parametrize("command", ["compare", "bench"])
+    def test_method_flag_only_on_run_and_refine(self, tmp_path, capsys, command):
+        # compare and bench run both methods, so a --method would be ignored
+        assert main([command, "--out", str(tmp_path / "o.csv"), "--method", "ncp"]) == 1
+        assert "unrecognized arguments: --method ncp" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["refine", "bench"])
+    @pytest.mark.parametrize("text", ["record_times = 0.0\n", "t_end = 0\n"],
+                             ids=["step-0-record-time", "no-steps"])
+    def test_no_snapshot_after_step_0_exit_code(self, tmp_path, capsys, monkeypatch, command, text):
+        # every snapshot both commands compare comes after step 0: with none,
+        # the command stops before its first run
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(analysis, "run", no_run)
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"combust: configuration error: {command} needs a snapshot after step 0, ")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["run"]) == 1
         assert "usage:" in capsys.readouterr().err
@@ -352,6 +382,13 @@ class TestMain:
     def test_help_exit_code(self, capsys):
         assert main(["run", "--help"]) == 0
         assert "--plot-script" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value", [("c_m", "2e6"), ("c_g", "27.42"), ("pressure", "101325")])
+    def test_reservoir_value_outside_the_mapping_is_not_a_key(self, tmp_path, capsys, key, value):
+        # the paper's reservoir table gives these, but nondimensionalize reads none of them
+        cfg = write_config(tmp_path, f"{key} = {value}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"combust: configuration error: line 1: unknown key '{key}'\n"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bogus = 1\n")
@@ -366,8 +403,14 @@ class TestMain:
 
     def test_negative_tend_exit_code(self, tmp_path, capsys):
         assert main(["run", "--tend", "-1", "--out", str(tmp_path / "o.csv")]) == 1
-        assert capsys.readouterr().err == "combust: configuration error: n_steps must be nonnegative\n"
+        assert capsys.readouterr().err == "combust: configuration error: t_end must be nonnegative, got -1.0\n"
         assert not (tmp_path / "o.csv").exists()
+
+    def test_negative_tend_in_file_names_its_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "m_subintervals = 8\nt_end = -0.5\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == ("combust: configuration error: line 2: t_end must be "
+                                           "nonnegative, got -0.5\n")
 
     @pytest.mark.parametrize("line", [
         "eps_interior = 0", "eps_interior = -1e-6", "max_iter = 0",
@@ -422,6 +465,32 @@ class TestMain:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == ("combust: configuration error: DimensionlessParams.theta0 "
                                            "= 1e+200 is too large: theta0^2 overflows\n")
+
+    def test_readme_dimensional_block_runs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, readme_block("t_res = "))
+        assert parse_config(cfg) == parse_config(write_config(tmp_path, DIMENSIONAL_BLOCK,
+                                                              name="typical.cfg"))
+        out = tmp_path / "dim.csv"
+        assert main(["run", "--config", cfg, "--tend", "0.001", "--out", str(out)]) == 0
+        # snapshots at steps 0 and 100, each of 51 nodes, and the header
+        assert len(out.read_text().splitlines()) == 103
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_dimensional_block_without_dt_star_exit_code(self, tmp_path, capsys):
+        block = [line for line in readme_block("t_res = ").splitlines() if not line.startswith("dt_star")]
+        cfg = write_config(tmp_path, "\n".join(block) + "\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == ("combust: configuration error: line 1: dimensional "
+                                           "block incomplete, missing ['dt_star']\n")
+
+    @pytest.mark.parametrize("command", ["compare", "bench"])
+    def test_readme_example_runs_both_methods(self, tmp_path, command):
+        # snapshots at steps 0 and 100: compare diffs both, bench reports the
+        # one after step 0 for each method
+        cfg = write_config(tmp_path, readme_block("# coarse NCP run"))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--tend", "0.001", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("values, message", [
         # lambda_th dt_star, the denominator of pe_t, underflows to 0
@@ -558,6 +627,14 @@ class TestMain:
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o.csv")]) == 1
 
+    def test_max_iter_1_names_the_step_and_the_worst_pair(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "max_iter = 1\n")
+        assert main(["run", "--config", cfg, "--tend", "0.001", "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        # after the base case's cell Peclet warning
+        assert "\ncombust: solver failure (MaxIterations) at time step 0: " in err
+        assert err.endswith("; row 0 is theta at node 1, paired with G\n")
+
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_RUN + "max_iter = 1\ntol = 1e-16\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
@@ -572,6 +649,28 @@ class TestMain:
         err = capsys.readouterr().err
         assert "solver failure (NumericError) at time step 0: non-finite residual G at node 1" in err
         assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("argv, config, code, message", [
+    (["--tend", "0.001"], "", 0, ""),
+    (["--tend", "inf"], "", 1, "combust: configuration error: t_end must be finite, got 'inf'\n"),
+    (["--tend", "0.001"], "max_iter = 1\n", 2, "combust: solver failure (MaxIterations) at time step 0: "),
+], ids=["ok", "configuration-error", "solver-failure"])
+def test_module_entry_point_returns_the_exit_code(tmp_path, argv, config, code, message):
+    """`python -m combust.cli` runs main under the __main__ guard and exits with
+    its code, as the installed `combust` script does, with no traceback."""
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "o.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "combust.cli", "run", "--config", cfg,
+                           "--out", str(out), *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    if code == 0:
+        assert len(out.read_text().splitlines()) == 103
 
 
 RUN_PATH_MODULES = ["combust", "combust.cli", "combust.discretization", "combust.mncp",
