@@ -45,7 +45,10 @@ def _to_int(value, key, lineno):
 
 
 def _to_times(value, key, lineno):
-    return tuple(_to_float(tok.strip(), key, lineno) for tok in value.split(",") if tok.strip())
+    times = tuple(_to_float(tok.strip(), key, lineno) for tok in value.split(",") if tok.strip())
+    if not times:
+        raise ConfigError(f"{key} lists no time", lineno)
+    return times
 
 
 def _to_method(value, key, lineno):
@@ -266,8 +269,9 @@ def main(argv=None) -> int:
         return 0 if exit_.code == 0 else 1
     try:
         config = _load_config(args)
-        # refine and bench compare snapshots after step 0; with none, every run is wasted
-        if args.command in ("refine", "bench") and not any(
+        # compare, refine and bench compare snapshots after step 0; with none,
+        # every run is wasted
+        if args.command in ("compare", "refine", "bench") and not any(
                 snapshot_indices(config.grid, config.record_times)):
             times = ", ".join(map(repr, config.record_times))
             raise ConfigError(f"{args.command} needs a snapshot after step 0, but no time in "

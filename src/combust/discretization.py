@@ -34,7 +34,8 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from combust.mncp import SolverError
-from combust.model import DimensionlessParams, closure, closure_derivatives, flux, phi
+from combust.model import (ClosureConstants, DimensionlessParams, closure, closure_derivatives,
+                           constant, flux, phi)
 # Unused here; kept so the benchmark's trace points on this module still resolve.
 from combust.model import flux_d, phi_deta, phi_dtheta  # noqa: F401
 
@@ -142,18 +143,28 @@ class State:
 
 class SchemeCache(NamedTuple):
     """Immutable per-run algebra: the coefficients of the tridiagonal A and B,
-    and the grid's k and lambda_s, which every residual and Jacobian uses.
+    the grid's k and lambda_s and the closure constants of the parameters,
+    which every residual and Jacobian uses.
 
     Each matrix has one diagonal value and one off-diagonal value; its
-    Neumann corner, entry (M, M-1), is twice the off-diagonal value.
+    Neumann corner, entry (M, M-1), is twice the off-diagonal value.  Every
+    number here is a model.constant(), a 0-d array, as the kernels combine
+    them with arrays; two_k, neg_k and neg_two_k are 2.0 * k, -k and
+    -2.0 * k as Python forms them, and two is 2.0.
     """
 
-    a_diag: float
-    a_off: float
-    b_diag: float
-    b_off: float
-    k: float
-    lambda_s: float
+    a_diag: np.ndarray
+    a_off: np.ndarray
+    a_corner: np.ndarray      # 2.0 * a_off
+    b_diag: np.ndarray
+    b_off: np.ndarray
+    k: np.ndarray
+    two_k: np.ndarray
+    neg_k: np.ndarray
+    neg_two_k: np.ndarray
+    two: np.ndarray
+    lambda_s: np.ndarray
+    closure: ClosureConstants
     grid: Grid
     params: DimensionlessParams
 
@@ -191,12 +202,18 @@ def assemble_matrices(grid: Grid, params: DimensionlessParams) -> SchemeCache:
     A is tridiagonal with diagonal 4 + 4 mu H and off-diagonals -2 mu H,
     except the last row whose sub-diagonal is -4 mu H (Neumann mirror);
     B mirrors A with the mu H terms sign-flipped, so A + B = 8 I exactly.
-    Row 1 has no boundary column: it would multiply THETA_B = 0.
+    Row 1 has no boundary column: it would multiply THETA_B = 0.  The
+    cache also holds the other constants of SchemeCache, built here once.
     """
     muh = grid.mu * params.h_diff
-    return SchemeCache(a_diag=4.0 + 4.0 * muh, a_off=-2.0 * muh,
-                       b_diag=4.0 - 4.0 * muh, b_off=2.0 * muh,
-                       k=grid.k, lambda_s=grid.lambda_s, grid=grid, params=params)
+    a_off, k = -2.0 * muh, grid.k
+    return SchemeCache(a_diag=constant(4.0 + 4.0 * muh), a_off=constant(a_off),
+                       a_corner=constant(2.0 * a_off),
+                       b_diag=constant(4.0 - 4.0 * muh), b_off=constant(2.0 * muh),
+                       k=constant(k), two_k=constant(2.0 * k), neg_k=constant(-k),
+                       neg_two_k=constant(-2.0 * k), two=constant(2.0),
+                       lambda_s=constant(grid.lambda_s), closure=ClosureConstants(params),
+                       grid=grid, params=params)
 
 
 def _flux_difference(f: np.ndarray) -> np.ndarray:
@@ -222,13 +239,13 @@ def assemble_LD(state: State, cache: SchemeCache) -> np.ndarray:
     return (
         _tri_matvec(cache.b_diag, cache.b_off, state.theta)
         - cache.lambda_s * assemble_P(state.theta, cache.params)
-        + 2.0 * cache.k * phi_n
+        + cache.two_k * phi_n
     )
 
 
 def assemble_LDQ(state: State, cache: SchemeCache) -> np.ndarray:
     """Level-n data of the equality residual: LDQ = 2 eta^n + k Phi^n."""
-    return 2.0 * state.eta + cache.k * phi(state.theta, state.eta, cache.params)
+    return cache.two * state.eta + cache.k * phi(state.theta, state.eta, cache.params)
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -254,20 +271,18 @@ def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
     non-finite entry raises NumericError naming its residual and node (see
     stacked_row), the first non-finite G entry's, else the first Q entry's.
     """
-    k = cache.k
-    lam = cache.lambda_s
     m = z.size // 2
     theta_next, eta_next = z[:m], z[m:]
-    terms = closure(theta_next, eta_next, cache.params)
+    terms = closure(theta_next, eta_next, cache.closure)
     _, _, phi_next, f = terms
     out = np.empty(2 * m)
     g = out[:m]
     q = out[m:]
     _tri_matvec(cache.a_diag, cache.a_off, theta_next, out=g)
-    g += lam * _flux_difference(f)
-    g -= 2.0 * k * phi_next
-    np.multiply(2.0, eta_next, out=q)
-    q -= k * phi_next
+    g += cache.lambda_s * _flux_difference(f)
+    g -= cache.two_k * phi_next
+    np.multiply(cache.two, eta_next, out=q)
+    q -= cache.k * phi_next
     out -= level
     if not _all_finite(out):
         _, res, node = stacked_row(int(np.flatnonzero(~np.isfinite(out))[0]), m)
@@ -356,23 +371,22 @@ def jacobian(terms, cache: SchemeCache) -> StepJacobian:
     with dP/dtheta row m holding +F'(theta_{m+1}) and -F'(theta_{m-1})
     (row M zero, boundary column dropped).
     """
-    k = cache.k
     lam = cache.lambda_s
 
-    pt, pe, fd = closure_derivatives(terms, cache.params)
+    pt, pe, fd = closure_derivatives(terms, cache.closure)
 
     # entry (row im, col im+1), im = 0..m-2; rows 1..M-1 of dP/dtheta are live
     sup = cache.a_off + lam * fd[1:]
     # entry (row im, col im-1), im = 1..m-1; the last row is the Neumann
     # corner 2 a_off, with no flux contribution
     sub = cache.a_off - lam * fd[:-1]
-    sub[-1] = 2.0 * cache.a_off
+    sub[-1] = cache.a_corner
 
     return StepJacobian(
         sub=sub,
-        diag=cache.a_diag - 2.0 * k * pt,
+        diag=cache.a_diag - cache.two_k * pt,
         sup=sup,
-        g_eta=-2.0 * k * pe,
-        q_theta=-k * pt,
-        q_eta=2.0 - k * pe,
+        g_eta=cache.neg_two_k * pe,
+        q_theta=cache.neg_k * pt,
+        q_eta=cache.two - cache.k * pe,
     )

@@ -130,20 +130,54 @@ def phi_deta(theta, p: DimensionlessParams):
     return -p.beta * np.exp(-p.e_act / (theta + p.theta0))
 
 
-def closure(theta, eta, p: DimensionlessParams):
+def constant(value) -> np.ndarray:
+    """value as a read-only 0-d float64 array.
+
+    A ufunc call on a short array takes about 30% less time with a 0-d
+    float64 array operand than with a Python float, which it must first
+    convert, so the step kernels combine their arrays with constants built
+    once per run as these.  The result is the same double either way.
+    """
+    array = np.array(value, dtype=np.float64)
+    array.setflags(write=False)
+    return array
+
+
+class ClosureConstants:
+    """The constants closure() and closure_derivatives() combine with arrays:
+    theta0, -e_act, e_act, beta, -beta, 1.0, u * theta0 and u * theta0**2 of
+    the parameters p, each the constant() of that float expression."""
+
+    # A plain class: a named tuple costs cold set-up to define and its field
+    # reads are slower, and closure() reads five of these per call.
+    __slots__ = ("theta0", "neg_e_act", "e_act", "beta", "neg_beta", "one", "u_theta0",
+                 "u_theta0_sq")
+
+    def __init__(self, p: DimensionlessParams):
+        self.theta0 = constant(p.theta0)
+        self.neg_e_act = constant(-p.e_act)
+        self.e_act = constant(p.e_act)
+        self.beta = constant(p.beta)
+        self.neg_beta = constant(-p.beta)
+        self.one = constant(1.0)
+        self.u_theta0 = constant(p.u * p.theta0)
+        self.u_theta0_sq = constant(p.u * p.theta0**2)
+
+
+def closure(theta, eta, c: ClosureConstants):
     """The closure at one point from one exponential: (s, e, phi, flux) with
-    s = theta + theta0 and e = exp(-e_act/s).
+    s = theta + theta0 and e = exp(-e_act/s); c = ClosureConstants(p).
 
     phi and flux are formed with the operations of phi() and flux() in the
     same order, so they equal those functions' values bit for bit.
     """
-    s = theta + p.theta0
-    e = np.exp(-p.e_act / s)
-    return s, e, p.beta * (1.0 - eta) * e, p.u * p.theta0 * theta / s
+    s = theta + c.theta0
+    e = np.exp(c.neg_e_act / s)
+    return s, e, c.beta * (c.one - eta) * e, c.u_theta0 * theta / s
 
 
-def closure_derivatives(terms, p: DimensionlessParams):
-    """(phi_dtheta, phi_deta, flux_d) at the point whose closure(theta, eta, p)
+def closure_derivatives(terms, c: ClosureConstants):
+    """(phi_dtheta, phi_deta, flux_d) at the point whose closure(theta, eta, c)
     is terms, with no further exponential.
 
     Each factor repeats the operations of its single-purpose function in the
@@ -151,4 +185,4 @@ def closure_derivatives(terms, p: DimensionlessParams):
     """
     s, e, phi_, _ = terms
     s2 = s**2
-    return phi_ * p.e_act / s2, -p.beta * e, p.u * p.theta0**2 / s2
+    return phi_ * c.e_act / s2, c.neg_beta * e, c.u_theta0_sq / s2

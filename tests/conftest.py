@@ -14,6 +14,13 @@ FIG_TIMES = (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)
 TABLE_TIMES = tuple(round(0.001 * i, 6) for i in range(1, 11))
 
 
+def same_double(value, expected) -> bool:
+    """Whether value is a read-only 0-d float64 array holding the double expected,
+    bit for bit (so 0.0 and -0.0 differ)."""
+    return (type(value) is np.ndarray and value.shape == () and value.dtype == np.float64
+            and not value.flags.writeable and value.tobytes() == np.float64(expected).tobytes())
+
+
 class DenseJacobian:
     """Dense matrix with the newton_solve contract of MncpProblem.jacobian:
     newton_solve(s, a, rhs) scales the first s.size rows by s and adds a to

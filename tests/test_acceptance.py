@@ -96,7 +96,7 @@ def test_criterion_2_jacobian_fd():
     for _ in range(100):
         theta = rng.uniform(0.0, 2.0, 10)
         eta = rng.uniform(0.0, 1.0, 10)
-        analytic = jacobian(closure(theta, eta, cache.params), cache).to_dense()
+        analytic = jacobian(closure(theta, eta, cache.closure), cache).to_dense()
         fd = dense_jacobian_fd(theta, eta, cache)
         rel = np.max(np.abs(analytic - fd)) / np.max(np.abs(fd))
         assert rel <= 1e-6

@@ -118,6 +118,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 3"):
             parse_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_record_times_reports_line(self, tmp_path, value):
+        # a run with no record time would write a header-only CSV
+        text = f"# header\nrecord_times ={value}\n"
+        with pytest.raises(ConfigError, match="^line 2: record_times lists no time$"):
+            parse_config(write_config(tmp_path, text))
+
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(write_config(tmp_path, "tol = 1e-8\ntol = 1e-9\n"))
@@ -359,11 +366,11 @@ class TestMain:
         assert "unrecognized arguments: --method ncp" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("command", ["refine", "bench"])
+    @pytest.mark.parametrize("command", ["compare", "refine", "bench"])
     @pytest.mark.parametrize("text", ["record_times = 0.0\n", "t_end = 0\n"],
                              ids=["step-0-record-time", "no-steps"])
     def test_no_snapshot_after_step_0_exit_code(self, tmp_path, capsys, monkeypatch, command, text):
-        # every snapshot both commands compare comes after step 0: with none,
+        # every snapshot the three commands compare comes after step 0: with none,
         # the command stops before its first run
         def no_run(*args):
             raise AssertionError("the run started")
@@ -394,6 +401,13 @@ class TestMain:
         cfg = write_config(tmp_path, "bogus = 1\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_empty_record_times_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "t_end = 1e-5\nrecord_times =\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == ("combust: configuration error: line 2: "
+                                           "record_times lists no time\n")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_line_without_equals_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "m_subintervals 20\n")

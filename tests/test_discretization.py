@@ -7,6 +7,7 @@ from combust import mncp
 from combust.discretization import (
     Grid,
     NumericError,
+    SchemeCache,
     State,
     StepJacobian,
     THETA_B,
@@ -20,6 +21,7 @@ from combust.discretization import (
 from combust.mncp import MncpProblem, direction
 from combust.model import (
     BASE_PARAMS,
+    ClosureConstants,
     DimensionlessParams,
     closure,
     flux,
@@ -29,7 +31,7 @@ from combust.model import (
     phi_dtheta,
 )
 
-from conftest import DenseJacobian, evaluated
+from conftest import DenseJacobian, evaluated, same_double
 
 # grid with h = 1, k = 0.2, h_diff = 0.5 -> mu * h_diff = 0.1
 UNIT_PARAMS = DimensionlessParams(pe_t=2.0, beta=1.0, e_act=1.0, theta0=1.0, u=1.0)
@@ -86,6 +88,38 @@ class TestAssembleMatrices:
         sums = cache.a_dense().sum(axis=1)
         assert sums[0] == pytest.approx(4.0 + 2.0 * muh, rel=1e-14)
         np.testing.assert_allclose(sums[1:], 4.0, rtol=1e-14)
+
+    @pytest.mark.parametrize("grid, params", [(UNIT_GRID, UNIT_PARAMS), (base_grid(12), BASE_PARAMS)])
+    def test_constants_are_the_float_expressions_they_replace(self, grid, params):
+        muh = grid.mu * params.h_diff
+        expected = {"a_diag": 4.0 + 4.0 * muh, "a_off": -2.0 * muh, "a_corner": 2.0 * (-2.0 * muh),
+                    "b_diag": 4.0 - 4.0 * muh, "b_off": 2.0 * muh, "k": grid.k,
+                    "two_k": 2.0 * grid.k, "neg_k": -grid.k, "neg_two_k": -2.0 * grid.k,
+                    "two": 2.0, "lambda_s": grid.lambda_s}
+        cache = assemble_matrices(grid, params)
+        assert set(SchemeCache._fields) == set(expected) | {"closure", "grid", "params"}
+        for name, value in expected.items():
+            assert same_double(getattr(cache, name), value), name
+        own = ClosureConstants(params)
+        for name in ClosureConstants.__slots__:
+            assert same_double(getattr(cache.closure, name), getattr(own, name)), name
+
+    def test_outputs_are_float64_arrays(self):
+        # the kernels combine arrays with 0-d constants; two 0-d arrays give an
+        # np.float64 scalar, so a term built from constants alone would show here
+        m = 7
+        cache = assemble_matrices(base_grid(m), BASE_PARAMS)
+        assert type(cache.two * cache.k) is np.float64
+        state = State(theta=np.linspace(0.0, 1.0, m), eta=np.linspace(0.0, 0.5, m))
+        r, terms = residual(state.z + 0.01, cache, level_of(state, cache))
+        jac = jacobian(terms, cache)
+        shapes = [(r, 2 * m)] + [(t, m) for t in terms] + [
+            (jac.sub, m - 1), (jac.diag, m), (jac.sup, m - 1), (jac.g_eta, m), (jac.q_theta, m),
+            (jac.q_eta, m)]
+        for value, size in shapes:
+            assert type(value) is np.ndarray
+            assert value.dtype == np.float64
+            assert value.shape == (size,)
 
 
 class TestAssembleP:
@@ -298,7 +332,7 @@ class TestJacobian:
         for _ in range(100):
             theta = rng.uniform(0.0, 2.0, 10)
             eta = rng.uniform(0.0, 1.0, 10)
-            analytic = jacobian(closure(theta, eta, BASE_PARAMS), cache).to_dense()
+            analytic = jacobian(closure(theta, eta, cache.closure), cache).to_dense()
             fd = dense_jacobian_fd(theta, eta, cache)
             scale = np.max(np.abs(fd))
             assert np.max(np.abs(analytic - fd)) <= 1e-6 * scale
@@ -306,7 +340,7 @@ class TestJacobian:
     def test_vanishing_time_step_limit(self):
         grid = Grid(length=0.05, m=6, k=1e-300, n_steps=1)
         cache = assemble_matrices(grid, BASE_PARAMS)
-        terms = closure(np.linspace(0.1, 1.0, 6), np.linspace(0.0, 0.9, 6), BASE_PARAMS)
+        terms = closure(np.linspace(0.1, 1.0, 6), np.linspace(0.0, 0.9, 6), cache.closure)
         jac = jacobian(terms, cache).to_dense()
         expected = np.zeros((12, 12))
         expected[:6, :6] = cache.a_dense()
@@ -316,7 +350,7 @@ class TestJacobian:
     def test_eta_block_closed_form_at_burnout(self):
         grid = base_grid(4)
         cache = assemble_matrices(grid, BASE_PARAMS)
-        jac = jacobian(closure(np.zeros(4), np.ones(4), BASE_PARAMS), cache).to_dense()
+        jac = jacobian(closure(np.zeros(4), np.ones(4), cache.closure), cache).to_dense()
         p = BASE_PARAMS
         expected = 2.0 + grid.k * p.beta * np.exp(-p.e_act / p.theta0)
         np.testing.assert_allclose(np.diag(jac)[4:], np.full(4, expected), rtol=1e-14)
@@ -332,7 +366,7 @@ class TestJacobian:
         for _ in range(20):
             theta = rng.uniform(0.0, 5.0, m)
             eta = rng.uniform(0.0, 1.0, m)
-            jac = jacobian(closure(theta, eta, p), cache)
+            jac = jacobian(closure(theta, eta, cache.closure), cache)
             pt = phi_dtheta(theta, eta, p)
             pe = phi_deta(theta, p)
             fd = flux_d(theta, p)
@@ -367,7 +401,7 @@ class TestNewtonSolve:
             r = rng.normal(size=2 * m)
             r[:n_pairs] = rng.uniform(1e-6, 1.0, n_pairs)
             rhs = rng.normal(size=2 * m)
-            jac = jacobian(closure(theta, eta, BASE_PARAMS), cache)
+            jac = jacobian(closure(theta, eta, cache.closure), cache)
             d = jac.newton_solve(z[:n_pairs], r[:n_pairs], rhs)
             ref = DenseJacobian(jac.to_dense()).newton_solve(z[:n_pairs], r[:n_pairs], rhs)
             assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))

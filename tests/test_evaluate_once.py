@@ -11,6 +11,7 @@ from combust.discretization import assemble_LD, assemble_LDQ, assemble_matrices
 from combust.mncp import MNCP, NCP
 from combust.model import (
     BASE_PARAMS,
+    ClosureConstants,
     closure,
     closure_derivatives,
     flux,
@@ -76,11 +77,12 @@ def test_shared_closure_terms_equal_the_single_purpose_functions():
     p = BASE_PARAMS
     theta = rng.uniform(0.0, 3.0, 64)
     eta = rng.uniform(0.0, 1.0, 64)
-    terms = closure(theta, eta, p)
+    c = ClosureConstants(p)
+    terms = closure(theta, eta, c)
     np.testing.assert_array_equal(terms[2], phi(theta, eta, p))
     np.testing.assert_array_equal(terms[3], flux(theta, p))
     singles = (phi_dtheta(theta, eta, p), phi_deta(theta, p), flux_d(theta, p))
-    for shared, single in zip(closure_derivatives(terms, p), singles):
+    for shared, single in zip(closure_derivatives(terms, c), singles):
         np.testing.assert_array_equal(shared, single)
 
 
@@ -115,7 +117,7 @@ def test_solver_jacobians_equal_fresh_ones(monkeypatch, method):
     m = config.grid.m
     for z, shared, jac in built:
         assert shared
-        fresh = original(closure(z[:m], z[m:], config.params), cache)
+        fresh = original(closure(z[:m], z[m:], cache.closure), cache)
         np.testing.assert_array_equal(jac.to_dense(), fresh.to_dense())
 
 

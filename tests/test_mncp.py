@@ -28,6 +28,42 @@ def scalar_affine(slope=1.0, offset=2.0):
     )
 
 
+def nan_at(position, size=5):
+    x = np.arange(size, dtype=float)
+    x[position] = np.nan
+    return x
+
+
+EXTREME_CASES = [
+    *(np.random.default_rng(seed).normal(size=size) for seed, size in ((0, 50), (1, 400), (2, 7))),
+    np.array([3.5]), np.array([-2.0]),
+    np.array([1.0, np.inf, -np.inf, 0.0]), np.array([np.inf]), np.array([-np.inf, -np.inf]),
+    nan_at(0), nan_at(2), nan_at(-1), np.array([np.inf, np.nan, -np.inf]),
+]
+SIGNED_ZEROS = [np.array(x) for x in ([0.0, -0.0], [-0.0, 0.0], [0.0], [-0.0], [1.0, -0.0, 0.0],
+                                      [-0.0, 1.0, 0.0], [-1.0, 0.0, -0.0], [0.0, -1.0, -0.0])]
+
+
+class TestExtremes:
+    """mncp._min and _max stand in for np.minimum.reduce and np.maximum.reduce."""
+
+    @pytest.mark.parametrize("x", EXTREME_CASES)
+    def test_equal_the_reductions(self, x):
+        for helper, reduction in ((mncp._min, np.minimum.reduce), (mncp._max, np.maximum.reduce)):
+            value, expected = helper(x), reduction(x)
+            assert type(value) is np.float64
+            assert value == expected or (np.isnan(value) and np.isnan(expected))
+
+    @pytest.mark.parametrize("x", SIGNED_ZEROS)
+    def test_signed_zeros_decide_alike(self, x):
+        # only a zero's sign may differ, which no comparison with 0.0 and no np.abs sees
+        for helper, reduction in ((mncp._min, np.minimum.reduce), (mncp._max, np.maximum.reduce)):
+            value, expected = helper(x), reduction(x)
+            assert (value > 0.0) == (expected > 0.0)
+            assert (value <= 0.0) == (expected <= 0.0)
+            assert np.abs(value).tobytes() == np.abs(expected).tobytes()
+
+
 class TestProblemSetup:
     def test_option_validation(self):
         with pytest.raises(ValueError):
