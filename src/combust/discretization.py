@@ -3,25 +3,26 @@
 Interior nodes m = 1..M carry the unknowns; node 0 is the injection
 boundary, fixed at the constants THETA_B = 0 and ETA_B = 1, and node M gets
 the Neumann mirror F_{M+1} = F_{M-1}.
-One time step solves, in the stacked unknowns z = (theta; eta) at level n+1,
+One time step solves, at level n+1,
 
     G = A theta + lambda_s P(theta) - 2k Phi(theta, eta) - LD   (complementarity)
     Q = 2 eta - k Phi(theta, eta) - LDQ                          (equality)
 
-where LD = B theta^n - lambda_s P^n + 2k Phi^n and
-LDQ = 2 eta^n + k Phi^n are frozen at level n and stacked as the level data
-(LD; LDQ).  assemble_LD and assemble_LDQ build them from a state; they run
-for the first step only.  As A + B = 8 I, the residual (G; Q) at the
-solution z' of a step gives the next level's data in O(M), with no
-exponential and no flux, as one stacked update:
+where LD = B theta^n - lambda_s P^n + 2k Phi^n and LDQ = 2 eta^n + k Phi^n
+are frozen at level n; assemble_LD and assemble_LDQ build them, for the
+first step only.  NCP mode solves (G; Q) in z = (theta; eta) with the level
+data (LD; LDQ).  MNCP mode eliminates eta: Phi = beta (1 - eta) e, with
+e = exp(-e_act/s), is affine in eta, so Q = 0 gives, for any theta,
+eta(theta) = (LDQ + k beta e) / (2 + k beta e) and
+Phi = beta e (2 - LDQ) / (2 + k beta e).  The step is then the NCP
+theta >= 0, G~(theta) >= 0, theta G~ = 0 with G~(theta) = G(theta, eta(theta))
+and the level data (LD; beta (2 - LDQ)).  As A + B = 8 I, the residual at
+a step's solution gives the next level's data in O(M), with no exponential
+and no flux (timestepper.StepEquations.advance).
 
-    (LD'; LDQ') = w z' - (G; Q) - (LD; LDQ),   w = (8, ..., 8, 4, ..., 4)
-
-(timestepper.StepEquations.advance).
-
-Each point's Arrhenius exponential is formed once: residual() takes Phi
-and F from the closure (s, e, Phi, F) of its point and returns it, and
-jacobian(terms, cache) builds the Jacobian at that point from it alone.
+Each point's Arrhenius exponential is formed once: residual() returns the
+terms of its point, and jacobian(terms, cache) builds the Jacobian there
+from them alone.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ class State:
     """Interior-node fields at time level n (node 0 is THETA_B, ETA_B).
 
     The fields are stored stacked as z = (theta_1, ..., theta_M, eta_1, ...,
-    eta_M), the order of the solver's unknowns; theta and eta are views of
-    its halves.  State(theta, eta, n) copies the two fields into a new z;
+    eta_M), whose leading entries are the solver's unknowns (all of z in
+    NCP mode, theta in MNCP mode); theta and eta are views of its halves.
+    State(theta, eta, n) copies the two fields into a new z;
     State.stacked(z, n) takes z as it is.
     """
 
@@ -149,8 +151,9 @@ class SchemeCache(NamedTuple):
     Each matrix has one diagonal value and one off-diagonal value; its
     Neumann corner, entry (M, M-1), is twice the off-diagonal value.  Every
     number here is a model.constant(), a 0-d array, as the kernels combine
-    them with arrays; two_k, neg_k and neg_two_k are 2.0 * k, -k and
-    -2.0 * k as Python forms them, and two is 2.0.
+    them with arrays; two_k, four_k, neg_k, neg_two_k and k_beta are
+    2.0 * k, 4.0 * k, -k, -2.0 * k and k * beta as Python forms them, and
+    two is 2.0.
     """
 
     a_diag: np.ndarray
@@ -160,19 +163,15 @@ class SchemeCache(NamedTuple):
     b_off: np.ndarray
     k: np.ndarray
     two_k: np.ndarray
+    four_k: np.ndarray
     neg_k: np.ndarray
     neg_two_k: np.ndarray
     two: np.ndarray
+    k_beta: np.ndarray
     lambda_s: np.ndarray
     closure: ClosureConstants
     grid: Grid
     params: DimensionlessParams
-
-    def a_dense(self) -> np.ndarray:
-        return _tri_dense(*_bands(self.a_diag, self.a_off, self.grid.m))
-
-    def b_dense(self) -> np.ndarray:
-        return _tri_dense(*_bands(self.b_diag, self.b_off, self.grid.m))
 
 
 def _tri_matvec(diag, off, x, out=None):
@@ -183,17 +182,6 @@ def _tri_matvec(diag, off, x, out=None):
     y[-1] += 2.0 * off_x[-2]
     y[:-1] += off_x[1:]
     return y
-
-
-def _bands(diag, off, m):
-    """(sub, diag, sup) of a scheme matrix; sub and sup have length M-1."""
-    sub = np.full(m - 1, off)
-    sub[-1] = 2.0 * off
-    return sub, np.full(m, diag), np.full(m - 1, off)
-
-
-def _tri_dense(sub, diag, sup):
-    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
 
 
 def assemble_matrices(grid: Grid, params: DimensionlessParams) -> SchemeCache:
@@ -210,10 +198,10 @@ def assemble_matrices(grid: Grid, params: DimensionlessParams) -> SchemeCache:
     return SchemeCache(a_diag=constant(4.0 + 4.0 * muh), a_off=constant(a_off),
                        a_corner=constant(2.0 * a_off),
                        b_diag=constant(4.0 - 4.0 * muh), b_off=constant(2.0 * muh),
-                       k=constant(k), two_k=constant(2.0 * k), neg_k=constant(-k),
-                       neg_two_k=constant(-2.0 * k), two=constant(2.0),
-                       lambda_s=constant(grid.lambda_s), closure=ClosureConstants(params),
-                       grid=grid, params=params)
+                       k=constant(k), two_k=constant(2.0 * k), four_k=constant(4.0 * k),
+                       neg_k=constant(-k), neg_two_k=constant(-2.0 * k), two=constant(2.0),
+                       k_beta=constant(k * params.beta), lambda_s=constant(grid.lambda_s),
+                       closure=ClosureConstants(params), grid=grid, params=params)
 
 
 def _flux_difference(f: np.ndarray) -> np.ndarray:
@@ -258,32 +246,51 @@ def _all_finite(x: np.ndarray) -> bool:
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
-def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
-    """Evaluate the step residual at a candidate level-(n+1) point z = (theta; eta).
+def _theta_closure(theta: np.ndarray, gap: np.ndarray, cache: SchemeCache):
+    """The terms of the theta problem at theta, from one exponential:
+    (s, k beta e, Phi, F, q_eta) with s = theta + theta0, e = exp(-e_act/s),
+    q_eta = 2 + k beta e and Phi = beta e (2 - LDQ) / q_eta, the reaction
+    term at eta(theta), given gap = beta (2 - LDQ)."""
+    c = cache.closure
+    s = theta + c.theta0
+    e = np.exp(c.neg_e_act / s)
+    k_beta_e = cache.k_beta * e
+    q_eta = k_beta_e + cache.two
+    return s, k_beta_e, gap * e / q_eta, c.u_theta0 * theta / s, q_eta
 
-    level is the stacked level data (LD; LDQ).  Returns (r, terms): r is the
-    stacked vector (G_1, ..., G_M, Q_1, ..., Q_M) and terms the closure
-    (s, e, Phi, F) of the point (model.closure), which jacobian() takes to
-    build the Jacobian there without a second exponential.  G and Q are
-    written into the two halves of r with the operations of
+
+def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
+    """Evaluate the step residual at a candidate level-(n+1) point z.
+
+    level holds 2M entries.  A stacked z = (theta; eta) takes level =
+    (LD; LDQ) and gives r = (G_1, ..., G_M, Q_1, ..., Q_M), with the closure
+    (s, e, Phi, F) of the point as its terms; z = theta takes level =
+    (LD; beta (2 - LDQ)) and gives r = G~(theta), with the terms of
+    _theta_closure.  Returns (r, terms), from which jacobian() builds the
+    Jacobian there.  G and Q are formed with the operations of
     A theta + lambda_s P(theta) - 2k Phi - LD and 2 eta - k Phi - LDQ, in
     that order, so each entry is rounded as in those expressions.  A
     non-finite entry raises NumericError naming its residual and node (see
     stacked_row), the first non-finite G entry's, else the first Q entry's.
     """
-    m = z.size // 2
-    theta_next, eta_next = z[:m], z[m:]
-    terms = closure(theta_next, eta_next, cache.closure)
-    _, _, phi_next, f = terms
-    out = np.empty(2 * m)
-    g = out[:m]
-    q = out[m:]
+    m = level.size // 2
+    if z.size == m:
+        theta_next = z
+        terms = _theta_closure(z, level[m:], cache)
+        out = g = np.empty(m)
+        data = level[:m]
+    else:
+        theta_next = z[:m]
+        terms = closure(theta_next, z[m:], cache.closure)
+        out = np.empty(2 * m)
+        g = out[:m]
+        q = np.multiply(cache.two, z[m:], out=out[m:])
+        q -= cache.k * terms[2]
+        data = level
     _tri_matvec(cache.a_diag, cache.a_off, theta_next, out=g)
-    g += cache.lambda_s * _flux_difference(f)
-    g -= cache.two_k * phi_next
-    np.multiply(cache.two, eta_next, out=q)
-    q -= cache.k * phi_next
-    out -= level
+    g += cache.lambda_s * _flux_difference(terms[3])
+    g -= cache.two_k * terms[2]
+    out -= data
     if not _all_finite(out):
         _, res, node = stacked_row(int(np.flatnonzero(~np.isfinite(out))[0]), m)
         raise NumericError(f"non-finite residual {res} at node {node}", node=node)
@@ -300,8 +307,7 @@ class StepJacobian(NamedTuple):
         dQ/dtheta = diag(q_theta)
         dQ/deta   = diag(q_eta)
     Unknowns are stacked as (theta_1, ..., theta_M, eta_1, ..., eta_M) and
-    rows as (G; Q), in to_dense() and in the vectors newton_solve() takes
-    and returns.
+    rows as (G; Q), in the vectors newton_solve() takes and returns.
     """
 
     sub: np.ndarray
@@ -311,34 +317,22 @@ class StepJacobian(NamedTuple):
     q_theta: np.ndarray
     q_eta: np.ndarray
 
-    def to_dense(self) -> np.ndarray:
-        """The full 2M x 2M block matrix [[dG/dtheta, dG/deta], [dQ/dtheta, dQ/deta]]
-        (for verification)."""
-        return np.block([[_tri_dense(self.sub, self.diag, self.sup), np.diag(self.g_eta)],
-                         [np.diag(self.q_theta), np.diag(self.q_eta)]])
-
     def newton_solve(self, s: np.ndarray, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (diag(s) J + diag(a)) d = rhs, with s and a given on the first s.size rows.
+        """Solve (diag(s) J + diag(a)) d = rhs, with s and a given on all 2M rows.
 
-        s.size is M (the theta rows) or 2M (every row); the rows past it are
-        J's own.  Each node's eta correction is eliminated in closed form,
-        leaving a tridiagonal Schur complement in theta for LAPACK dgtsv.
-        The eta pivot is 2 + k beta e^(...) >= 2 on a row of J's own and
-        s_i (2 + k beta e^(...)) + a_i on a scaled row.  On a zero pivot or
-        a non-finite result the solve is retried once with
+        Each node's eta correction is eliminated in closed form, leaving a
+        tridiagonal Schur complement in theta for LAPACK dgtsv.  The eta
+        pivot is s_i (2 + k beta e^(...)) + a_i.  On a zero pivot or a
+        non-finite result the solve is retried once with
         1e-12 (1 + |d_ii|) added to every diagonal entry;
         np.linalg.LinAlgError is raised if that fails too.
         """
         m = self.diag.size
         s_t = s[:m]
+        s_e = s[m:]
         diag_t = s_t * self.diag + a[:m]
-        if s.size > m:
-            s_e = s[m:]
-            coupling = s_e * self.q_theta
-            diag_e = s_e * self.q_eta + a[m:]
-        else:
-            coupling = self.q_theta
-            diag_e = self.q_eta
+        coupling = s_e * self.q_theta
+        diag_e = s_e * self.q_eta + a[m:]
         try:
             return self._eliminate(s_t, coupling, diag_t, diag_e, rhs)
         except np.linalg.LinAlgError:
@@ -361,19 +355,58 @@ class StepJacobian(NamedTuple):
         return d
 
 
-def jacobian(terms, cache: SchemeCache) -> StepJacobian:
-    """Analytic Jacobian of the step residuals (G, Q) at the point whose
-    closure (s, e, Phi, F) is terms, as residual() returns it:
+class ThetaJacobian:
+    """Analytic Jacobian dG~/dtheta = tridiag(sub, diag, sup) of the theta
+    problem; sub and sup have length M-1."""
+
+    # A plain class: a named tuple costs cold set-up to define and its field
+    # reads are slower.
+    __slots__ = ("sub", "diag", "sup")
+
+    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
+        self.sub, self.diag, self.sup = sub, diag, sup
+
+    def newton_solve(self, s: np.ndarray, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve (diag(s) J + diag(a)) d = rhs, s and a given on all M rows, by
+        one LAPACK dgtsv, with StepJacobian.newton_solve's retry and error."""
+        diag = s * self.diag + a
+        try:
+            return self._solve(s, diag, rhs)
+        except np.linalg.LinAlgError:
+            return self._solve(s, diag + 1e-12 * (1.0 + np.abs(diag)), rhs)
+
+    def _solve(self, s, diag, rhs):
+        # diag and rhs are copied in, so the retry starts from them unchanged
+        _, _, _, d, info = dgtsv(s[1:] * self.sub, diag, s[:-1] * self.sup, rhs,
+                                 overwrite_dl=1, overwrite_du=1)
+        if info != 0 or not _all_finite(d):
+            raise np.linalg.LinAlgError("singular Newton matrix")
+        return d
+
+
+def jacobian(terms, cache: SchemeCache):
+    """Analytic Jacobian of the step residual at the point whose terms are
+    `terms`, as residual() returns them.
+
+    From the closure (s, e, Phi, F) of a stacked point, the StepJacobian
         dG/dtheta = A + lambda_s dP/dtheta - 2k diag(phi_theta)
         dG/deta   = -2k diag(phi_eta)
         dQ/dtheta = -k diag(phi_theta)
-        dQ/deta   = 2 I - k diag(phi_eta)
-    with dP/dtheta row m holding +F'(theta_{m+1}) and -F'(theta_{m-1})
-    (row M zero, boundary column dropped).
+        dQ/deta   = 2 I - k diag(phi_eta);
+    from the five terms of the theta problem, the ThetaJacobian
+        dG~/dtheta = A + lambda_s dP/dtheta - 4k diag(phi_theta / q_eta),
+    as d eta/d theta = k phi_theta / q_eta and phi_eta = -beta e give
+    Phi(theta, eta(theta)) the derivative 2 phi_theta / q_eta.  dP/dtheta
+    row m holds +F'(theta_{m+1}) and -F'(theta_{m-1}) (row M zero, boundary
+    column dropped), and phi_theta = Phi e_act / s^2.
     """
     lam = cache.lambda_s
-
-    pt, pe, fd = closure_derivatives(terms, cache.closure)
+    if len(terms) == 5:
+        s, _, phi_, _, q_eta = terms
+        s2 = s**2
+        fd = cache.closure.u_theta0_sq / s2
+    else:
+        pt, pe, fd = closure_derivatives(terms, cache.closure)
 
     # entry (row im, col im+1), im = 0..m-2; rows 1..M-1 of dP/dtheta are live
     sup = cache.a_off + lam * fd[1:]
@@ -382,6 +415,9 @@ def jacobian(terms, cache: SchemeCache) -> StepJacobian:
     sub = cache.a_off - lam * fd[:-1]
     sub[-1] = cache.a_corner
 
+    if len(terms) == 5:
+        return ThetaJacobian(
+            sub, cache.a_diag - cache.four_k * (phi_ * cache.closure.e_act / s2) / q_eta, sup)
     return StepJacobian(
         sub=sub,
         diag=cache.a_diag - cache.two_k * pt,

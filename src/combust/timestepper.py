@@ -68,31 +68,38 @@ def initial_state(grid: Grid) -> State:
 
 
 class StepEquations:
-    """Residual and Jacobian of a run's time steps in the stacked unknowns
-    z = (theta_1, ..., theta_M, eta_1, ..., eta_M), with residual rows
-    (G; Q) and the stacked level data level = (LD; LDQ) of the step at hand.
+    """Residual and Jacobian of a run's time steps, with the level data of the
+    step at hand.  Every unknown is a complementarity pair: n_pairs is 2M in
+    ncp mode, with z = (theta; eta), rows (G; Q) and level = (LD; LDQ), and
+    M in mncp mode, with z = theta, rows G~ and level = (LD; beta (2 - LDQ)),
+    where ldq = LDQ (see discretization).
 
     Built once per run from the run's first level, it is the problem every
     step hands mncp.solve: n_pairs, residual and jacobian meet the contract
     of mncp.MncpProblem, and advance() moves the level data on to the next
-    level once a step is solved.  In mncp mode the M theta entries are the
-    complementarity pairs against G; in ncp mode all 2M entries are pairs.
+    level once a step is solved.
 
     The latest residual evaluation is kept, not its point: the residual and
-    the closure terms (s, e, Phi, F).  By MncpProblem's contract the
-    Jacobian is built from those terms, and the next level's data from that
-    residual alone.
+    its terms.  By MncpProblem's contract the Jacobian is built from those
+    terms, and the next level's data from that evaluation alone.
     """
 
     def __init__(self, cache: SchemeCache, method: str, state: State):
         m = cache.grid.m
         if method not in (MNCP, NCP):
             raise ValueError(f"unknown method {method!r}")
-        self.n_pairs = m if method == MNCP else 2 * m
         self.cache = cache
-        self.level = np.concatenate((assemble_LD(state, cache), assemble_LDQ(state, cache)))
-        self._w = np.concatenate((np.full(m, 8.0), np.full(m, 4.0)))
-        self._r = self._terms = None   # residual and closure of the latest residual call
+        self.n_pairs = m if method == MNCP else 2 * m
+        ld, ldq = assemble_LD(state, cache), assemble_LDQ(state, cache)
+        if method == MNCP:
+            self.ldq = ldq
+            self.level = np.concatenate((ld, cache.closure.beta * (cache.two - ldq)))
+        else:
+            self.ldq = None
+            self.level = np.concatenate((ld, ldq))
+        self._w = np.full(self.n_pairs, 8.0)   # advance()'s weights: 8 on theta, 4 on eta
+        self._w[m:] = 4.0
+        self._r = self._terms = None   # residual and terms of the latest residual call
 
     def residual(self, z):
         self._r, self._terms = residual(z, self.cache, self.level)
@@ -100,20 +107,33 @@ class StepEquations:
 
     def jacobian(self, z):
         """The Jacobian at z, the point of the latest residual call, from that
-        call's closure terms."""
+        call's terms."""
         return jacobian(self._terms, self.cache)
 
     def advance(self, z):
         """Move the level data on to the level that z holds, once z solves this
-        step; z is the point of the latest residual call.
+        step; z is the point of the latest residual call.  Returns that
+        level's stacked (theta; eta).
 
-        A + B = 8 I, so with the residual (G; Q) at z
+        A + B = 8 I, so with the residual r at z, in O(M), with no
+        exponential and no flux,
             LD' = B theta' - lambda_s P' + 2k Phi' = 8 theta' - G - LD
-            LDQ' = 2 eta' + k Phi' = 4 eta' - Q - LDQ
-        in O(M), with no exponential and no flux: level' = w z - r - level
-        with w = (8, ..., 8, 4, ..., 4).
+            LDQ' = 2 eta' + k Phi' = 4 eta' - Q - LDQ   (ncp mode)
+        that is level' = w z - r - level with w = (8, ..., 8, 4, ..., 4).  In
+        mncp mode the terms of r give eta' = (LDQ + k beta e') / (2 + k beta e')
+        and LDQ' = 2 eta' + k Phi'; eta' is never formed as 1 - Phi' / (beta e'),
+        which is 0/0 where e' underflows.
         """
-        self.level = self._w * z - self._r - self.level
+        level = self._w * z - self._r - self.level[:z.size]
+        if self.ldq is None:
+            self.level = level
+            return z
+        two = self.cache.two
+        _, k_beta_e, phi_next, _, q_eta = self._terms
+        eta = (self.ldq + k_beta_e) / q_eta
+        self.ldq = two * eta + self.cache.k * phi_next
+        self.level = np.concatenate((level, self.cache.closure.beta * (two - self.ldq)))
+        return np.concatenate((z, eta))
 
 
 def step(state: State, equations: StepEquations, config: RunConfig, previous_shift: float = 0.0,
@@ -121,26 +141,27 @@ def step(state: State, equations: StepEquations, config: RunConfig, previous_shi
     """Advance one time level; previous_shift is the previous step's restoration shift.
 
     equations hold the level data of `state` and are advanced to those of
-    the next state.  The solve starts from z^n; given the previous level,
-    from the linear extrapolation 2 z^n - z^(n-1); given also the level
-    before it (`earlier`), from the quadratic extrapolation
-    3 (z^n - z^(n-1)) + z^(n-2).  Both act on theta and eta alike.  The
-    start is not clipped: restoration clamps the pair variables, on a copy,
-    so no input state is changed.
-    Returns (next_state, report): next_state holds the solver's z itself,
-    which nothing else references, and report is the SolverReport of the
-    solve, whose shift is the total restoration shift the solve used.  A
-    failed solve raises its SolverError, which run() turns into StepFailed.
+    the next state.  The solve is handed the solver's unknowns, the leading
+    equations.n_pairs entries of z, from z^n; given the previous level, from
+    the linear extrapolation 2 z^n - z^(n-1); given also the level before it
+    (`earlier`), from the quadratic extrapolation 3 (z^n - z^(n-1)) + z^(n-2).
+    The start is not clipped: restoration clamps the pair variables, on a
+    copy, so no input state is changed.
+    Returns (next_state, report): next_state holds the stacked z that
+    equations.advance returns, which nothing else references, and report
+    is the SolverReport of the solve, whose shift is the total restoration
+    shift the solve used.  A failed solve raises its SolverError, which
+    run() turns into StepFailed.
     """
+    n = equations.n_pairs
     if previous is None:
-        z0 = state.z
+        x0 = state.z[:n]
     elif earlier is None:
-        z0 = 2.0 * state.z - previous.z
+        x0 = 2.0 * state.z[:n] - previous.z[:n]
     else:
-        z0 = 3.0 * (state.z - previous.z) + earlier.z
-    z, report = solve(equations, z0, config.solver_opts, previous_shift)
-    equations.advance(z)
-    return State.stacked(z, state.n + 1), report
+        x0 = 3.0 * (state.z[:n] - previous.z[:n]) + earlier.z[:n]
+    x, report = solve(equations, x0, config.solver_opts, previous_shift)
+    return State.stacked(equations.advance(x), state.n + 1), report
 
 
 def nearest_step(t: float, k: float) -> int:

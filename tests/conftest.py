@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from combust.discretization import Grid
+from combust.discretization import Grid, ThetaJacobian
 from combust.mncp import MNCP, NCP, merit_vector
 from combust.model import BASE_PARAMS
 from combust.timestepper import RunConfig, run
@@ -19,6 +19,37 @@ def same_double(value, expected) -> bool:
     bit for bit (so 0.0 and -0.0 differ)."""
     return (type(value) is np.ndarray and value.shape == () and value.dtype == np.float64
             and not value.flags.writeable and value.tobytes() == np.float64(expected).tobytes())
+
+
+def tri_dense(sub, diag, sup):
+    """The dense tridiagonal matrix with the given bands; sub and sup have length M-1."""
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+
+def scheme_dense(diag, off, m):
+    """A scheme matrix of the SchemeCache from its diagonal and off-diagonal
+    value: the Neumann corner, entry (M, M-1), is twice the off-diagonal value."""
+    sub = np.full(m - 1, off)
+    sub[-1] = 2.0 * off
+    return tri_dense(sub, np.full(m, diag), np.full(m - 1, off))
+
+
+def a_dense(cache):
+    return scheme_dense(cache.a_diag, cache.a_off, cache.grid.m)
+
+
+def b_dense(cache):
+    return scheme_dense(cache.b_diag, cache.b_off, cache.grid.m)
+
+
+def to_dense(jac):
+    """The full matrix of a step Jacobian: dG~/dtheta of a ThetaJacobian, or the
+    2M x 2M block matrix [[dG/dtheta, dG/deta], [dQ/dtheta, dQ/deta]] of a
+    StepJacobian."""
+    g_theta = tri_dense(jac.sub, jac.diag, jac.sup)
+    if isinstance(jac, ThetaJacobian):
+        return g_theta
+    return np.block([[g_theta, np.diag(jac.g_eta)], [np.diag(jac.q_theta), np.diag(jac.q_eta)]])
 
 
 class DenseJacobian:

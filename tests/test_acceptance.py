@@ -23,7 +23,7 @@ from combust.mncp import (
 from combust.model import BASE_PARAMS, DimensionlessParams, closure
 from combust.timestepper import RunConfig, initial_state, run
 
-from conftest import TABLE_TIMES, base_config, dense
+from conftest import TABLE_TIMES, a_dense, b_dense, base_config, dense, to_dense
 from test_discretization import dense_jacobian_fd
 
 
@@ -96,7 +96,7 @@ def test_criterion_2_jacobian_fd():
     for _ in range(100):
         theta = rng.uniform(0.0, 2.0, 10)
         eta = rng.uniform(0.0, 1.0, 10)
-        analytic = jacobian(closure(theta, eta, cache.closure), cache).to_dense()
+        analytic = to_dense(jacobian(closure(theta, eta, cache.closure), cache))
         fd = dense_jacobian_fd(theta, eta, cache)
         rel = np.max(np.abs(analytic - fd)) / np.max(np.abs(fd))
         assert rel <= 1e-6
@@ -111,8 +111,8 @@ def test_criterion_3_structural_identities():
     for m in (2, 10, 50):
         grid = Grid(length=0.05, m=m, k=1e-5, n_steps=1)
         cache = assemble_matrices(grid, BASE_PARAMS)
-        np.testing.assert_array_equal(cache.a_dense() + cache.b_dense(), 8.0 * np.eye(m))
-        sums = cache.a_dense().sum(axis=1)
+        np.testing.assert_array_equal(a_dense(cache) + b_dense(cache), 8.0 * np.eye(m))
+        sums = a_dense(cache).sum(axis=1)
         muh = grid.mu * BASE_PARAMS.h_diff
         assert sums[0] == pytest.approx(4.0 + 2.0 * muh, rel=1e-14)
         np.testing.assert_allclose(sums[1:], 4.0, rtol=1e-14)

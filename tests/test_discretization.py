@@ -11,6 +11,7 @@ from combust.discretization import (
     State,
     StepJacobian,
     THETA_B,
+    ThetaJacobian,
     assemble_LD,
     assemble_LDQ,
     assemble_matrices,
@@ -31,7 +32,7 @@ from combust.model import (
     phi_dtheta,
 )
 
-from conftest import DenseJacobian, evaluated, same_double
+from conftest import DenseJacobian, a_dense, b_dense, evaluated, same_double, to_dense
 
 # grid with h = 1, k = 0.2, h_diff = 0.5 -> mu * h_diff = 0.1
 UNIT_PARAMS = DimensionlessParams(pe_t=2.0, beta=1.0, e_act=1.0, theta0=1.0, u=1.0)
@@ -45,6 +46,12 @@ def base_grid(m=10):
 def level_of(state, cache):
     """The stacked level data (LD; LDQ) of a state."""
     return np.concatenate((assemble_LD(state, cache), assemble_LDQ(state, cache)))
+
+
+def theta_level_of(state, cache):
+    """The level data (LD; beta (2 - LDQ)) of the theta problem of a state."""
+    ldq = assemble_LDQ(state, cache)
+    return np.concatenate((assemble_LD(state, cache), cache.params.beta * (2.0 - ldq)))
 
 
 class TestGrid:
@@ -74,18 +81,18 @@ class TestAssembleMatrices:
             [-0.2, 4.4, -0.2],
             [0.0, -0.4, 4.4],
         ])
-        np.testing.assert_allclose(cache.a_dense(), expected, rtol=1e-15)
+        np.testing.assert_allclose(a_dense(cache), expected, rtol=1e-15)
 
     def test_a_plus_b_is_eight_identity(self):
         for m in (2, 3, 17):
             cache = assemble_matrices(base_grid(m), BASE_PARAMS)
-            total = cache.a_dense() + cache.b_dense()
+            total = a_dense(cache) + b_dense(cache)
             np.testing.assert_array_equal(total, 8.0 * np.eye(m))
 
     def test_row_sums(self):
         cache = assemble_matrices(base_grid(12), BASE_PARAMS)
         muh = cache.grid.mu * BASE_PARAMS.h_diff
-        sums = cache.a_dense().sum(axis=1)
+        sums = a_dense(cache).sum(axis=1)
         assert sums[0] == pytest.approx(4.0 + 2.0 * muh, rel=1e-14)
         np.testing.assert_allclose(sums[1:], 4.0, rtol=1e-14)
 
@@ -94,8 +101,9 @@ class TestAssembleMatrices:
         muh = grid.mu * params.h_diff
         expected = {"a_diag": 4.0 + 4.0 * muh, "a_off": -2.0 * muh, "a_corner": 2.0 * (-2.0 * muh),
                     "b_diag": 4.0 - 4.0 * muh, "b_off": 2.0 * muh, "k": grid.k,
-                    "two_k": 2.0 * grid.k, "neg_k": -grid.k, "neg_two_k": -2.0 * grid.k,
-                    "two": 2.0, "lambda_s": grid.lambda_s}
+                    "two_k": 2.0 * grid.k, "four_k": 4.0 * grid.k, "neg_k": -grid.k,
+                    "neg_two_k": -2.0 * grid.k, "two": 2.0, "k_beta": grid.k * params.beta,
+                    "lambda_s": grid.lambda_s}
         cache = assemble_matrices(grid, params)
         assert set(SchemeCache._fields) == set(expected) | {"closure", "grid", "params"}
         for name, value in expected.items():
@@ -116,6 +124,10 @@ class TestAssembleMatrices:
         shapes = [(r, 2 * m)] + [(t, m) for t in terms] + [
             (jac.sub, m - 1), (jac.diag, m), (jac.sup, m - 1), (jac.g_eta, m), (jac.q_theta, m),
             (jac.q_eta, m)]
+        r, terms = residual(state.theta + 0.01, cache, theta_level_of(state, cache))
+        jac = jacobian(terms, cache)
+        shapes += [(r, m)] + [(t, m) for t in terms] + [
+            (jac.sub, m - 1), (jac.diag, m), (jac.sup, m - 1)]
         for value, size in shapes:
             assert type(value) is np.ndarray
             assert value.dtype == np.float64
@@ -178,7 +190,7 @@ class TestLevelNVectors:
         rng = np.random.default_rng(m)
         grid = base_grid(m)
         cache = assemble_matrices(grid, BASE_PARAMS)
-        b = cache.b_dense()
+        b = b_dense(cache)
         for _ in range(20):
             theta = rng.uniform(0.0, 3.0, m)
             eta = rng.uniform(0.0, 1.0, m)
@@ -212,7 +224,7 @@ class TestResidual:
             state = State(theta=theta, eta=eta)
             res, _ = residual(state.z, cache, level_of(state, cache))
             direct_g = (
-                (cache.a_dense() - cache.b_dense()) @ theta
+                (a_dense(cache) - b_dense(cache)) @ theta
                 + 2.0 * grid.lambda_s * assemble_P(theta, BASE_PARAMS)
                 - 4.0 * grid.k * phi(theta, eta, BASE_PARAMS)
             )
@@ -241,9 +253,9 @@ class TestResidual:
             ldq = assemble_LDQ(state, cache)
             theta = rng.uniform(0.0, 3.0, m)
             eta = rng.uniform(0.0, 1.0, m)
-            a_theta = np.diag(cache.a_dense()) * theta
-            a_theta[1:] += np.diag(cache.a_dense(), -1) * theta[:-1]
-            a_theta[:-1] += np.diag(cache.a_dense(), 1) * theta[1:]
+            a_theta = np.diag(a_dense(cache)) * theta
+            a_theta[1:] += np.diag(a_dense(cache), -1) * theta[:-1]
+            a_theta[:-1] += np.diag(a_dense(cache), 1) * theta[1:]
             phi_next = phi(theta, eta, BASE_PARAMS)
             g = (a_theta + grid.lambda_s * assemble_P(theta, BASE_PARAMS)
                  - 2.0 * grid.k * phi_next - ld)
@@ -302,6 +314,37 @@ class TestResidual:
         assert err.value.node == 2
         assert str(err.value) == "non-finite residual Q at node 2"
 
+    def test_theta_problem_is_the_stacked_residual_at_eta_of_theta(self):
+        # G~(theta) = G(theta, eta(theta)), eta(theta) = (LDQ + k beta e) / (2 + k beta e),
+        # at which Q vanishes to round-off
+        rng = np.random.default_rng(13)
+        grid = base_grid(8)
+        cache = assemble_matrices(grid, BASE_PARAMS)
+        p = BASE_PARAMS
+        for _ in range(20):
+            state = State(theta=rng.uniform(0.0, 3.0, 8), eta=rng.uniform(0.0, 1.0, 8))
+            theta = rng.uniform(0.0, 3.0, 8)
+            k_beta_e = grid.k * p.beta * np.exp(-p.e_act / (theta + p.theta0))
+            eta = (assemble_LDQ(state, cache) + k_beta_e) / (2.0 + k_beta_e)
+            g, terms = residual(theta, cache, theta_level_of(state, cache))
+            r, _ = residual(np.concatenate((theta, eta)), cache, level_of(state, cache))
+            assert g.shape == (8,) and len(terms) == 5
+            np.testing.assert_allclose(g, r[:8], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(r[8:], 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("row, node", [(0, 1), (3, 4), (7, 3), (9, 5)])
+    def test_theta_problem_non_finite_entry_names_its_node(self, row, node):
+        # with M = 5, level entries i-1 and i+4 are LD_i and beta (2 - LDQ_i);
+        # either reaches G~_i, the one residual of node i
+        cache = assemble_matrices(base_grid(5), BASE_PARAMS)
+        state = State(theta=np.full(5, 0.5), eta=np.full(5, 0.5))
+        level = theta_level_of(state, cache)
+        level[row] = np.nan
+        with pytest.raises(NumericError) as err:
+            residual(state.theta, cache, level)
+        assert err.value.node == node
+        assert str(err.value) == f"non-finite residual G at node {node}"
+
 
 def dense_jacobian_fd(theta, eta, cache, step=1e-6):
     """Finite-difference oracle in the stacked ordering: unknowns (theta; eta),
@@ -332,25 +375,45 @@ class TestJacobian:
         for _ in range(100):
             theta = rng.uniform(0.0, 2.0, 10)
             eta = rng.uniform(0.0, 1.0, 10)
-            analytic = jacobian(closure(theta, eta, cache.closure), cache).to_dense()
+            analytic = to_dense(jacobian(closure(theta, eta, cache.closure), cache))
             fd = dense_jacobian_fd(theta, eta, cache)
             scale = np.max(np.abs(fd))
             assert np.max(np.abs(analytic - fd)) <= 1e-6 * scale
+
+    def test_theta_jacobian_matches_finite_differences(self):
+        # dG~/dtheta of the theta problem, on 100 random states at M = 10, as
+        # acceptance criterion 2 checks the stacked Jacobian
+        rng = np.random.default_rng(8)
+        cache = assemble_matrices(base_grid(10), BASE_PARAMS)
+        step = 1e-6
+        for _ in range(100):
+            theta = rng.uniform(0.0, 2.0, 10)
+            level = theta_level_of(State(theta=theta, eta=rng.uniform(0.0, 1.0, 10)), cache)
+            theta = theta + rng.uniform(0.0, 0.1, 10)
+            jac = jacobian(residual(theta, cache, level)[1], cache)
+            assert type(jac) is ThetaJacobian
+            fd = np.empty((10, 10))
+            for j in range(10):
+                shift = np.zeros(10)
+                shift[j] = step
+                fd[:, j] = (residual(theta + shift, cache, level)[0]
+                            - residual(theta - shift, cache, level)[0]) / (2.0 * step)
+            assert np.max(np.abs(to_dense(jac) - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_vanishing_time_step_limit(self):
         grid = Grid(length=0.05, m=6, k=1e-300, n_steps=1)
         cache = assemble_matrices(grid, BASE_PARAMS)
         terms = closure(np.linspace(0.1, 1.0, 6), np.linspace(0.0, 0.9, 6), cache.closure)
-        jac = jacobian(terms, cache).to_dense()
+        jac = to_dense(jacobian(terms, cache))
         expected = np.zeros((12, 12))
-        expected[:6, :6] = cache.a_dense()
+        expected[:6, :6] = a_dense(cache)
         expected[6:, 6:] = 2.0 * np.eye(6)
         np.testing.assert_allclose(jac, expected, atol=1e-250)
 
     def test_eta_block_closed_form_at_burnout(self):
         grid = base_grid(4)
         cache = assemble_matrices(grid, BASE_PARAMS)
-        jac = jacobian(closure(np.zeros(4), np.ones(4), cache.closure), cache).to_dense()
+        jac = to_dense(jacobian(closure(np.zeros(4), np.ones(4), cache.closure), cache))
         p = BASE_PARAMS
         expected = 2.0 + grid.k * p.beta * np.exp(-p.e_act / p.theta0)
         np.testing.assert_allclose(np.diag(jac)[4:], np.full(4, expected), rtol=1e-14)
@@ -370,11 +433,11 @@ class TestJacobian:
             pt = phi_dtheta(theta, eta, p)
             pe = phi_deta(theta, p)
             fd = flux_d(theta, p)
-            np.testing.assert_array_equal(jac.diag, np.diag(cache.a_dense()) - 2.0 * k * pt)
+            np.testing.assert_array_equal(jac.diag, np.diag(a_dense(cache)) - 2.0 * k * pt)
             np.testing.assert_array_equal(jac.g_eta, -2.0 * k * pe)
             np.testing.assert_array_equal(jac.q_theta, -k * pt)
             np.testing.assert_array_equal(jac.q_eta, 2.0 - k * pe)
-            np.testing.assert_array_equal(jac.sup, np.diag(cache.a_dense(), 1) + grid.lambda_s * fd[1:])
+            np.testing.assert_array_equal(jac.sup, np.diag(a_dense(cache), 1) + grid.lambda_s * fd[1:])
 
 
 def zero_pivot_jacobian(g_eta=0.0):
@@ -384,71 +447,86 @@ def zero_pivot_jacobian(g_eta=0.0):
                         g_eta=np.array([g_eta, 0.0]), q_theta=np.zeros(2), q_eta=np.ones(2))
 
 
+def zero_pivot_theta_jacobian():
+    """M = 2 with dG~/dtheta = diag(0, 1): at theta = 1, r = 0 the first pivot is zero."""
+    return ThetaJacobian(np.zeros(1), np.array([0.0, 1.0]), np.zeros(1))
+
+
 class TestNewtonSolve:
     @pytest.mark.parametrize("m", [2, 3, 50])
     @pytest.mark.parametrize("mode", [mncp.MNCP, mncp.NCP])
     def test_matches_dense_solve(self, m, mode):
-        # at a strictly interior iterate the pair variables and the pair
-        # residuals (row scale and diagonal addend) are positive; the rows
-        # past them are the Jacobian's own
+        # the Newton matrix of each mode's step Jacobian: the theta problem's
+        # in MNCP, the stacked one's in NCP.  At a strictly interior iterate
+        # the pair variables and the pair residuals (row scale and diagonal
+        # addend) are positive on every row
         rng = np.random.default_rng(m)
         cache = assemble_matrices(base_grid(m), BASE_PARAMS)
-        n_pairs = m if mode == mncp.MNCP else 2 * m
+        n = m if mode == mncp.MNCP else 2 * m
         for _ in range(20):
-            theta = rng.uniform(0.01, 2.0, m)
-            eta = rng.uniform(0.01, 0.99, m)
-            z = np.concatenate((theta, eta))
-            r = rng.normal(size=2 * m)
-            r[:n_pairs] = rng.uniform(1e-6, 1.0, n_pairs)
-            rhs = rng.normal(size=2 * m)
-            jac = jacobian(closure(theta, eta, cache.closure), cache)
-            d = jac.newton_solve(z[:n_pairs], r[:n_pairs], rhs)
-            ref = DenseJacobian(jac.to_dense()).newton_solve(z[:n_pairs], r[:n_pairs], rhs)
+            state = State(theta=rng.uniform(0.01, 2.0, m), eta=rng.uniform(0.01, 0.99, m))
+            if mode == mncp.MNCP:
+                z = state.theta
+                jac = jacobian(residual(z, cache, theta_level_of(state, cache))[1], cache)
+            else:
+                z = state.z
+                jac = jacobian(closure(state.theta, state.eta, cache.closure), cache)
+            r = rng.uniform(1e-6, 1.0, n)
+            rhs = rng.normal(size=n)
+            d = jac.newton_solve(z, r, rhs)
+            ref = DenseJacobian(to_dense(jac)).newton_solve(z, r, rhs)
             assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_pivot_retries_perturbed(self):
-        # at z = 1, r = 0 both pair layouts give the same Newton matrix
-        for n_pairs in (2, 4):
-            jac = zero_pivot_jacobian()
-            rhs = np.array([1.0, 2.0, 3.0, 4.0])
-            d = jac.newton_solve(np.ones(n_pairs), np.zeros(n_pairs), rhs)
-            # the retry solves the matrix with 1e-12 (1 + |d_ii|) on its
-            # diagonal, (theta_1, theta_2, eta_1, eta_2)
-            diag = np.array([0.0, 1.0, 1.0, 1.0])
-            perturbed = jac.to_dense() + np.diag(1e-12 * (1.0 + diag))
+        # the retry solves the Newton matrix with 1e-12 (1 + |d_ii|) on its
+        # diagonal: (theta_1, theta_2, eta_1, eta_2) for the stacked
+        # Jacobian, (theta_1, theta_2) for the theta problem's
+        for jac, diag in ((zero_pivot_jacobian(), np.array([0.0, 1.0, 1.0, 1.0])),
+                          (zero_pivot_theta_jacobian(), np.array([0.0, 1.0]))):
+            n = diag.size
+            rhs = np.arange(1.0, n + 1.0)
+            d = jac.newton_solve(np.ones(n), np.zeros(n), rhs)
+            perturbed = to_dense(jac) + np.diag(1e-12 * (1.0 + diag))
             np.testing.assert_allclose(d, np.linalg.solve(perturbed, rhs), rtol=1e-14)
             assert d[0] == pytest.approx(1e12)
-            # the perturbation is the solve's own: the Jacobian is left as it was
-            np.testing.assert_array_equal(jac.q_eta, np.ones(2))
+            # the perturbation is the solve's own: the Jacobian and the
+            # right-hand side are left as they were
             np.testing.assert_array_equal(jac.diag, [0.0, 1.0])
+            np.testing.assert_array_equal(rhs, np.arange(1.0, n + 1.0))
+        np.testing.assert_array_equal(zero_pivot_jacobian().q_eta, np.ones(2))
 
     def test_huge_finite_direction_is_returned(self):
         # d is about 1e200: its squared norm overflows, no entry does, so the
         # solve neither retries nor raises
-        jac = zero_pivot_jacobian()
-        jac.diag[0] = 1.0
-        rhs = np.array([1e200, -2e200, 3e200, 4.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            d = jac.newton_solve(np.ones(2), np.zeros(2), rhs)
-        assert not np.isfinite(np.vdot(d, d))
-        np.testing.assert_allclose(d, np.linalg.solve(jac.to_dense(), rhs), rtol=1e-14)
+        for jac, rhs in ((zero_pivot_jacobian(), np.array([1e200, -2e200, 3e200, 4.0])),
+                         (zero_pivot_theta_jacobian(), np.array([1e200, -2e200]))):
+            jac.diag[0] = 1.0
+            n = rhs.size
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                d = jac.newton_solve(np.ones(n), np.zeros(n), rhs)
+            assert not np.isfinite(np.vdot(d, d))
+            np.testing.assert_allclose(d, np.linalg.solve(to_dense(jac), rhs), rtol=1e-14)
 
     def test_singular_after_retry_raises(self):
         # after the retry the zero pivot is 1e-12, and eliminating eta_1
         # moves 1e200 * 1e100 onto it: theta_1 overflows
         jac = zero_pivot_jacobian(g_eta=1e200)
         with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
-            jac.newton_solve(np.ones(2), np.zeros(2), np.array([0.0, 0.0, 1e100, 0.0]))
+            jac.newton_solve(np.ones(4), np.zeros(4), np.array([0.0, 0.0, 1e100, 0.0]))
+        # the theta problem's: 1e300 over the retry's pivot 1e-12 overflows
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            zero_pivot_theta_jacobian().newton_solve(np.ones(2), np.zeros(2),
+                                                     np.array([1e300, 0.0]))
 
-        # the same through the solver: the theta rows are the pairs, the
-        # residual of the first is 0, and the right-hand side on the eta_1
-        # row is again 1e100
+        # the same through the solver: at theta = 1 the first pair's residual
+        # is 0, so the first pivot is too, and the centring term of the
+        # right-hand side on that row is 0.01 mean(H) = 5e297
         prob = MncpProblem(
             n_pairs=2,
-            residual=lambda z: np.array([0.0, 1.0, -1e100, 0.0]),
-            jacobian=lambda z: jac,
+            residual=lambda z: np.array([0.0, 1e300]),
+            jacobian=lambda z: zero_pivot_theta_jacobian(),
         )
         with np.errstate(all="ignore"), pytest.raises(mncp.SingularJacobian):
-            z = np.ones(4)
+            z = np.ones(2)
             direction(z, *evaluated(z, prob), prob)

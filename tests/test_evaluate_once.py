@@ -22,7 +22,7 @@ from combust.model import (
 )
 from combust.timestepper import initial_state, run, step
 
-from conftest import base_config
+from conftest import base_config, to_dense
 
 
 def short_config(method, n_steps, m=50, k=1e-5):
@@ -32,25 +32,34 @@ def short_config(method, n_steps, m=50, k=1e-5):
 
 @pytest.mark.parametrize("method", [MNCP, NCP])
 def test_carried_level_data_equal_assembly(monkeypatch, method):
-    # LD' = 8 theta' - G - LD and LDQ' = 4 eta' - Q - LDQ from the
-    # converged residual, against assembling from the new state
+    # LD' = 8 theta' - G - LD, and LDQ' = 4 eta' - Q - LDQ (NCP) or
+    # 2 eta' + k Phi' (MNCP) from the converged residual, against assembling
+    # from the new state.  MNCP's level carries beta (2 - LDQ): the same
+    # 1e-13 in LDQ's units is beta * 1e-13 there
     carried = []
     original = timestepper.step
 
     def recording(state, equations, *args):
         out = original(state, equations, *args)
-        m = equations.cache.grid.m
-        carried.append((out[0], (equations.level[:m], equations.level[m:]), equations.cache))
+        carried.append((out[0], equations.level, equations.ldq, equations.cache))
         return out
 
     monkeypatch.setattr(timestepper, "step", recording)
     config = short_config(method, 200)
     run(config)
     assert len(carried) == 200
-    for state, (ld, ldq), cache in carried:
-        np.testing.assert_allclose(ld, assemble_LD(state, cache), rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(ldq, assemble_LDQ(state, cache),
-                                   rtol=0.0, atol=1e-13)
+    beta = config.params.beta
+    for state, level, ldq, cache in carried:
+        m = state.theta.size
+        assembled = assemble_LDQ(state, cache)
+        np.testing.assert_allclose(level[:m], assemble_LD(state, cache), rtol=0.0, atol=1e-13)
+        if method == MNCP:
+            np.testing.assert_allclose(ldq, assembled, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(level[m:], beta * (2.0 - assembled),
+                                       rtol=0.0, atol=beta * 1e-13)
+        else:
+            assert ldq is None
+            np.testing.assert_allclose(level[m:], assembled, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("method", [MNCP, NCP])
@@ -90,8 +99,9 @@ def test_shared_closure_terms_equal_the_single_purpose_functions():
 def test_solver_jacobians_equal_fresh_ones(monkeypatch, method):
     # The first step from the cold start takes several Newton iterations: its
     # first Jacobian is built at the restored point, the others at accepted
-    # probes.  Each must take the closure terms of the latest residual call
-    # and equal the Jacobian built from closure() at that call's point.
+    # probes.  Each must take the terms of the latest residual call and
+    # equal the Jacobian built from fresh terms at that call's point: from
+    # closure() in NCP, from a second residual call in MNCP.
     latest = {}
     built = []
     original_residual = timestepper.residual
@@ -99,12 +109,12 @@ def test_solver_jacobians_equal_fresh_ones(monkeypatch, method):
 
     def recording_residual(z, cache, level):
         r, terms = original_residual(z, cache, level)
-        latest.update(z=z.copy(), terms=terms)
+        latest.update(z=z.copy(), level=level.copy(), terms=terms)
         return r, terms
 
     def recording(terms, cache):
         jac = original(terms, cache)
-        built.append((latest["z"], terms is latest["terms"], jac))
+        built.append((latest["z"], latest["level"], terms is latest["terms"], jac))
         return jac
 
     monkeypatch.setattr(timestepper, "residual", recording_residual)
@@ -115,10 +125,13 @@ def test_solver_jacobians_equal_fresh_ones(monkeypatch, method):
     _, report = step(state, timestepper.StepEquations(cache, method, state), config)
     assert report.js_evals == len(built) >= 2
     m = config.grid.m
-    for z, shared, jac in built:
+    for z, level, shared, jac in built:
         assert shared
-        fresh = original(closure(z[:m], z[m:], cache.closure), cache)
-        np.testing.assert_array_equal(jac.to_dense(), fresh.to_dense())
+        if method == MNCP:
+            fresh = original(original_residual(z, cache, level)[1], cache)
+        else:
+            fresh = original(closure(z[:m], z[m:], cache.closure), cache)
+        np.testing.assert_array_equal(to_dense(jac), to_dense(fresh))
 
 
 @pytest.mark.parametrize("method", [MNCP, NCP])

@@ -9,6 +9,8 @@ equations are the sources
 and the scheme solves for them when each step's level data carry their
 trapezoidal integrals: G / 4k and Q / 2k are the model equations averaged
 over the step, so (LD; LDQ) gains (2k (S^n + S^(n+1)); k (S_eta^n + S_eta^(n+1))).
+In MNCP mode the theta problem's level data (LD; beta (2 - LDQ)) are
+formed from those.
 Everything the scheme does enters: the convective flux difference, the
 reaction term, the Neumann mirror, Crank-Nicolson and the solver's default
 stopping tolerance (Roache, Code verification by the method of
@@ -65,9 +67,15 @@ def max_errors(m, method):
     weight = 2.0 * grid.k * np.concatenate((np.ones(m), np.full(m, 0.5)))
     for n in range(grid.n_steps):
         source_next = np.concatenate(sources(x, (n + 1) * grid.k))
-        equations.level = equations.level + weight * (source + source_next)
-        z, _ = solve(equations, z)
-        equations.advance(z)
+        gain = weight * (source + source_next)
+        if method == MNCP:
+            equations.ldq = equations.ldq + gain[m:]
+            equations.level = np.concatenate((equations.level[:m] + gain[:m],
+                                              MILD.beta * (2.0 - equations.ldq)))
+        else:
+            equations.level = equations.level + gain
+        solution, _ = solve(equations, z[:equations.n_pairs])
+        z = equations.advance(solution)
         source = source_next
     theta, eta = exact(x, T_END)
     return np.abs(z[:m] - theta).max(), np.abs(z[m:] - eta).max()

@@ -22,7 +22,8 @@ def three_steps(method=MNCP, record_times=()):
 
 @pytest.fixture
 def start_points(monkeypatch):
-    """The z0 of every solve the time stepper makes, in call order."""
+    """The start of every solve the time stepper makes, in call order: the
+    leading entries of a stacked z, theta in MNCP and all of z in NCP."""
     seen = []
     original = timestepper.solve
 
@@ -37,7 +38,8 @@ def start_points(monkeypatch):
 @pytest.mark.parametrize("method", [MNCP, NCP])
 def test_step_with_previous_extrapolates(start_points, method):
     # given the previous level, the start is 2 z^n - z^(n-1); given also the
-    # level before it, 3 (z^n - z^(n-1)) + z^(n-2)
+    # level before it, 3 (z^n - z^(n-1)) + z^(n-2), on theta alone in MNCP
+    n = 8 if method == MNCP else 16
     config = three_steps(method)
     cache = assemble_matrices(config.grid, config.params)
     rng = np.random.default_rng(3)
@@ -50,11 +52,12 @@ def test_step_with_previous_extrapolates(start_points, method):
     step(current, timestepper.StepEquations(cache, method, current), config, 0.0, previous, earlier)
     np.testing.assert_array_equal(
         start_points[0],
-        np.concatenate((2.0 * current.theta - previous.theta, 2.0 * current.eta - previous.eta)))
+        np.concatenate((2.0 * current.theta - previous.theta,
+                        2.0 * current.eta - previous.eta))[:n])
     np.testing.assert_array_equal(
         start_points[1],
         np.concatenate((3.0 * (current.theta - previous.theta) + earlier.theta,
-                        3.0 * (current.eta - previous.eta) + earlier.eta)))
+                        3.0 * (current.eta - previous.eta) + earlier.eta))[:n])
 
 
 @pytest.mark.parametrize("initial", [None, State(theta=np.full(8, 0.25), eta=np.full(8, 0.5))])
@@ -62,10 +65,11 @@ def test_run_extrapolates_after_the_first_step(start_points, initial):
     # the first step starts from the initial level and the second from two
     # levels; each later step starts from three levels after a step that
     # took more than two residual evaluations, and from two otherwise.
-    # Within 12 steps both initial levels reach both cases
+    # Within 12 steps both initial levels reach both cases.  MNCP's
+    # unknowns are the theta entries of the levels
     config = base_config(8, MNCP, record_times=tuple(i * 1e-5 for i in range(13)))
     series = run(replace(config, grid=replace(config.grid, n_steps=12)), initial=initial)
-    z = [s.z for _, s in series.snapshots]
+    z = [s.theta for _, s in series.snapshots]
     assert len(start_points) == len(z) - 1 == 12
     np.testing.assert_array_equal(start_points[0], z[0])
     np.testing.assert_array_equal(start_points[1], 2.0 * z[1] - z[0])

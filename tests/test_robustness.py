@@ -150,6 +150,53 @@ def test_sweep(length, m, k, method, most):
     assert max(s.iterations for s in series.per_step) <= most + 2 + most // 10
 
 
+def large_step_run(length, m, k):
+    """100 MNCP steps of the base parameters at domain_length `length`, M = m
+    and time step k, snapshotting every level; StepFailed if a step fails."""
+    grid = Grid(length=length, m=m, k=k, n_steps=100)
+    return run(RunConfig(grid=grid, params=BASE_PARAMS,
+                         record_times=tuple(np.arange(grid.n_steps + 1) * k)))
+
+
+def test_large_step_m800_completes():
+    # (5, 800, k = 0.1): MNCP's theta problem completes with theta >= 0 at
+    # every level.  With eta's equality rows in the merit, the solver
+    # stopped with LineSearchStall at step 98
+    series = large_step_run(5.0, 800, 0.1)
+    assert len(series.per_step) == 100 and len(series.snapshots) == 101
+    for _, state in series.snapshots:
+        assert np.all(state.theta >= 0.0)
+
+
+def test_large_step_m50_iterations():
+    # (5, 50, k = 0.1) takes 16.1 iterations a step on average (at most 23);
+    # with eta's equality rows in the merit it took 50.2 (at most 58)
+    iterations = [s.iterations for s in large_step_run(5.0, 50, 0.1).per_step]
+    assert len(iterations) == 100
+    assert sum(iterations) / len(iterations) <= 20.0
+
+
+@pytest.mark.slow
+def test_large_step_tier():
+    # the 30 cases domain_length x M x k, 100 MNCP steps each, about 7 s:
+    # at least 23 complete, with theta >= 0 at every level, (5, 800, 0.1)
+    # among them.  24 complete with eta eliminated, 16 with it in the merit
+    completed = set()
+    for length in (0.05, 0.5, 5.0, 50.0, 500.0):
+        for m in (50, 200, 800):
+            for k in (0.1, 1.0):
+                try:
+                    series = large_step_run(length, m, k)
+                except StepFailed:
+                    continue
+                assert len(series.snapshots) == 101
+                for _, state in series.snapshots:
+                    assert np.all(state.theta >= 0.0), (length, m, k)
+                completed.add((length, m, k))
+    assert len(completed) >= 23, sorted(completed)
+    assert (5.0, 800, 0.1) in completed
+
+
 @pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
 def test_base_case_m12800_takes_10_steps(method):
     # step 0 drives node 1 to z = r = 3.2e-7; each step takes 11 or 12

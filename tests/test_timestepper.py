@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from combust.timestepper import (
     step,
 )
 
-from conftest import DenseJacobian
+from conftest import DenseJacobian, to_dense
 
 
 def tiny_config(m=10, n_steps=5, method=MNCP, record_times=()):
@@ -68,17 +70,18 @@ class TestStepEquations:
         for method, n_pairs in ((MNCP, 4), (NCP, 8)):
             equations = StepEquations(cache, method, state)
             assert equations.n_pairs == n_pairs
-            # z = (theta; eta) and r = (G; Q)
+            # every unknown is a pair: z = theta and r = G~ in MNCP,
+            # z = (theta; eta) and r = (G; Q) in NCP
             theta, eta = np.linspace(0.1, 0.4, 4), np.linspace(0.5, 0.8, 4)
-            z = np.concatenate((theta, eta))
+            z = np.concatenate((theta, eta))[:n_pairs]
             r = equations.residual(z)
+            assert r.shape == (n_pairs,)
             np.testing.assert_array_equal(r, residual(z, cache, equations.level)[0])
-            # the Newton matrix scales the problem's pair rows, and no others
-            rhs = rng.normal(size=8)
+            # the Newton matrix scales every row
+            rhs = rng.normal(size=n_pairs)
             jac = equations.jacobian(z)
-            p = equations.n_pairs
-            d = jac.newton_solve(z[:p], r[:p], rhs)
-            ref = DenseJacobian(jac.to_dense()).newton_solve(z[:p], r[:p], rhs)
+            d = jac.newton_solve(z, r, rhs)
+            ref = DenseJacobian(to_dense(jac)).newton_solve(z, r, rhs)
             assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_unknown_method(self):
@@ -98,6 +101,18 @@ class TestStep:
         next_state, _ = step(state, StepEquations(cache, MNCP, state), config)
         assert np.max(np.abs(next_state.theta)) < 1e-7
         assert np.max(np.abs(next_state.eta - 1.0)) < 1e-7
+
+    def test_eta_kept_where_the_exponential_underflows(self):
+        # e_act = 1e4 makes exp(-e_act / s) underflow to 0 at every node: no
+        # fuel burns, and MNCP's eta' = (LDQ + k beta e') / (2 + k beta e')
+        # keeps eta exactly, where 1 - Phi' / (beta e') would be 0/0
+        grid = Grid(length=0.05, m=6, k=1e-5, n_steps=3)
+        config = RunConfig(grid=grid, params=replace(BASE_PARAMS, e_act=1e4),
+                           record_times=(3e-5,))
+        eta0 = np.linspace(0.1, 0.6, 6)
+        _, final = run(config, State(np.zeros(6), eta0)).snapshots[-1]
+        assert final.n == 3
+        np.testing.assert_array_equal(final.eta, eta0)
 
     def test_first_step_burn_rate(self):
         # from the cold unburned start, eta grows by roughly k * Phi(0, 0)
@@ -241,14 +256,18 @@ class TestRun:
         state = initial_state(grid)
         equations = StepEquations(cache, MNCP, state)
         for _ in range(5):
-            # the problem of this step, kept at its level while the step advances `equations`
+            # the problems of this step, kept at its level while the step
+            # advances `equations`: the theta problem and the stacked (G; Q)
             prob = StepEquations(cache, MNCP, state)
+            stacked = StepEquations(cache, NCP, state)
             state, _ = step(state, equations, config)
-            z = np.concatenate((state.theta, state.eta))
-            r = prob.residual(z)
-            assert np.max(np.abs(merit_vector(z, r, prob))) <= 1e-8
+            g = prob.residual(state.theta)
             assert np.all(state.theta >= 0.0)
-            assert np.all(r[:prob.n_pairs] >= 0.0)
+            assert np.all(g >= 0.0)
+            assert np.max(np.abs(merit_vector(state.theta, g, prob))) <= 1e-8
+            # the stored eta solves Q = 0 given theta
+            q = stacked.residual(state.z)[grid.m:]
+            assert np.max(np.abs(q)) <= 1e-14
 
     def test_custom_initial_state(self):
         config = tiny_config(m=6, n_steps=3, record_times=(0.0,))
@@ -301,7 +320,7 @@ def _records():
     """One of each of the solver's records, by class name, as a run builds them."""
     config = tiny_config(m=4, n_steps=1)
     cache = assemble_matrices(config.grid, config.params)
-    equations = StepEquations(cache, MNCP, initial_state(config.grid))
+    equations = StepEquations(cache, NCP, initial_state(config.grid))
     z = np.full(8, 0.5)
     equations.residual(z)
     problem = MncpProblem(n_pairs=4, residual=equations.residual, jacobian=equations.jacobian)
