@@ -35,8 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from combust.mncp import SolverError
-from combust.model import (ClosureConstants, DimensionlessParams, closure, closure_derivatives,
-                           constant, flux, phi)
+from combust.model import ClosureConstants, DimensionlessParams, constant, flux, phi
 # Unused here; kept so the benchmark's trace points on this module still resolve.
 from combust.model import flux_d, phi_deta, phi_dtheta  # noqa: F401
 
@@ -246,113 +245,52 @@ def _all_finite(x: np.ndarray) -> bool:
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
-def _theta_closure(theta: np.ndarray, gap: np.ndarray, cache: SchemeCache):
-    """The terms of the theta problem at theta, from one exponential:
-    (s, k beta e, Phi, F, q_eta) with s = theta + theta0, e = exp(-e_act/s),
-    q_eta = 2 + k beta e and Phi = beta e (2 - LDQ) / q_eta, the reaction
-    term at eta(theta), given gap = beta (2 - LDQ)."""
-    c = cache.closure
-    s = theta + c.theta0
-    e = np.exp(c.neg_e_act / s)
-    k_beta_e = cache.k_beta * e
-    q_eta = k_beta_e + cache.two
-    return s, k_beta_e, gap * e / q_eta, c.u_theta0 * theta / s, q_eta
-
-
 def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
     """Evaluate the step residual at a candidate level-(n+1) point z.
 
     level holds 2M entries.  A stacked z = (theta; eta) takes level =
-    (LD; LDQ) and gives r = (G_1, ..., G_M, Q_1, ..., Q_M), with the closure
-    (s, e, Phi, F) of the point as its terms; z = theta takes level =
-    (LD; beta (2 - LDQ)) and gives r = G~(theta), with the terms of
-    _theta_closure.  Returns (r, terms), from which jacobian() builds the
-    Jacobian there.  G and Q are formed with the operations of
-    A theta + lambda_s P(theta) - 2k Phi - LD and 2 eta - k Phi - LDQ, in
-    that order, so each entry is rounded as in those expressions.  A
+    (LD; LDQ) and gives r = (G_1, ..., G_M, Q_1, ..., Q_M); z = theta takes
+    level = (LD; beta (2 - LDQ)) and gives r = G~(theta).  Returns
+    (r, terms), from which jacobian() builds the Jacobian there.  Both
+    modes form s = theta + theta0, e = exp(-e_act/s) and the flux F from one
+    exponential.  The terms are (s, e, Phi, F), with Phi = beta (1 - eta) e
+    at a stacked point; at theta, Phi = beta e (2 - LDQ) / q_eta is its value
+    at eta(theta), and the terms add (k beta e, q_eta = 2 + k beta e).  F and
+    the stacked Phi repeat the operations of flux() and phi(), so they equal
+    those functions' values bit for bit; G and Q repeat those of
+    A theta + lambda_s P(theta) - 2k Phi - LD and 2 eta - k Phi - LDQ.  A
     non-finite entry raises NumericError naming its residual and node (see
     stacked_row), the first non-finite G entry's, else the first Q entry's.
     """
     m = level.size // 2
+    c = cache.closure
+    theta = z[:m]
+    s = theta + c.theta0
+    e = np.exp(c.neg_e_act / s)
+    f = c.u_theta0 * theta / s
     if z.size == m:
-        theta_next = z
-        terms = _theta_closure(z, level[m:], cache)
+        k_beta_e = cache.k_beta * e
+        q_eta = k_beta_e + cache.two
+        phi_ = level[m:] * e / q_eta
+        terms = (s, e, phi_, f, k_beta_e, q_eta)
         out = g = np.empty(m)
         data = level[:m]
     else:
-        theta_next = z[:m]
-        terms = closure(theta_next, z[m:], cache.closure)
+        phi_ = c.beta * (c.one - z[m:]) * e
+        terms = (s, e, phi_, f)
         out = np.empty(2 * m)
         g = out[:m]
         q = np.multiply(cache.two, z[m:], out=out[m:])
-        q -= cache.k * terms[2]
+        q -= cache.k * phi_
         data = level
-    _tri_matvec(cache.a_diag, cache.a_off, theta_next, out=g)
-    g += cache.lambda_s * _flux_difference(terms[3])
-    g -= cache.two_k * terms[2]
+    _tri_matvec(cache.a_diag, cache.a_off, theta, out=g)
+    g += cache.lambda_s * _flux_difference(f)
+    g -= cache.two_k * phi_
     out -= data
     if not _all_finite(out):
         _, res, node = stacked_row(int(np.flatnonzero(~np.isfinite(out))[0]), m)
         raise NumericError(f"non-finite residual {res} at node {node}", node=node)
     return out, terms
-
-
-class StepJacobian(NamedTuple):
-    """Analytic Jacobian of (G, Q), stored by block.
-
-    Only dG/dtheta couples neighbouring nodes; the other three blocks are
-    diagonal:
-        dG/dtheta = tridiag(sub, diag, sup)    sub, sup of length M-1
-        dG/deta   = diag(g_eta)
-        dQ/dtheta = diag(q_theta)
-        dQ/deta   = diag(q_eta)
-    Unknowns are stacked as (theta_1, ..., theta_M, eta_1, ..., eta_M) and
-    rows as (G; Q), in the vectors newton_solve() takes and returns.
-    """
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    g_eta: np.ndarray
-    q_theta: np.ndarray
-    q_eta: np.ndarray
-
-    def newton_solve(self, s: np.ndarray, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (diag(s) J + diag(a)) d = rhs, with s and a given on all 2M rows.
-
-        Each node's eta correction is eliminated in closed form, leaving a
-        tridiagonal Schur complement in theta for LAPACK dgtsv.  The eta
-        pivot is s_i (2 + k beta e^(...)) + a_i.  On a zero pivot or a
-        non-finite result the solve is retried once with
-        1e-12 (1 + |d_ii|) added to every diagonal entry;
-        np.linalg.LinAlgError is raised if that fails too.
-        """
-        m = self.diag.size
-        s_t = s[:m]
-        s_e = s[m:]
-        diag_t = s_t * self.diag + a[:m]
-        coupling = s_e * self.q_theta
-        diag_e = s_e * self.q_eta + a[m:]
-        try:
-            return self._eliminate(s_t, coupling, diag_t, diag_e, rhs)
-        except np.linalg.LinAlgError:
-            diag_t = diag_t + 1e-12 * (1.0 + np.abs(diag_t))
-            diag_e = diag_e + 1e-12 * (1.0 + np.abs(diag_e))
-            return self._eliminate(s_t, coupling, diag_t, diag_e, rhs)
-
-    def _eliminate(self, s_t, coupling, diag_t, diag_e, rhs):
-        m = diag_t.size
-        f_t = rhs[:m]
-        f_e = rhs[m:]
-        ratio = s_t * self.g_eta / diag_e
-        _, _, _, x_t, info = dgtsv(
-            s_t[1:] * self.sub, diag_t - ratio * coupling, s_t[:-1] * self.sup,
-            f_t - ratio * f_e, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
-        )
-        d = np.concatenate((x_t, (f_e - coupling * x_t) / diag_e))
-        if info != 0 or not _all_finite(d):
-            raise np.linalg.LinAlgError("singular Newton matrix")
-        return d
 
 
 class ThetaJacobian:
@@ -367,13 +305,20 @@ class ThetaJacobian:
         self.sub, self.diag, self.sup = sub, diag, sup
 
     def newton_solve(self, s: np.ndarray, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (diag(s) J + diag(a)) d = rhs, s and a given on all M rows, by
-        one LAPACK dgtsv, with StepJacobian.newton_solve's retry and error."""
-        diag = s * self.diag + a
+        """Solve (diag(s) J + diag(a)) d = rhs, with s and a given on every row.
+
+        On a zero pivot or a non-finite result the solve is retried once
+        with 1e-12 (1 + |d_ii|) added to every diagonal entry d_ii of that
+        matrix; np.linalg.LinAlgError is raised if that fails too.
+        """
+        diag = s * self._diagonal() + a
         try:
             return self._solve(s, diag, rhs)
         except np.linalg.LinAlgError:
             return self._solve(s, diag + 1e-12 * (1.0 + np.abs(diag)), rhs)
+
+    def _diagonal(self):
+        return self.diag
 
     def _solve(self, s, diag, rhs):
         # diag and rhs are copied in, so the retry starts from them unchanged
@@ -384,29 +329,70 @@ class ThetaJacobian:
         return d
 
 
+class StepJacobian(ThetaJacobian):
+    """Analytic Jacobian of (G, Q), stored by block.
+
+    Only dG/dtheta couples neighbouring nodes; the other three blocks are
+    diagonal:
+        dG/dtheta = tridiag(sub, diag, sup)    sub, sup of length M-1
+        dG/deta   = diag(g_eta)
+        dQ/dtheta = diag(q_theta)
+        dQ/deta   = diag(q_eta)
+    Unknowns are stacked as (theta_1, ..., theta_M, eta_1, ..., eta_M) and
+    rows as (G; Q), in the vectors newton_solve() takes and returns.  Its
+    solve eliminates each node's eta correction in closed form, with the
+    pivot s_i q_eta_i + a_i, and hands the tridiagonal Schur complement in
+    theta to ThetaJacobian's.
+    """
+
+    __slots__ = ("g_eta", "q_theta", "q_eta")
+
+    def __init__(self, sub, diag, sup, g_eta, q_theta, q_eta):
+        self.sub, self.diag, self.sup = sub, diag, sup
+        self.g_eta, self.q_theta, self.q_eta = g_eta, q_theta, q_eta
+
+    def _diagonal(self):
+        return np.concatenate((self.diag, self.q_eta))
+
+    def _solve(self, s, diag, rhs):
+        m = self.diag.size
+        s_t = s[:m]
+        f_e = rhs[m:]
+        diag_e = diag[m:]
+        coupling = s[m:] * self.q_theta
+        ratio = s_t * self.g_eta / diag_e
+        x_t = ThetaJacobian._solve(self, s_t, diag[:m] - ratio * coupling, rhs[:m] - ratio * f_e)
+        x_e = (f_e - coupling * x_t) / diag_e
+        if not _all_finite(x_e):
+            raise np.linalg.LinAlgError("singular Newton matrix")
+        return np.concatenate((x_t, x_e))
+
+
 def jacobian(terms, cache: SchemeCache):
     """Analytic Jacobian of the step residual at the point whose terms are
     `terms`, as residual() returns them.
 
-    From the closure (s, e, Phi, F) of a stacked point, the StepJacobian
+    From the terms (s, e, Phi, F) of a stacked point, the StepJacobian
         dG/dtheta = A + lambda_s dP/dtheta - 2k diag(phi_theta)
         dG/deta   = -2k diag(phi_eta)
         dQ/dtheta = -k diag(phi_theta)
         dQ/deta   = 2 I - k diag(phi_eta);
-    from the five terms of the theta problem, the ThetaJacobian
+    from the terms of the theta problem, which end in q_eta, the
+    ThetaJacobian
         dG~/dtheta = A + lambda_s dP/dtheta - 4k diag(phi_theta / q_eta),
     as d eta/d theta = k phi_theta / q_eta and phi_eta = -beta e give
     Phi(theta, eta(theta)) the derivative 2 phi_theta / q_eta.  dP/dtheta
     row m holds +F'(theta_{m+1}) and -F'(theta_{m-1}) (row M zero, boundary
-    column dropped), and phi_theta = Phi e_act / s^2.
+    column dropped).  phi_theta = Phi e_act / s^2, F' = u theta0^2 / s^2
+    and phi_eta = -beta e repeat the operations of phi_dtheta(), flux_d()
+    and phi_deta(), so at a stacked point they equal those bit for bit.
     """
+    c = cache.closure
     lam = cache.lambda_s
-    if len(terms) == 5:
-        s, _, phi_, _, q_eta = terms
-        s2 = s**2
-        fd = cache.closure.u_theta0_sq / s2
-    else:
-        pt, pe, fd = closure_derivatives(terms, cache.closure)
+    s, e, phi_ = terms[:3]
+    s2 = s**2
+    pt = phi_ * c.e_act / s2
+    fd = c.u_theta0_sq / s2
 
     # entry (row im, col im+1), im = 0..m-2; rows 1..M-1 of dP/dtheta are live
     sup = cache.a_off + lam * fd[1:]
@@ -415,14 +401,8 @@ def jacobian(terms, cache: SchemeCache):
     sub = cache.a_off - lam * fd[:-1]
     sub[-1] = cache.a_corner
 
-    if len(terms) == 5:
-        return ThetaJacobian(
-            sub, cache.a_diag - cache.four_k * (phi_ * cache.closure.e_act / s2) / q_eta, sup)
-    return StepJacobian(
-        sub=sub,
-        diag=cache.a_diag - cache.two_k * pt,
-        sup=sup,
-        g_eta=cache.neg_two_k * pe,
-        q_theta=cache.neg_k * pt,
-        q_eta=cache.two - cache.k * pe,
-    )
+    if len(terms) > 4:
+        return ThetaJacobian(sub, cache.a_diag - cache.four_k * pt / terms[5], sup)
+    pe = c.neg_beta * e
+    return StepJacobian(sub, cache.a_diag - cache.two_k * pt, sup,
+                        cache.neg_two_k * pe, cache.neg_k * pt, cache.two - cache.k * pe)

@@ -144,12 +144,13 @@ def constant(value) -> np.ndarray:
 
 
 class ClosureConstants:
-    """The constants closure() and closure_derivatives() combine with arrays:
-    theta0, -e_act, e_act, beta, -beta, 1.0, u * theta0 and u * theta0**2 of
-    the parameters p, each the constant() of that float expression."""
+    """The constants the step kernels combine with arrays to form phi, flux
+    and their derivatives: theta0, -e_act, e_act, beta, -beta, 1.0,
+    u * theta0 and u * theta0**2 of the parameters p, each the constant() of
+    that float expression."""
 
     # A plain class: a named tuple costs cold set-up to define and its field
-    # reads are slower, and closure() reads five of these per call.
+    # reads are slower, and each residual reads several of these.
     __slots__ = ("theta0", "neg_e_act", "e_act", "beta", "neg_beta", "one", "u_theta0",
                  "u_theta0_sq")
 
@@ -162,27 +163,3 @@ class ClosureConstants:
         self.one = constant(1.0)
         self.u_theta0 = constant(p.u * p.theta0)
         self.u_theta0_sq = constant(p.u * p.theta0**2)
-
-
-def closure(theta, eta, c: ClosureConstants):
-    """The closure at one point from one exponential: (s, e, phi, flux) with
-    s = theta + theta0 and e = exp(-e_act/s); c = ClosureConstants(p).
-
-    phi and flux are formed with the operations of phi() and flux() in the
-    same order, so they equal those functions' values bit for bit.
-    """
-    s = theta + c.theta0
-    e = np.exp(c.neg_e_act / s)
-    return s, e, c.beta * (c.one - eta) * e, c.u_theta0 * theta / s
-
-
-def closure_derivatives(terms, c: ClosureConstants):
-    """(phi_dtheta, phi_deta, flux_d) at the point whose closure(theta, eta, c)
-    is terms, with no further exponential.
-
-    Each factor repeats the operations of its single-purpose function in the
-    same order, so the three results equal theirs bit for bit.
-    """
-    s, e, phi_, _ = terms
-    s2 = s**2
-    return phi_ * c.e_act / s2, c.neg_beta * e, c.u_theta0_sq / s2

@@ -129,7 +129,7 @@ class StepEquations:
             self.level = level
             return z
         two = self.cache.two
-        _, k_beta_e, phi_next, _, q_eta = self._terms
+        _, _, phi_next, _, k_beta_e, q_eta = self._terms
         eta = (self.ldq + k_beta_e) / q_eta
         self.ldq = two * eta + self.cache.k * phi_next
         self.level = np.concatenate((level, self.cache.closure.beta * (two - self.ldq)))

@@ -3,15 +3,22 @@
 import numpy as np
 import pytest
 
-from combust.discretization import Grid, ThetaJacobian
+from combust.discretization import Grid, StepJacobian, residual
 from combust.mncp import MNCP, NCP, merit_vector
-from combust.model import BASE_PARAMS
+from combust.model import BASE_PARAMS, DimensionlessParams
 from combust.timestepper import RunConfig, run
 
 BASE_K = 1e-5
 BASE_LENGTH = 0.05
 FIG_TIMES = (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)
 TABLE_TIMES = tuple(round(0.001 * i, 6) for i in range(1, 11))
+
+# parameter sets whose constants and pointwise factors are checked bit for bit
+CONSTANT_PARAMS = [
+    BASE_PARAMS,
+    DimensionlessParams(pe_t=2.0, beta=1.0, e_act=1.0, theta0=1.0, u=1.0),
+    DimensionlessParams(pe_t=0.3, beta=1e-3, e_act=17.3, theta0=0.1, u=1e3),
+]
 
 
 def same_double(value, expected) -> bool:
@@ -43,13 +50,19 @@ def b_dense(cache):
 
 
 def to_dense(jac):
-    """The full matrix of a step Jacobian: dG~/dtheta of a ThetaJacobian, or the
-    2M x 2M block matrix [[dG/dtheta, dG/deta], [dQ/dtheta, dQ/deta]] of a
-    StepJacobian."""
+    """The full matrix of a step Jacobian: the 2M x 2M block matrix
+    [[dG/dtheta, dG/deta], [dQ/dtheta, dQ/deta]] of a StepJacobian, or
+    dG~/dtheta of a ThetaJacobian."""
     g_theta = tri_dense(jac.sub, jac.diag, jac.sup)
-    if isinstance(jac, ThetaJacobian):
-        return g_theta
-    return np.block([[g_theta, np.diag(jac.g_eta)], [np.diag(jac.q_theta), np.diag(jac.q_eta)]])
+    if isinstance(jac, StepJacobian):
+        return np.block([[g_theta, np.diag(jac.g_eta)], [np.diag(jac.q_theta), np.diag(jac.q_eta)]])
+    return g_theta
+
+
+def stacked_terms(theta, eta, cache):
+    """The terms (s, e, Phi, F) that residual() returns at the stacked point
+    (theta; eta); they do not depend on the level data."""
+    return residual(np.concatenate((theta, eta)), cache, np.zeros(2 * theta.size))[1]
 
 
 class DenseJacobian:

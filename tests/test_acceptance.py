@@ -20,10 +20,10 @@ from combust.mncp import (
     restore_feasibility,
     solve,
 )
-from combust.model import BASE_PARAMS, DimensionlessParams, closure
+from combust.model import BASE_PARAMS, DimensionlessParams
 from combust.timestepper import RunConfig, initial_state, run
 
-from conftest import TABLE_TIMES, a_dense, b_dense, base_config, dense, to_dense
+from conftest import TABLE_TIMES, a_dense, b_dense, base_config, dense, stacked_terms, to_dense
 from test_discretization import dense_jacobian_fd
 
 
@@ -96,7 +96,7 @@ def test_criterion_2_jacobian_fd():
     for _ in range(100):
         theta = rng.uniform(0.0, 2.0, 10)
         eta = rng.uniform(0.0, 1.0, 10)
-        analytic = to_dense(jacobian(closure(theta, eta, cache.closure), cache))
+        analytic = to_dense(jacobian(stacked_terms(theta, eta, cache), cache))
         fd = dense_jacobian_fd(theta, eta, cache)
         rel = np.max(np.abs(analytic - fd)) / np.max(np.abs(fd))
         assert rel <= 1e-6

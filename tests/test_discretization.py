@@ -24,7 +24,6 @@ from combust.model import (
     BASE_PARAMS,
     ClosureConstants,
     DimensionlessParams,
-    closure,
     flux,
     flux_d,
     phi,
@@ -32,7 +31,8 @@ from combust.model import (
     phi_dtheta,
 )
 
-from conftest import DenseJacobian, a_dense, b_dense, evaluated, same_double, to_dense
+from conftest import (CONSTANT_PARAMS, DenseJacobian, a_dense, b_dense, evaluated, same_double,
+                      stacked_terms, to_dense)
 
 # grid with h = 1, k = 0.2, h_diff = 0.5 -> mu * h_diff = 0.1
 UNIT_PARAMS = DimensionlessParams(pe_t=2.0, beta=1.0, e_act=1.0, theta0=1.0, u=1.0)
@@ -328,7 +328,7 @@ class TestResidual:
             eta = (assemble_LDQ(state, cache) + k_beta_e) / (2.0 + k_beta_e)
             g, terms = residual(theta, cache, theta_level_of(state, cache))
             r, _ = residual(np.concatenate((theta, eta)), cache, level_of(state, cache))
-            assert g.shape == (8,) and len(terms) == 5
+            assert g.shape == (8,) and len(terms) == 6
             np.testing.assert_allclose(g, r[:8], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(r[8:], 0.0, atol=1e-14)
 
@@ -375,7 +375,7 @@ class TestJacobian:
         for _ in range(100):
             theta = rng.uniform(0.0, 2.0, 10)
             eta = rng.uniform(0.0, 1.0, 10)
-            analytic = to_dense(jacobian(closure(theta, eta, cache.closure), cache))
+            analytic = to_dense(jacobian(stacked_terms(theta, eta, cache), cache))
             fd = dense_jacobian_fd(theta, eta, cache)
             scale = np.max(np.abs(fd))
             assert np.max(np.abs(analytic - fd)) <= 1e-6 * scale
@@ -403,7 +403,7 @@ class TestJacobian:
     def test_vanishing_time_step_limit(self):
         grid = Grid(length=0.05, m=6, k=1e-300, n_steps=1)
         cache = assemble_matrices(grid, BASE_PARAMS)
-        terms = closure(np.linspace(0.1, 1.0, 6), np.linspace(0.0, 0.9, 6), cache.closure)
+        terms = stacked_terms(np.linspace(0.1, 1.0, 6), np.linspace(0.0, 0.9, 6), cache)
         jac = to_dense(jacobian(terms, cache))
         expected = np.zeros((12, 12))
         expected[:6, :6] = a_dense(cache)
@@ -413,23 +413,24 @@ class TestJacobian:
     def test_eta_block_closed_form_at_burnout(self):
         grid = base_grid(4)
         cache = assemble_matrices(grid, BASE_PARAMS)
-        jac = to_dense(jacobian(closure(np.zeros(4), np.ones(4), cache.closure), cache))
+        jac = to_dense(jacobian(stacked_terms(np.zeros(4), np.ones(4), cache), cache))
         p = BASE_PARAMS
         expected = 2.0 + grid.k * p.beta * np.exp(-p.e_act / p.theta0)
         np.testing.assert_allclose(np.diag(jac)[4:], np.full(4, expected), rtol=1e-14)
 
-    def test_pointwise_factors_match_model_bit_for_bit(self):
+    @pytest.mark.parametrize("p", CONSTANT_PARAMS)
+    def test_pointwise_factors_match_model_bit_for_bit(self, p):
         # the Jacobian shares one exponential between phi_theta, phi_eta and
         # F'; the result must equal the single-purpose model functions exactly
         rng = np.random.default_rng(5)
         m = 40
         grid = base_grid(m)
-        cache = assemble_matrices(grid, BASE_PARAMS)
-        k, p = grid.k, BASE_PARAMS
+        cache = assemble_matrices(grid, p)
+        k = grid.k
         for _ in range(20):
             theta = rng.uniform(0.0, 5.0, m)
             eta = rng.uniform(0.0, 1.0, m)
-            jac = jacobian(closure(theta, eta, cache.closure), cache)
+            jac = jacobian(stacked_terms(theta, eta, cache), cache)
             pt = phi_dtheta(theta, eta, p)
             pe = phi_deta(theta, p)
             fd = flux_d(theta, p)
@@ -438,6 +439,8 @@ class TestJacobian:
             np.testing.assert_array_equal(jac.q_theta, -k * pt)
             np.testing.assert_array_equal(jac.q_eta, 2.0 - k * pe)
             np.testing.assert_array_equal(jac.sup, np.diag(a_dense(cache), 1) + grid.lambda_s * fd[1:])
+            np.testing.assert_array_equal(jac.sub[:-1],
+                                          np.diag(a_dense(cache), -1)[:-1] - grid.lambda_s * fd[:-2])
 
 
 def zero_pivot_jacobian(g_eta=0.0):
@@ -470,7 +473,7 @@ class TestNewtonSolve:
                 jac = jacobian(residual(z, cache, theta_level_of(state, cache))[1], cache)
             else:
                 z = state.z
-                jac = jacobian(closure(state.theta, state.eta, cache.closure), cache)
+                jac = jacobian(stacked_terms(state.theta, state.eta, cache), cache)
             r = rng.uniform(1e-6, 1.0, n)
             rhs = rng.normal(size=n)
             d = jac.newton_solve(z, r, rhs)
@@ -529,4 +532,41 @@ class TestNewtonSolve:
         )
         with np.errstate(all="ignore"), pytest.raises(mncp.SingularJacobian):
             z = np.ones(2)
+            direction(z, *evaluated(z, prob), prob)
+
+    def test_eta_overflow_after_finite_theta_solve_raises(self, monkeypatch):
+        # with r_1 = -1e10 on the diagonal the theta pivot is 1, so the Schur
+        # solve in theta gives theta_1 = 1e10, finite, on both tries; eta_1's
+        # back-substitution then overflows, -1e300 * 1e10
+        jac = StepJacobian(sub=np.zeros(1), diag=np.array([1e10 + 1.0, 1.0]), sup=np.zeros(1),
+                           g_eta=np.zeros(2), q_theta=np.array([1e300, 0.0]), q_eta=np.ones(2))
+        r = np.array([-1e10, 0.0, 0.0, 0.0])
+        theta_parts, raised = [], []
+        theta_solve, step_solve = ThetaJacobian._solve, StepJacobian._solve
+
+        def recording_theta(self, *args):
+            theta_parts.append(theta_solve(self, *args))
+            return theta_parts[-1]
+
+        def recording_step(self, *args):
+            try:
+                return step_solve(self, *args)
+            except np.linalg.LinAlgError:
+                raised.append(True)
+                raise
+
+        monkeypatch.setattr(ThetaJacobian, "_solve", recording_theta)
+        monkeypatch.setattr(StepJacobian, "_solve", recording_step)
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            jac.newton_solve(np.ones(4), r, np.array([1e10, 0.0, 0.0, 0.0]))
+        assert raised == [True, True]
+        assert len(theta_parts) == 2
+        for x_t in theta_parts:
+            assert x_t[0] == pytest.approx(1e10) and np.all(np.isfinite(x_t))
+
+        # the same through the solver: at z = 1, H = r and its mean is
+        # negative, so the right-hand side is -H, 1e10 on the first row
+        prob = MncpProblem(n_pairs=4, residual=lambda z: r.copy(), jacobian=lambda z: jac)
+        with np.errstate(all="ignore"), pytest.raises(mncp.SingularJacobian):
+            z = np.ones(4)
             direction(z, *evaluated(z, prob), prob)

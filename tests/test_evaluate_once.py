@@ -7,22 +7,12 @@ import numpy as np
 import pytest
 
 from combust import timestepper
-from combust.discretization import assemble_LD, assemble_LDQ, assemble_matrices
+from combust.discretization import Grid, assemble_LD, assemble_LDQ, assemble_matrices, residual
 from combust.mncp import MNCP, NCP
-from combust.model import (
-    BASE_PARAMS,
-    ClosureConstants,
-    closure,
-    closure_derivatives,
-    flux,
-    flux_d,
-    phi,
-    phi_deta,
-    phi_dtheta,
-)
+from combust.model import flux, phi
 from combust.timestepper import initial_state, run, step
 
-from conftest import base_config, to_dense
+from conftest import CONSTANT_PARAMS, base_config, stacked_terms, to_dense
 
 
 def short_config(method, n_steps, m=50, k=1e-5):
@@ -82,17 +72,19 @@ def test_long_run_matches_fresh_assembly(monkeypatch, method):
 
 
 def test_shared_closure_terms_equal_the_single_purpose_functions():
+    # the residual forms Phi and F from the one exponential it shares with
+    # the Jacobian: at a stacked point both equal phi() and flux(), and at
+    # theta F does (the Jacobian's factors: test_discretization)
     rng = np.random.default_rng(5)
-    p = BASE_PARAMS
     theta = rng.uniform(0.0, 3.0, 64)
     eta = rng.uniform(0.0, 1.0, 64)
-    c = ClosureConstants(p)
-    terms = closure(theta, eta, c)
-    np.testing.assert_array_equal(terms[2], phi(theta, eta, p))
-    np.testing.assert_array_equal(terms[3], flux(theta, p))
-    singles = (phi_dtheta(theta, eta, p), phi_deta(theta, p), flux_d(theta, p))
-    for shared, single in zip(closure_derivatives(terms, c), singles):
-        np.testing.assert_array_equal(shared, single)
+    for p in CONSTANT_PARAMS:
+        cache = assemble_matrices(Grid(length=0.05, m=64, k=1e-5, n_steps=1), p)
+        terms = stacked_terms(theta, eta, cache)
+        np.testing.assert_array_equal(terms[2], phi(theta, eta, p))
+        np.testing.assert_array_equal(terms[3], flux(theta, p))
+        theta_terms = residual(theta, cache, np.ones(128))[1]
+        np.testing.assert_array_equal(theta_terms[3], flux(theta, p))
 
 
 @pytest.mark.parametrize("method", [MNCP, NCP])
@@ -100,8 +92,7 @@ def test_solver_jacobians_equal_fresh_ones(monkeypatch, method):
     # The first step from the cold start takes several Newton iterations: its
     # first Jacobian is built at the restored point, the others at accepted
     # probes.  Each must take the terms of the latest residual call and
-    # equal the Jacobian built from fresh terms at that call's point: from
-    # closure() in NCP, from a second residual call in MNCP.
+    # equal the Jacobian built from the terms of a second residual call there.
     latest = {}
     built = []
     original_residual = timestepper.residual
@@ -124,13 +115,9 @@ def test_solver_jacobians_equal_fresh_ones(monkeypatch, method):
     state = initial_state(config.grid)
     _, report = step(state, timestepper.StepEquations(cache, method, state), config)
     assert report.js_evals == len(built) >= 2
-    m = config.grid.m
     for z, level, shared, jac in built:
         assert shared
-        if method == MNCP:
-            fresh = original(original_residual(z, cache, level)[1], cache)
-        else:
-            fresh = original(closure(z[:m], z[m:], cache.closure), cache)
+        fresh = original(original_residual(z, cache, level)[1], cache)
         np.testing.assert_array_equal(to_dense(jac), to_dense(fresh))
 
 

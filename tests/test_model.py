@@ -10,9 +10,6 @@ from combust.model import (
     TYPICAL_RESERVOIR,
     ClosureConstants,
     DimensionalParams,
-    DimensionlessParams,
-    closure,
-    closure_derivatives,
     constant,
     flux,
     flux_d,
@@ -22,7 +19,7 @@ from combust.model import (
     phi_dtheta,
 )
 
-from conftest import same_double
+from conftest import CONSTANT_PARAMS, same_double
 
 
 class TestNondimensionalize:
@@ -100,13 +97,6 @@ class TestClosures:
             assert slopes[0] == pytest.approx(phi_deta(theta, p), rel=1e-8)
 
 
-CONSTANT_PARAMS = [
-    BASE_PARAMS,
-    DimensionlessParams(pe_t=2.0, beta=1.0, e_act=1.0, theta0=1.0, u=1.0),
-    DimensionlessParams(pe_t=0.3, beta=1e-3, e_act=17.3, theta0=0.1, u=1e3),
-]
-
-
 class TestClosureConstants:
     @pytest.mark.parametrize("p", CONSTANT_PARAMS)
     def test_each_is_the_float_expression_it_replaces(self, p):
@@ -123,19 +113,6 @@ class TestClosureConstants:
         assert same_double(c, 2.5)
         with pytest.raises(ValueError):
             c[...] = 3.0
-
-    # test_evaluate_once checks BASE_PARAMS
-    @pytest.mark.parametrize("p", CONSTANT_PARAMS[1:])
-    def test_closure_equals_the_single_purpose_functions(self, p):
-        rng = np.random.default_rng(3)
-        theta = rng.uniform(0.0, 5.0, 50)
-        eta = rng.uniform(0.0, 1.0, 50)
-        terms = closure(theta, eta, ClosureConstants(p))
-        np.testing.assert_array_equal(terms[2], phi(theta, eta, p))
-        np.testing.assert_array_equal(terms[3], flux(theta, p))
-        singles = (phi_dtheta(theta, eta, p), phi_deta(theta, p), flux_d(theta, p))
-        for shared, single in zip(closure_derivatives(terms, ClosureConstants(p)), singles):
-            np.testing.assert_array_equal(shared, single)
 
 
 class TestAnalyticDerivatives:
