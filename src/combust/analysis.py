@@ -8,8 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from combust.discretization import Grid, State
-from combust.mncp import MNCP, NCP
-from combust.timestepper import RunConfig, TimeSeries, run
+from combust.timestepper import MNCP, NCP, RunConfig, TimeSeries, run
 
 
 class DiffRow(NamedTuple):

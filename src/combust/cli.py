@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from combust.discretization import ETA_B, THETA_B, Grid
-from combust.mncp import MNCP, NCP, SolverOptions
+from combust.mncp import SolverOptions
 from combust.model import BASE_PARAMS, DimensionalParams, DimensionlessParams, nondimensionalize
-from combust.timestepper import (RunConfig, StepFailed, TimeSeries, nearest_step, run,
+from combust.timestepper import (MNCP, NCP, RunConfig, StepFailed, TimeSeries, nearest_step, run,
                                  snapshot_indices)
 
 DEFAULT_RECORD_TIMES = (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)

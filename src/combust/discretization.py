@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from combust.mncp import SolverError
-from combust.model import ClosureConstants, DimensionlessParams, constant, flux, phi
+from combust.model import DimensionlessParams, flux, phi
 # Unused here; kept so the benchmark's trace points on this module still resolve.
 from combust.model import flux_d, phi_deta, phi_dtheta  # noqa: F401
 
@@ -142,17 +142,31 @@ class State:
         return f"State(theta={self.theta!r}, eta={self.eta!r}, n={self.n})"
 
 
+def constant(value) -> np.ndarray:
+    """value as a read-only 0-d float64 array.
+
+    A ufunc call on a short array takes about 30% less time with a 0-d
+    float64 array operand than with a Python float, which it must first
+    convert, so the step kernels combine their arrays with constants built
+    once per run as these.  The result is the same double either way.
+    """
+    array = np.array(value, dtype=np.float64)
+    array.setflags(write=False)
+    return array
+
+
 class SchemeCache(NamedTuple):
-    """Immutable per-run algebra: the coefficients of the tridiagonal A and B,
-    the grid's k and lambda_s and the closure constants of the parameters,
-    which every residual and Jacobian uses.
+    """Immutable per-run record of every number the step kernels combine
+    with arrays: the coefficients of the tridiagonal A and B, the grid's k
+    and lambda_s and the constants of the parameters that form Phi, F and
+    their derivatives.
 
     Each matrix has one diagonal value and one off-diagonal value; its
     Neumann corner, entry (M, M-1), is twice the off-diagonal value.  Every
-    number here is a model.constant(), a 0-d array, as the kernels combine
-    them with arrays; two_k, four_k, neg_k, neg_two_k and k_beta are
-    2.0 * k, 4.0 * k, -k, -2.0 * k and k * beta as Python forms them, and
-    two is 2.0.
+    number here is a constant(), a 0-d array, of the float expression
+    Python forms: two_k, four_k, neg_k and k_beta are 2.0 * k, 4.0 * k, -k
+    and k * beta, two and one are 2.0 and 1.0, neg_e_act is -e_act, and
+    u_theta0 and u_theta0_sq are u * theta0 and u * theta0**2.
     """
 
     a_diag: np.ndarray
@@ -164,11 +178,16 @@ class SchemeCache(NamedTuple):
     two_k: np.ndarray
     four_k: np.ndarray
     neg_k: np.ndarray
-    neg_two_k: np.ndarray
     two: np.ndarray
     k_beta: np.ndarray
     lambda_s: np.ndarray
-    closure: ClosureConstants
+    theta0: np.ndarray
+    neg_e_act: np.ndarray
+    e_act: np.ndarray
+    beta: np.ndarray
+    one: np.ndarray
+    u_theta0: np.ndarray
+    u_theta0_sq: np.ndarray
     grid: Grid
     params: DimensionlessParams
 
@@ -193,14 +212,16 @@ def assemble_matrices(grid: Grid, params: DimensionlessParams) -> SchemeCache:
     cache also holds the other constants of SchemeCache, built here once.
     """
     muh = grid.mu * params.h_diff
-    a_off, k = -2.0 * muh, grid.k
+    a_off, k, p = -2.0 * muh, grid.k, params
     return SchemeCache(a_diag=constant(4.0 + 4.0 * muh), a_off=constant(a_off),
                        a_corner=constant(2.0 * a_off),
                        b_diag=constant(4.0 - 4.0 * muh), b_off=constant(2.0 * muh),
                        k=constant(k), two_k=constant(2.0 * k), four_k=constant(4.0 * k),
-                       neg_k=constant(-k), neg_two_k=constant(-2.0 * k), two=constant(2.0),
-                       k_beta=constant(k * params.beta), lambda_s=constant(grid.lambda_s),
-                       closure=ClosureConstants(params), grid=grid, params=params)
+                       neg_k=constant(-k), two=constant(2.0), k_beta=constant(k * p.beta),
+                       lambda_s=constant(grid.lambda_s), theta0=constant(p.theta0),
+                       neg_e_act=constant(-p.e_act), e_act=constant(p.e_act),
+                       beta=constant(p.beta), one=constant(1.0), u_theta0=constant(p.u * p.theta0),
+                       u_theta0_sq=constant(p.u * p.theta0**2), grid=grid, params=params)
 
 
 def _flux_difference(f: np.ndarray) -> np.ndarray:
@@ -263,11 +284,10 @@ def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
     stacked_row), the first non-finite G entry's, else the first Q entry's.
     """
     m = level.size // 2
-    c = cache.closure
     theta = z[:m]
-    s = theta + c.theta0
-    e = np.exp(c.neg_e_act / s)
-    f = c.u_theta0 * theta / s
+    s = theta + cache.theta0
+    e = np.exp(cache.neg_e_act / s)
+    f = cache.u_theta0 * theta / s
     if z.size == m:
         k_beta_e = cache.k_beta * e
         q_eta = k_beta_e + cache.two
@@ -276,7 +296,7 @@ def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
         out = g = np.empty(m)
         data = level[:m]
     else:
-        phi_ = c.beta * (c.one - z[m:]) * e
+        phi_ = cache.beta * (cache.one - z[m:]) * e
         terms = (s, e, phi_, f)
         out = np.empty(2 * m)
         g = out[:m]
@@ -383,16 +403,16 @@ def jacobian(terms, cache: SchemeCache):
     as d eta/d theta = k phi_theta / q_eta and phi_eta = -beta e give
     Phi(theta, eta(theta)) the derivative 2 phi_theta / q_eta.  dP/dtheta
     row m holds +F'(theta_{m+1}) and -F'(theta_{m-1}) (row M zero, boundary
-    column dropped).  phi_theta = Phi e_act / s^2, F' = u theta0^2 / s^2
-    and phi_eta = -beta e repeat the operations of phi_dtheta(), flux_d()
-    and phi_deta(), so at a stacked point they equal those bit for bit.
+    column dropped).  phi_theta = Phi e_act / s^2 and F' = u theta0^2 / s^2
+    repeat the operations of phi_dtheta() and flux_d(), and the eta block
+    is built from beta e, the exact negation of phi_deta(), so at a stacked
+    point each entry equals its form through those functions bit for bit.
     """
-    c = cache.closure
     lam = cache.lambda_s
     s, e, phi_ = terms[:3]
     s2 = s**2
-    pt = phi_ * c.e_act / s2
-    fd = c.u_theta0_sq / s2
+    pt = phi_ * cache.e_act / s2
+    fd = cache.u_theta0_sq / s2
 
     # entry (row im, col im+1), im = 0..m-2; rows 1..M-1 of dP/dtheta are live
     sup = cache.a_off + lam * fd[1:]
@@ -403,6 +423,6 @@ def jacobian(terms, cache: SchemeCache):
 
     if len(terms) > 4:
         return ThetaJacobian(sub, cache.a_diag - cache.four_k * pt / terms[5], sup)
-    pe = c.neg_beta * e
+    be = cache.beta * e
     return StepJacobian(sub, cache.a_diag - cache.two_k * pt, sup,
-                        cache.neg_two_k * pe, cache.neg_k * pt, cache.two - cache.k * pe)
+                        cache.two_k * be, cache.neg_k * pt, cache.two + cache.k * be)

@@ -2,8 +2,9 @@
 
 The problem: find z with z_i >= 0 and r_i(z) >= 0 for every complementarity
 pair i, z_i r_i(z) = 0 on those pairs, and r_j(z) = 0 on the remaining
-equality rows.  The pairs are the leading rows.  In "mncp" mode only some
-rows are pairs; in "ncp" mode every row is.
+equality rows.  The pairs are the leading rows and the equality rows are
+optional: the combustion program poses both of its run modes as pure NCPs,
+every row a pair.
 
 The iteration is Newton's method on H(z) = (z_i r_i on pairs, r_j elsewhere)
 with a centering perturbation on the complementarity rows, a backtracking
@@ -25,9 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-
-MNCP = "mncp"
-NCP = "ncp"
 
 _SIGMA_C = 0.01         # centering fraction; 0.5 stalls NCP and slows ignition (README)
 _ETA_ARMIJO = 0.1       # sufficient-decrease fraction
@@ -129,9 +127,9 @@ def _max(x: np.ndarray):
 
 def merit_vector(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> np.ndarray:
     """H(z): complementarity products on pair rows, raw residual elsewhere."""
-    h = r.copy()
+    h = z * r
     p = problem.n_pairs
-    np.multiply(z[:p], r[:p], out=h[:p])
+    h[p:] = r[p:]
     return h
 
 

@@ -129,37 +129,3 @@ def phi_deta(theta, p: DimensionlessParams):
     """Partial of phi with respect to eta; independent of eta (phi is affine in eta)."""
     return -p.beta * np.exp(-p.e_act / (theta + p.theta0))
 
-
-def constant(value) -> np.ndarray:
-    """value as a read-only 0-d float64 array.
-
-    A ufunc call on a short array takes about 30% less time with a 0-d
-    float64 array operand than with a Python float, which it must first
-    convert, so the step kernels combine their arrays with constants built
-    once per run as these.  The result is the same double either way.
-    """
-    array = np.array(value, dtype=np.float64)
-    array.setflags(write=False)
-    return array
-
-
-class ClosureConstants:
-    """The constants the step kernels combine with arrays to form phi, flux
-    and their derivatives: theta0, -e_act, e_act, beta, -beta, 1.0,
-    u * theta0 and u * theta0**2 of the parameters p, each the constant() of
-    that float expression."""
-
-    # A plain class: a named tuple costs cold set-up to define and its field
-    # reads are slower, and each residual reads several of these.
-    __slots__ = ("theta0", "neg_e_act", "e_act", "beta", "neg_beta", "one", "u_theta0",
-                 "u_theta0_sq")
-
-    def __init__(self, p: DimensionlessParams):
-        self.theta0 = constant(p.theta0)
-        self.neg_e_act = constant(-p.e_act)
-        self.e_act = constant(p.e_act)
-        self.beta = constant(p.beta)
-        self.neg_beta = constant(-p.beta)
-        self.one = constant(1.0)
-        self.u_theta0 = constant(p.u * p.theta0)
-        self.u_theta0_sq = constant(p.u * p.theta0**2)

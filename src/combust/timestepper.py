@@ -19,8 +19,12 @@ from combust.discretization import (
     residual,
     stacked_row,
 )
-from combust.mncp import MNCP, NCP, SolverError, SolverOptions, solve
+from combust.mncp import SolverError, SolverOptions, solve
 from combust.model import DimensionlessParams
+
+# The run modes: the theta problem, eta eliminated, or the stacked (theta; eta)
+MNCP = "mncp"
+NCP = "ncp"
 
 
 @dataclass
@@ -93,7 +97,7 @@ class StepEquations:
         ld, ldq = assemble_LD(state, cache), assemble_LDQ(state, cache)
         if method == MNCP:
             self.ldq = ldq
-            self.level = np.concatenate((ld, cache.closure.beta * (cache.two - ldq)))
+            self.level = np.concatenate((ld, cache.beta * (cache.two - ldq)))
         else:
             self.ldq = None
             self.level = np.concatenate((ld, ldq))
@@ -132,7 +136,7 @@ class StepEquations:
         _, _, phi_next, _, k_beta_e, q_eta = self._terms
         eta = (self.ldq + k_beta_e) / q_eta
         self.ldq = two * eta + self.cache.k * phi_next
-        self.level = np.concatenate((level, self.cache.closure.beta * (two - self.ldq)))
+        self.level = np.concatenate((level, self.cache.beta * (two - self.ldq)))
         return np.concatenate((z, eta))
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from combust.discretization import Grid, StepJacobian, residual
-from combust.mncp import MNCP, NCP, merit_vector
+from combust.mncp import merit_vector
 from combust.model import BASE_PARAMS, DimensionlessParams
-from combust.timestepper import RunConfig, run
+from combust.timestepper import MNCP, NCP, RunConfig, run
 
 BASE_K = 1e-5
 BASE_LENGTH = 0.05

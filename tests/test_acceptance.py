@@ -11,7 +11,6 @@ from combust.analysis import refine_errors
 from combust.cli import emit_profiles
 from combust.discretization import Grid, State, assemble_matrices, jacobian
 from combust.mncp import (
-    MNCP,
     MncpProblem,
     SolverOptions,
     direction,
@@ -21,7 +20,7 @@ from combust.mncp import (
     solve,
 )
 from combust.model import BASE_PARAMS, DimensionlessParams
-from combust.timestepper import RunConfig, initial_state, run
+from combust.timestepper import MNCP, RunConfig, initial_state, run
 
 from conftest import TABLE_TIMES, a_dense, b_dense, base_config, dense, stacked_terms, to_dense
 from test_discretization import dense_jacobian_fd

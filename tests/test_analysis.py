@@ -12,9 +12,9 @@ from combust.analysis import (
     restrict,
 )
 from combust.discretization import Grid, State
-from combust.mncp import MNCP, NCP, SolverOptions
+from combust.mncp import SolverOptions
 from combust.model import BASE_PARAMS
-from combust.timestepper import RunConfig, run
+from combust.timestepper import MNCP, NCP, RunConfig, run
 
 
 def tiny_config(m=8, n_steps=5, record_times=(0.0, 5e-5)):

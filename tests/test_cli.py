@@ -10,13 +10,14 @@ import pytest
 
 from combust import analysis, cli, timestepper
 from combust.cli import ConfigError, main, parse_config
-from combust.mncp import MNCP, NCP, SolverOptions
+from combust.mncp import SolverOptions
 from combust.model import (
     BASE_PARAMS,
     TYPICAL_RESERVOIR,
     DimensionalParams,
     DimensionlessParams,
 )
+from combust.timestepper import MNCP, NCP
 
 
 def write_config(tmp_path, text, name="case.cfg"):

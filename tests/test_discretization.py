@@ -16,13 +16,13 @@ from combust.discretization import (
     assemble_LDQ,
     assemble_matrices,
     assemble_P,
+    constant,
     jacobian,
     residual,
 )
 from combust.mncp import MncpProblem, direction
 from combust.model import (
     BASE_PARAMS,
-    ClosureConstants,
     DimensionlessParams,
     flux,
     flux_d,
@@ -30,6 +30,7 @@ from combust.model import (
     phi_deta,
     phi_dtheta,
 )
+from combust.timestepper import MNCP, NCP
 
 from conftest import (CONSTANT_PARAMS, DenseJacobian, a_dense, b_dense, evaluated, same_double,
                       stacked_terms, to_dense)
@@ -96,21 +97,28 @@ class TestAssembleMatrices:
         assert sums[0] == pytest.approx(4.0 + 2.0 * muh, rel=1e-14)
         np.testing.assert_allclose(sums[1:], 4.0, rtol=1e-14)
 
-    @pytest.mark.parametrize("grid, params", [(UNIT_GRID, UNIT_PARAMS), (base_grid(12), BASE_PARAMS)])
-    def test_constants_are_the_float_expressions_they_replace(self, grid, params):
-        muh = grid.mu * params.h_diff
+    @pytest.mark.parametrize("grid", [UNIT_GRID, base_grid(12)], ids=["unit", "base"])
+    @pytest.mark.parametrize("p", CONSTANT_PARAMS)
+    def test_constants_are_the_float_expressions_they_replace(self, grid, p):
+        muh = grid.mu * p.h_diff
+        k = grid.k
         expected = {"a_diag": 4.0 + 4.0 * muh, "a_off": -2.0 * muh, "a_corner": 2.0 * (-2.0 * muh),
-                    "b_diag": 4.0 - 4.0 * muh, "b_off": 2.0 * muh, "k": grid.k,
-                    "two_k": 2.0 * grid.k, "four_k": 4.0 * grid.k, "neg_k": -grid.k,
-                    "neg_two_k": -2.0 * grid.k, "two": 2.0, "k_beta": grid.k * params.beta,
-                    "lambda_s": grid.lambda_s}
-        cache = assemble_matrices(grid, params)
-        assert set(SchemeCache._fields) == set(expected) | {"closure", "grid", "params"}
+                    "b_diag": 4.0 - 4.0 * muh, "b_off": 2.0 * muh, "k": k, "two_k": 2.0 * k,
+                    "four_k": 4.0 * k, "neg_k": -k, "two": 2.0, "k_beta": k * p.beta,
+                    "lambda_s": grid.lambda_s, "theta0": p.theta0, "neg_e_act": -p.e_act,
+                    "e_act": p.e_act, "beta": p.beta, "one": 1.0, "u_theta0": p.u * p.theta0,
+                    "u_theta0_sq": p.u * p.theta0**2}
+        cache = assemble_matrices(grid, p)
+        assert set(SchemeCache._fields) == set(expected) | {"grid", "params"}
+        assert (cache.grid, cache.params) == (grid, p)
         for name, value in expected.items():
             assert same_double(getattr(cache, name), value), name
-        own = ClosureConstants(params)
-        for name in ClosureConstants.__slots__:
-            assert same_double(getattr(cache.closure, name), getattr(own, name)), name
+
+    def test_constant_is_read_only(self):
+        c = constant(2.5)
+        assert same_double(c, 2.5)
+        with pytest.raises(ValueError):
+            c[...] = 3.0
 
     def test_outputs_are_float64_arrays(self):
         # the kernels combine arrays with 0-d constants; two 0-d arrays give an
@@ -457,7 +465,7 @@ def zero_pivot_theta_jacobian():
 
 class TestNewtonSolve:
     @pytest.mark.parametrize("m", [2, 3, 50])
-    @pytest.mark.parametrize("mode", [mncp.MNCP, mncp.NCP])
+    @pytest.mark.parametrize("mode", [MNCP, NCP])
     def test_matches_dense_solve(self, m, mode):
         # the Newton matrix of each mode's step Jacobian: the theta problem's
         # in MNCP, the stacked one's in NCP.  At a strictly interior iterate
@@ -465,10 +473,10 @@ class TestNewtonSolve:
         # addend) are positive on every row
         rng = np.random.default_rng(m)
         cache = assemble_matrices(base_grid(m), BASE_PARAMS)
-        n = m if mode == mncp.MNCP else 2 * m
+        n = m if mode == MNCP else 2 * m
         for _ in range(20):
             state = State(theta=rng.uniform(0.01, 2.0, m), eta=rng.uniform(0.01, 0.99, m))
-            if mode == mncp.MNCP:
+            if mode == MNCP:
                 z = state.theta
                 jac = jacobian(residual(z, cache, theta_level_of(state, cache))[1], cache)
             else:

@@ -8,9 +8,8 @@ import pytest
 
 from combust import timestepper
 from combust.discretization import Grid, assemble_LD, assemble_LDQ, assemble_matrices, residual
-from combust.mncp import MNCP, NCP
 from combust.model import flux, phi
-from combust.timestepper import initial_state, run, step
+from combust.timestepper import MNCP, NCP, initial_state, run, step
 
 from conftest import CONSTANT_PARAMS, base_config, stacked_terms, to_dense
 

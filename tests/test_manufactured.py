@@ -26,9 +26,9 @@ import numpy as np
 import pytest
 
 from combust.discretization import Grid, State, assemble_matrices
-from combust.mncp import MNCP, NCP, solve
+from combust.mncp import solve
 from combust.model import DimensionlessParams, flux_d, phi
-from combust.timestepper import StepEquations
+from combust.timestepper import MNCP, NCP, StepEquations
 
 MILD = DimensionlessParams(pe_t=10.0, beta=2.0, e_act=2.0, theta0=1.0, u=1.0)
 LENGTH = 1.0

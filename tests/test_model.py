@@ -8,9 +8,7 @@ import pytest
 from combust.model import (
     BASE_PARAMS,
     TYPICAL_RESERVOIR,
-    ClosureConstants,
     DimensionalParams,
-    constant,
     flux,
     flux_d,
     nondimensionalize,
@@ -18,8 +16,6 @@ from combust.model import (
     phi_deta,
     phi_dtheta,
 )
-
-from conftest import CONSTANT_PARAMS, same_double
 
 
 class TestNondimensionalize:
@@ -95,24 +91,6 @@ class TestClosures:
                       for e in (0.0, 0.3, 0.9)]
             assert np.ptp(slopes) <= 1e-6 * abs(slopes[0])
             assert slopes[0] == pytest.approx(phi_deta(theta, p), rel=1e-8)
-
-
-class TestClosureConstants:
-    @pytest.mark.parametrize("p", CONSTANT_PARAMS)
-    def test_each_is_the_float_expression_it_replaces(self, p):
-        expected = {"theta0": p.theta0, "neg_e_act": -p.e_act, "e_act": p.e_act, "beta": p.beta,
-                    "neg_beta": -p.beta, "one": 1.0, "u_theta0": p.u * p.theta0,
-                    "u_theta0_sq": p.u * p.theta0**2}
-        c = ClosureConstants(p)
-        assert set(ClosureConstants.__slots__) == set(expected)
-        for name, value in expected.items():
-            assert same_double(getattr(c, name), value), name
-
-    def test_constant_is_read_only(self):
-        c = constant(2.5)
-        assert same_double(c, 2.5)
-        with pytest.raises(ValueError):
-            c[...] = 3.0
 
 
 class TestAnalyticDerivatives:

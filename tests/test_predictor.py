@@ -8,8 +8,8 @@ import pytest
 
 from combust import timestepper
 from combust.discretization import State, assemble_matrices
-from combust.mncp import MNCP, NCP, SolverOptions
-from combust.timestepper import run, step
+from combust.mncp import SolverOptions
+from combust.timestepper import MNCP, NCP, run, step
 
 from conftest import base_config
 

@@ -12,7 +12,7 @@ from combust.cli import main
 from combust.discretization import Grid, State
 from combust.mncp import LineSearchStall, MaxIterations, MncpProblem, SolverOptions, solve
 from combust.model import BASE_PARAMS
-from combust.timestepper import RunConfig, StepFailed, run
+from combust.timestepper import MNCP, NCP, RunConfig, StepFailed, run
 
 from conftest import base_config, dense
 
@@ -20,7 +20,7 @@ STATE_TEXT = re.compile(
     r"max\|H\| = \S+, natural residual = \S+, worst pair row (\d+): z = \S+, r = \S+")
 
 
-@pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
+@pytest.mark.parametrize("method", [MNCP, NCP])
 def test_base_case_m1600_reaches_t_0_003(method):
     config = base_config(1600, method, record_times=(0.003,))
     config = replace(config, grid=replace(config.grid, n_steps=300))
@@ -32,7 +32,7 @@ def test_base_case_m1600_reaches_t_0_003(method):
     assert np.all((final.eta >= 0.0) & (final.eta <= 1.0 + 1e-8))
 
 
-@pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
+@pytest.mark.parametrize("method", [MNCP, NCP])
 def test_base_case_m6400_reaches_t_0_001(method):
     config = base_config(6400, method, record_times=(0.001,))
     config = replace(config, grid=replace(config.grid, n_steps=100))
@@ -57,7 +57,7 @@ def check_bounded_and_burning_forward(series, n_steps):
     assert np.diff(eta, axis=0).min() >= -1e-12
 
 
-@pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
+@pytest.mark.parametrize("method", [MNCP, NCP])
 @pytest.mark.parametrize("m, max_iterations, max_mean", [(100, 8, 2.3), (400, 18, 5.2)],
                          ids=["m100", "m400"])
 def test_ignition_case_reaches_t_1(method, m, max_iterations, max_mean):
@@ -79,7 +79,7 @@ def test_ignition_case_reaches_t_1(method, m, max_iterations, max_mean):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
+@pytest.mark.parametrize("method", [MNCP, NCP])
 @pytest.mark.parametrize("m, max_iterations, max_mean", [(1600, 15, 9.5), (6400, 18, 12.0)],
                          ids=["m1600", "m6400"])
 def test_ignition_ladder_reaches_t_1(method, m, max_iterations, max_mean):
@@ -119,7 +119,7 @@ SWEEP_MAX_ITERATIONS = {
 }
 
 SWEEP_XFAILS = {
-    (50.0, 50, 1e-2, mncp.NCP): pytest.mark.xfail(
+    (50.0, 50, 1e-2, NCP): pytest.mark.xfail(
         raises=AssertionError, strict=True,
         reason="eta exceeds 1 + 1e-12 on 138 of the 201 levels, up to 1 + 1.3e-9 at step 96"),
 }
@@ -128,7 +128,7 @@ SWEEP_XFAILS = {
 def sweep_cases():
     for (length, m), by_k in SWEEP_MAX_ITERATIONS.items():
         for k, by_method in zip((1e-4, 1e-3, 1e-2), by_k):
-            for method, most in zip((mncp.MNCP, mncp.NCP), by_method):
+            for method, most in zip((MNCP, NCP), by_method):
                 yield pytest.param(length, m, k, method, most,
                                    marks=SWEEP_XFAILS.get((length, m, k, method), ()),
                                    id=f"L{length:g}-m{m}-k{k:.0e}-{method}")
@@ -197,7 +197,7 @@ def test_large_step_tier():
     assert (5.0, 800, 0.1) in completed
 
 
-@pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
+@pytest.mark.parametrize("method", [MNCP, NCP])
 def test_base_case_m12800_takes_10_steps(method):
     # step 0 drives node 1 to z = r = 3.2e-7; each step takes 11 or 12
     # iterations
@@ -208,7 +208,7 @@ def test_base_case_m12800_takes_10_steps(method):
 
 
 @pytest.mark.parametrize("eta0", [np.zeros(6), np.linspace(0.0, 0.5, 6)], ids=["eta_zero", "eta_ramp"])
-@pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
+@pytest.mark.parametrize("method", [MNCP, NCP])
 def test_warm_start_with_zero_eta(method, eta0):
     # theta = 0.25 everywhere and eta = 0 at node 1 at least.  MNCP takes at
     # most 2 iterations per step from these states; NCP takes 4 on step 0,
@@ -287,7 +287,7 @@ class TestFailureMessages:
         assert err.report.iterations == 0
         assert err.report.wall_time > 0.0
 
-    @pytest.mark.parametrize("method", [mncp.MNCP, mncp.NCP])
+    @pytest.mark.parametrize("method", [MNCP, NCP])
     def test_step_failure_names_node(self, method):
         config = base_config(50, method)
         config = replace(config, solver_opts=SolverOptions(max_iter=1))
@@ -296,7 +296,7 @@ class TestFailureMessages:
         err = excinfo.value
         row, z_row, _ = err.cause.report.worst_pair
         m = config.grid.m
-        if method == mncp.MNCP:
+        if method == MNCP:
             assert row < m           # the pairs are the theta rows
         var, res, node = ("theta", "G", row + 1) if row < m else ("eta", "Q", row - m + 1)
         assert str(err).endswith(f"; row {row} is {var} at node {node}, paired with {res}")
@@ -315,7 +315,7 @@ class TestFailureMessages:
 
         monkeypatch.setattr(timestepper, "solve", failing)
         with pytest.raises(StepFailed) as excinfo:
-            run(base_config(5, mncp.NCP))
+            run(base_config(5, NCP))
         assert str(excinfo.value) == f"solver failure (MaxIterations) at time step 0: no convergence; {text}"
 
     @pytest.mark.parametrize("hot", [False, True])

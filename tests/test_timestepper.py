@@ -5,9 +5,11 @@ import pytest
 
 from combust import timestepper
 from combust.discretization import Grid, State, assemble_matrices, residual
-from combust.mncp import MNCP, NCP, MaxIterations, MncpProblem, SolverOptions, merit_vector, solve
+from combust.mncp import MaxIterations, MncpProblem, SolverOptions, merit_vector, solve
 from combust.model import BASE_PARAMS, phi
 from combust.timestepper import (
+    MNCP,
+    NCP,
     RunConfig,
     StepEquations,
     StepFailed,
