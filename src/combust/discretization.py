@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -155,7 +154,7 @@ def constant(value) -> np.ndarray:
     return array
 
 
-class SchemeCache(NamedTuple):
+class SchemeCache:
     """Immutable per-run record of every number the step kernels combine
     with arrays: the coefficients of the tridiagonal A and B, the grid's k
     and lambda_s and the constants of the parameters that form Phi, F and
@@ -164,37 +163,29 @@ class SchemeCache(NamedTuple):
     Each matrix has one diagonal value and one off-diagonal value; its
     Neumann corner, entry (M, M-1), is twice the off-diagonal value.  Every
     number here is a constant(), a 0-d array, of the float expression
-    Python forms: two_k, four_k, neg_k and k_beta are 2.0 * k, 4.0 * k, -k
-    and k * beta, two and one are 2.0 and 1.0, neg_e_act is -e_act, and
-    u_theta0 and u_theta0_sq are u * theta0 and u * theta0**2.
+    Python forms: two_k, neg_k and k_beta are 2.0 * k, -k and k * beta,
+    two and one are 2.0 and 1.0, neg_e_act is -e_act, lam_u_theta0 and
+    lam_u_theta0_sq are lambda_s * (u * theta0) and lambda_s * (u * theta0**2),
+    and four_k_e_act is 4.0 * k * e_act.
     """
 
-    a_diag: np.ndarray
-    a_off: np.ndarray
-    a_corner: np.ndarray      # 2.0 * a_off
-    b_diag: np.ndarray
-    b_off: np.ndarray
-    k: np.ndarray
-    two_k: np.ndarray
-    four_k: np.ndarray
-    neg_k: np.ndarray
-    two: np.ndarray
-    k_beta: np.ndarray
-    lambda_s: np.ndarray
-    theta0: np.ndarray
-    neg_e_act: np.ndarray
-    e_act: np.ndarray
-    beta: np.ndarray
-    one: np.ndarray
-    u_theta0: np.ndarray
-    u_theta0_sq: np.ndarray
-    grid: Grid
-    params: DimensionlessParams
+    # A plain class: a named tuple costs cold set-up to define and its field
+    # reads are slower.
+    __slots__ = ("a_diag", "a_off", "a_corner", "b_diag", "b_off", "k", "two_k", "neg_k", "two",
+                 "k_beta", "lambda_s", "theta0", "neg_e_act", "e_act", "beta", "one",
+                 "lam_u_theta0", "lam_u_theta0_sq", "four_k_e_act", "grid", "params")
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SchemeCache is immutable: cannot set {name!r}")
 
 
-def _tri_matvec(diag, off, x, out=None):
+def _tri_matvec(diag, off, x):
     """A scheme matrix times x; each row adds sub-, then super-diagonal term."""
-    y = np.multiply(diag, x, out=out)
+    y = diag * x
     off_x = off * x
     y[1:-1] += off_x[:-2]
     y[-1] += 2.0 * off_x[-2]
@@ -212,32 +203,29 @@ def assemble_matrices(grid: Grid, params: DimensionlessParams) -> SchemeCache:
     cache also holds the other constants of SchemeCache, built here once.
     """
     muh = grid.mu * params.h_diff
-    a_off, k, p = -2.0 * muh, grid.k, params
+    a_off, k, lam, p = -2.0 * muh, grid.k, grid.lambda_s, params
     return SchemeCache(a_diag=constant(4.0 + 4.0 * muh), a_off=constant(a_off),
                        a_corner=constant(2.0 * a_off),
                        b_diag=constant(4.0 - 4.0 * muh), b_off=constant(2.0 * muh),
-                       k=constant(k), two_k=constant(2.0 * k), four_k=constant(4.0 * k),
-                       neg_k=constant(-k), two=constant(2.0), k_beta=constant(k * p.beta),
-                       lambda_s=constant(grid.lambda_s), theta0=constant(p.theta0),
-                       neg_e_act=constant(-p.e_act), e_act=constant(p.e_act),
-                       beta=constant(p.beta), one=constant(1.0), u_theta0=constant(p.u * p.theta0),
-                       u_theta0_sq=constant(p.u * p.theta0**2), grid=grid, params=params)
+                       k=constant(k), two_k=constant(2.0 * k), neg_k=constant(-k),
+                       two=constant(2.0), k_beta=constant(k * p.beta), lambda_s=constant(lam),
+                       theta0=constant(p.theta0), neg_e_act=constant(-p.e_act),
+                       e_act=constant(p.e_act), beta=constant(p.beta), one=constant(1.0),
+                       lam_u_theta0=constant(lam * (p.u * p.theta0)),
+                       lam_u_theta0_sq=constant(lam * (p.u * p.theta0**2)),
+                       four_k_e_act=constant(4.0 * k * p.e_act), grid=grid, params=params)
 
 
-def _flux_difference(f: np.ndarray) -> np.ndarray:
-    """Centered flux differences P from the fluxes f at nodes 1..M: row m is
-    F_{m+1} - F_{m-1}, row 1 differences against F(THETA_B) = 0 and row M is
-    zero, as the Neumann mirror makes F_{M+1} = F_{M-1} cancel."""
+def assemble_P(theta: np.ndarray, params: DimensionlessParams) -> np.ndarray:
+    """Centered flux differences P(theta) from the fluxes F at nodes 1..M:
+    row m is F_{m+1} - F_{m-1}, row 1 differences against F(THETA_B) = 0 and
+    row M is zero, as the Neumann mirror makes F_{M+1} = F_{M-1} cancel."""
+    f = flux(theta, params)
     p_vec = np.empty_like(f)
     p_vec[0] = f[1]
     np.subtract(f[2:], f[:-2], out=p_vec[1:-1])
     p_vec[-1] = 0.0
     return p_vec
-
-
-def assemble_P(theta: np.ndarray, params: DimensionlessParams) -> np.ndarray:
-    """Centered flux differences P(theta) (see _flux_difference)."""
-    return _flux_difference(flux(theta, params))
 
 
 def assemble_LD(state: State, cache: SchemeCache) -> np.ndarray:
@@ -273,38 +261,51 @@ def residual(z: np.ndarray, cache: SchemeCache, level: np.ndarray):
     (LD; LDQ) and gives r = (G_1, ..., G_M, Q_1, ..., Q_M); z = theta takes
     level = (LD; beta (2 - LDQ)) and gives r = G~(theta).  Returns
     (r, terms), from which jacobian() builds the Jacobian there.  Both
-    modes form s = theta + theta0, e = exp(-e_act/s) and the flux F from one
-    exponential.  The terms are (s, e, Phi, F), with Phi = beta (1 - eta) e
-    at a stacked point; at theta, Phi = beta e (2 - LDQ) / q_eta is its value
-    at eta(theta), and the terms add (k beta e, q_eta = 2 + k beta e).  F and
-    the stacked Phi repeat the operations of flux() and phi(), so they equal
-    those functions' values bit for bit; G and Q repeat those of
-    A theta + lambda_s P(theta) - 2k Phi - LD and 2 eta - k Phi - LDQ.  A
+    modes form s = theta + theta0 and e = exp(-e_act/s) once.  The terms
+    are (s, e, Phi), with Phi = beta (1 - eta) e at a stacked point, equal
+    to phi() bit for bit; at theta, Phi = beta e (2 - LDQ) / q_eta is its
+    value at eta(theta), and the terms add (k beta e, q_eta = 2 + k beta e).
+
+    G = A theta + lambda_s P(theta) - 2k Phi - LD is built row by row from
+    lambda_s F = lambda_s u theta0 theta / s and the two vectors
+    v- = a_off theta - lambda_s F and v+ = a_off theta + lambda_s F: row m
+    adds v-_{m-1} (none in row 1, as THETA_B = 0) and v+_{m+1}, and the
+    Neumann row M adds v-_{M-1} + v+_{M-1}, which is 2 a_off theta_{M-1}
+    up to rounding, as the mirrored fluxes cancel.  A
     non-finite entry raises NumericError naming its residual and node (see
     stacked_row), the first non-finite G entry's, else the first Q entry's.
     """
     m = level.size // 2
     theta = z[:m]
     s = theta + cache.theta0
-    e = np.exp(cache.neg_e_act / s)
-    f = cache.u_theta0 * theta / s
+    e = np.divide(cache.neg_e_act, s)
+    np.exp(e, out=e)
     if z.size == m:
         k_beta_e = cache.k_beta * e
         q_eta = k_beta_e + cache.two
-        phi_ = level[m:] * e / q_eta
-        terms = (s, e, phi_, f, k_beta_e, q_eta)
-        out = g = np.empty(m)
+        phi_ = level[m:] * e
+        phi_ /= q_eta
+        terms = (s, e, phi_, k_beta_e, q_eta)
+        out = g = cache.a_diag * theta
         data = level[:m]
     else:
-        phi_ = cache.beta * (cache.one - z[m:]) * e
-        terms = (s, e, phi_, f)
+        phi_ = cache.one - z[m:]
+        phi_ *= cache.beta
+        phi_ *= e
+        terms = (s, e, phi_)
         out = np.empty(2 * m)
-        g = out[:m]
+        g = np.multiply(cache.a_diag, theta, out=out[:m])
         q = np.multiply(cache.two, z[m:], out=out[m:])
         q -= cache.k * phi_
         data = level
-    _tri_matvec(cache.a_diag, cache.a_off, theta, out=g)
-    g += cache.lambda_s * _flux_difference(f)
+    lam_f = cache.lam_u_theta0 * theta
+    lam_f /= s
+    v_minus = cache.a_off * theta
+    v_plus = v_minus + lam_f
+    v_minus -= lam_f
+    g[1:] += v_minus[:-1]
+    g[:-1] += v_plus[1:]
+    g[-1] += v_plus[-2]
     g -= cache.two_k * phi_
     out -= data
     if not _all_finite(out):
@@ -392,7 +393,7 @@ def jacobian(terms, cache: SchemeCache):
     """Analytic Jacobian of the step residual at the point whose terms are
     `terms`, as residual() returns them.
 
-    From the terms (s, e, Phi, F) of a stacked point, the StepJacobian
+    From the terms (s, e, Phi) of a stacked point, the StepJacobian
         dG/dtheta = A + lambda_s dP/dtheta - 2k diag(phi_theta)
         dG/deta   = -2k diag(phi_eta)
         dQ/dtheta = -k diag(phi_theta)
@@ -403,26 +404,31 @@ def jacobian(terms, cache: SchemeCache):
     as d eta/d theta = k phi_theta / q_eta and phi_eta = -beta e give
     Phi(theta, eta(theta)) the derivative 2 phi_theta / q_eta.  dP/dtheta
     row m holds +F'(theta_{m+1}) and -F'(theta_{m-1}) (row M zero, boundary
-    column dropped).  phi_theta = Phi e_act / s^2 and F' = u theta0^2 / s^2
-    repeat the operations of phi_dtheta() and flux_d(), and the eta block
-    is built from beta e, the exact negation of phi_deta(), so at a stacked
-    point each entry equals its form through those functions bit for bit.
+    column dropped), formed once as lambda_s F' = lambda_s u theta0^2 / s^2.
+    phi_theta = Phi e_act / s^2 repeats the operations of phi_dtheta(), and
+    the eta block is built from beta e, the exact negation of phi_deta(),
+    so at a stacked point those entries equal their form through the model
+    functions bit for bit.  The theta problem's diagonal term is formed as
+    Phi (4k e_act) / s^2 / q_eta.
     """
-    lam = cache.lambda_s
     s, e, phi_ = terms[:3]
-    s2 = s**2
-    pt = phi_ * cache.e_act / s2
-    fd = cache.u_theta0_sq / s2
+    s2 = s * s
+    lam_fd = cache.lam_u_theta0_sq / s2
 
     # entry (row im, col im+1), im = 0..m-2; rows 1..M-1 of dP/dtheta are live
-    sup = cache.a_off + lam * fd[1:]
+    sup = cache.a_off + lam_fd[1:]
     # entry (row im, col im-1), im = 1..m-1; the last row is the Neumann
     # corner 2 a_off, with no flux contribution
-    sub = cache.a_off - lam * fd[:-1]
+    sub = cache.a_off - lam_fd[:-1]
     sub[-1] = cache.a_corner
 
-    if len(terms) > 4:
-        return ThetaJacobian(sub, cache.a_diag - cache.four_k * pt / terms[5], sup)
+    if len(terms) > 3:
+        diag = phi_ * cache.four_k_e_act
+        diag /= s2
+        diag /= terms[4]
+        return ThetaJacobian(sub, np.subtract(cache.a_diag, diag, out=diag), sup)
+    pt = phi_ * cache.e_act
+    pt /= s2
     be = cache.beta * e
     return StepJacobian(sub, cache.a_diag - cache.two_k * pt, sup,
                         cache.two_k * be, cache.neg_k * pt, cache.two + cache.k * be)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -74,29 +74,6 @@ class SolverOptions:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-class MncpProblem(NamedTuple):
-    """The n_pairs, residual and jacobian solve() reads; any object with them will do.
-
-    residual maps z to the full residual vector.  The first n_pairs rows are
-    the complementarity pairs (pair i couples z_i with residual row i), with
-    n_pairs >= 1; every later row is an equality.  jacobian maps z to its
-    derivative J, whose newton_solve(s, a, rhs), given vectors s and a over
-    the first s.size rows, returns the solution d of
-    (diag(s) J + diag(a)) d = rhs, where the rows past s.size are J's own,
-    and raises np.linalg.LinAlgError when that matrix is singular.
-
-    jacobian(z) is called only at the point z of the latest residual call,
-    unmodified since: solve() hands direction() the restored start or the
-    accepted probe with its evaluation, and returns that point.  A problem
-    may take this as a precondition: its jacobian, and whatever its caller
-    does with the returned point, may use what that residual call evaluated.
-    """
-
-    n_pairs: int
-    residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], object]
-
-
 @dataclass
 class SolverReport:
     """What one solve did: its counts, last step length and final max|H|,
@@ -125,7 +102,7 @@ def _max(x: np.ndarray):
     return x[x.argmax()]
 
 
-def merit_vector(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> np.ndarray:
+def merit_vector(z: np.ndarray, r: np.ndarray, problem) -> np.ndarray:
     """H(z): complementarity products on pair rows, raw residual elsewhere."""
     h = z * r
     p = problem.n_pairs
@@ -133,7 +110,7 @@ def merit_vector(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> np.ndarr
     return h
 
 
-def natural_residual(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> float:
+def natural_residual(z: np.ndarray, r: np.ndarray, problem) -> float:
     """max_i |min(z_i, r_i)| over complementarity pairs.
 
     A scale-aware complementarity measure: the product z_i r_i can fall
@@ -146,7 +123,7 @@ def natural_residual(z: np.ndarray, r: np.ndarray, problem: MncpProblem) -> floa
     return float(_max(np.abs(np.minimum(z[:p], r[:p]))))
 
 
-def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: MncpProblem):
+def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem):
     """Descent direction at z: solve J_H d = -H + sigma_c rho, sigma_c = _SIGMA_C.
 
     r, h and s are the residual, the merit vector H and the merit value
@@ -181,7 +158,7 @@ def direction(z: np.ndarray, r: np.ndarray, h: np.ndarray, s: float, problem: Mn
     return d, g_dot_d
 
 
-def line_search(z, r, d, g_dot_d, s0, problem: MncpProblem):
+def line_search(z, r, d, g_dot_d, s0, problem):
     """Backtracking on the ladder {1, nu, nu^2, ...}, nu = _NU_BACKTRACK.
 
     r is the residual at z.  Accepts the largest t whose probe z + t d is
@@ -210,7 +187,7 @@ def line_search(z, r, d, g_dot_d, s0, problem: MncpProblem):
     raise LineSearchStall(f"line search stalled below t={_STEP_FLOOR} (S={s0:.3e})")
 
 
-def restore_feasibility(z0, problem: MncpProblem, shift: float = 0.0):
+def restore_feasibility(z0, problem, shift: float = 0.0):
     """Move a warm start into the strict interior.
 
     Clamp pair variables to _EPS_INTERIOR and add shift to them, then add a
@@ -241,7 +218,7 @@ def restore_feasibility(z0, problem: MncpProblem, shift: float = 0.0):
     return z, r, n_evals, shift
 
 
-def _record_failure(report: SolverReport, z, r, problem: MncpProblem) -> str:
+def _record_failure(report: SolverReport, z, r, problem) -> str:
     """Set report.worst_pair from the last iterate; describe its residual levels.
 
     The worst pair is the one with the largest |min(z_i, r_i)|, so that
@@ -259,9 +236,24 @@ def _h_inf(h: np.ndarray) -> float:
     return float(_max(np.abs(h)))
 
 
-def solve(problem: MncpProblem, z0: np.ndarray, opts: Optional[SolverOptions] = None,
+def solve(problem, z0: np.ndarray, opts: Optional[SolverOptions] = None,
           previous_shift: float = 0.0):
-    """Run the interior-point iteration from z0.
+    """Run the interior-point iteration from z0 on a problem.
+
+    The problem is any object with n_pairs, residual and jacobian.  residual
+    maps z to the full residual vector.  The first n_pairs rows are the
+    complementarity pairs (pair i couples z_i with residual row i), with
+    n_pairs >= 1; every later row is an equality.  jacobian maps z to its
+    derivative J, whose newton_solve(s, a, rhs), given vectors s and a over
+    the first s.size rows, returns the solution d of
+    (diag(s) J + diag(a)) d = rhs, where the rows past s.size are J's own,
+    and raises np.linalg.LinAlgError when that matrix is singular.
+
+    jacobian(z) is called only at the point z of the latest residual call,
+    unmodified since: solve() hands direction() the restored start or the
+    accepted probe with its evaluation, and returns that point.  A problem
+    may take this as a precondition: its jacobian, and whatever its caller
+    does with the returned point, may use what that residual call evaluated.
 
     previous_shift is the total restoration shift of the previous solve in
     a sequence, and the report holds this one's.  Restoration starts from

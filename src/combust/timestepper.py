@@ -79,13 +79,13 @@ class StepEquations:
     where ldq = LDQ (see discretization).
 
     Built once per run from the run's first level, it is the problem every
-    step hands mncp.solve: n_pairs, residual and jacobian meet the contract
-    of mncp.MncpProblem, and advance() moves the level data on to the next
-    level once a step is solved.
+    step hands mncp.solve: n_pairs, residual and jacobian meet the problem
+    contract in mncp.solve's docstring, and advance() moves the level data
+    on to the next level once a step is solved.
 
     The latest residual evaluation is kept, not its point: the residual and
-    its terms.  By MncpProblem's contract the Jacobian is built from those
-    terms, and the next level's data from that evaluation alone.
+    its terms.  By that contract the Jacobian is built from those terms,
+    and the next level's data from that evaluation alone.
     """
 
     def __init__(self, cache: SchemeCache, method: str, state: State):
@@ -133,7 +133,7 @@ class StepEquations:
             self.level = level
             return z
         two = self.cache.two
-        _, _, phi_next, _, k_beta_e, q_eta = self._terms
+        _, _, phi_next, k_beta_e, q_eta = self._terms
         eta = (self.ldq + k_beta_e) / q_eta
         self.ldq = two * eta + self.cache.k * phi_next
         self.level = np.concatenate((level, self.cache.beta * (two - self.ldq)))
@@ -199,6 +199,10 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
     the quadratic start on every step costs restoration doublings and
     accuracy.  Each solve is handed the previous solve's shift (mncp.solve).
 
+    A snapshot's time is n k rounded to 15 significant digits, so that the
+    product's rounding does not show: step 3 at k = 1e-5 is at 3e-05, not
+    3.0000000000000004e-05.
+
     A solver failure raises StepFailed with the steps completed before it.
     The run ignores floating-point overflow, invalid and divide-by-zero: a
     non-finite value meets a typed check (the residual's, the direction's,
@@ -226,5 +230,5 @@ def run(config: RunConfig, initial: Optional[State] = None) -> TimeSeries:
             previous, state = state, next_state
             shift = report.shift
             if state.n in snap_at:
-                snapshots.append((state.n * grid.k, state))
+                snapshots.append((float(f"{state.n * grid.k:.15g}"), state))
     return TimeSeries(snapshots=snapshots, per_step=per_step)

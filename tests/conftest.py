@@ -1,5 +1,7 @@
 """Shared fixtures; the heavy base-case runs are session-scoped."""
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 import pytest
 
@@ -60,13 +62,22 @@ def to_dense(jac):
 
 
 def stacked_terms(theta, eta, cache):
-    """The terms (s, e, Phi, F) that residual() returns at the stacked point
+    """The terms (s, e, Phi) that residual() returns at the stacked point
     (theta; eta); they do not depend on the level data."""
     return residual(np.concatenate((theta, eta)), cache, np.zeros(2 * theta.size))[1]
 
 
+class MncpProblem(NamedTuple):
+    """A problem for mncp.solve, which reads its n_pairs, residual and
+    jacobian (the contract is in solve's docstring)."""
+
+    n_pairs: int
+    residual: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], object]
+
+
 class DenseJacobian:
-    """Dense matrix with the newton_solve contract of MncpProblem.jacobian:
+    """Dense matrix with the newton_solve contract of a problem's jacobian:
     newton_solve(s, a, rhs) scales the first s.size rows by s and adds a to
     their diagonal."""
 

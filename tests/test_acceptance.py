@@ -11,7 +11,6 @@ from combust.analysis import refine_errors
 from combust.cli import emit_profiles
 from combust.discretization import Grid, State, assemble_matrices, jacobian
 from combust.mncp import (
-    MncpProblem,
     SolverOptions,
     direction,
     line_search,
@@ -22,7 +21,8 @@ from combust.mncp import (
 from combust.model import BASE_PARAMS, DimensionlessParams
 from combust.timestepper import MNCP, RunConfig, initial_state, run
 
-from conftest import TABLE_TIMES, a_dense, b_dense, base_config, dense, stacked_terms, to_dense
+from conftest import (TABLE_TIMES, MncpProblem, a_dense, b_dense, base_config, dense,
+                      stacked_terms, to_dense)
 from test_discretization import dense_jacobian_fd
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from combust import mncp
-from combust.mncp import MncpProblem, direction
+from combust.mncp import direction
 
-from conftest import dense, evaluated
+from conftest import MncpProblem, dense, evaluated
 
 
 def diagonal_problem(slope, offset):

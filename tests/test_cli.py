@@ -267,6 +267,16 @@ class TestMain:
             for tok in row:
                 assert float(tok) == float(repr(float(tok)))
 
+    def test_snapshot_time_is_written_without_the_products_rounding(self, tmp_path):
+        # 3 * 1e-5 is 3.0000000000000004e-05 in binary; the CSV writes 3e-05
+        cfg = write_config(tmp_path, "m_subintervals = 4\nt_end = 3e-5\n"
+                                     "record_times = -0.5, 2e-5, 1.0\n")
+        out = tmp_path / "profiles.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            times = [row[0] for row in csv.reader(fh)][1:]
+        assert times == ["0.0"] * 5 + ["2e-05"] * 5 + ["3e-05"] * 5
+
     def test_csv_rows_end_in_lf(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "profiles.csv"

@@ -20,7 +20,7 @@ from combust.discretization import (
     jacobian,
     residual,
 )
-from combust.mncp import MncpProblem, direction
+from combust.mncp import direction
 from combust.model import (
     BASE_PARAMS,
     DimensionlessParams,
@@ -32,12 +32,13 @@ from combust.model import (
 )
 from combust.timestepper import MNCP, NCP
 
-from conftest import (CONSTANT_PARAMS, DenseJacobian, a_dense, b_dense, evaluated, same_double,
-                      stacked_terms, to_dense)
+from conftest import (CONSTANT_PARAMS, DenseJacobian, MncpProblem, a_dense, b_dense, evaluated,
+                      same_double, stacked_terms, to_dense)
 
 # grid with h = 1, k = 0.2, h_diff = 0.5 -> mu * h_diff = 0.1
 UNIT_PARAMS = DimensionlessParams(pe_t=2.0, beta=1.0, e_act=1.0, theta0=1.0, u=1.0)
 UNIT_GRID = Grid(length=3.0, m=3, k=0.2, n_steps=1)
+EPS = np.finfo(float).eps
 
 
 def base_grid(m=10):
@@ -102,14 +103,15 @@ class TestAssembleMatrices:
     def test_constants_are_the_float_expressions_they_replace(self, grid, p):
         muh = grid.mu * p.h_diff
         k = grid.k
+        lam = grid.lambda_s
         expected = {"a_diag": 4.0 + 4.0 * muh, "a_off": -2.0 * muh, "a_corner": 2.0 * (-2.0 * muh),
                     "b_diag": 4.0 - 4.0 * muh, "b_off": 2.0 * muh, "k": k, "two_k": 2.0 * k,
-                    "four_k": 4.0 * k, "neg_k": -k, "two": 2.0, "k_beta": k * p.beta,
-                    "lambda_s": grid.lambda_s, "theta0": p.theta0, "neg_e_act": -p.e_act,
-                    "e_act": p.e_act, "beta": p.beta, "one": 1.0, "u_theta0": p.u * p.theta0,
-                    "u_theta0_sq": p.u * p.theta0**2}
+                    "neg_k": -k, "two": 2.0, "k_beta": k * p.beta, "lambda_s": lam,
+                    "theta0": p.theta0, "neg_e_act": -p.e_act, "e_act": p.e_act, "beta": p.beta,
+                    "one": 1.0, "lam_u_theta0": lam * (p.u * p.theta0),
+                    "lam_u_theta0_sq": lam * (p.u * p.theta0**2), "four_k_e_act": 4.0 * k * p.e_act}
         cache = assemble_matrices(grid, p)
-        assert set(SchemeCache._fields) == set(expected) | {"grid", "params"}
+        assert set(SchemeCache.__slots__) == set(expected) | {"grid", "params"}
         assert (cache.grid, cache.params) == (grid, p)
         for name, value in expected.items():
             assert same_double(getattr(cache, name), value), name
@@ -250,27 +252,71 @@ class TestResidual:
 
     @pytest.mark.parametrize("m", [2, 3, 17])
     def test_matches_unfused_expressions_bit_for_bit(self, m):
-        # G = A theta + lambda_s P - 2k Phi - LD and Q = 2 eta - k Phi - LDQ,
-        # evaluated as separate whole-vector expressions
+        # G and Q rebuilt as whole-vector expressions in the kernel's grouping:
+        # G = A theta + lambda_s P - 2k Phi - LD with row m adding
+        # v-_{m-1} = a_off theta_{m-1} - lambda_s F_{m-1} and v+_{m+1}, and the
+        # Neumann row adding v+_{M-1}; Q = 2 eta - k Phi - LDQ
         rng = np.random.default_rng(m)
         grid = base_grid(m)
-        cache = assemble_matrices(grid, BASE_PARAMS)
+        p = BASE_PARAMS
+        cache = assemble_matrices(grid, p)
+        a = a_dense(cache)
         for _ in range(20):
             state = State(theta=rng.uniform(0.0, 3.0, m), eta=rng.uniform(0.0, 1.0, m))
             ld = assemble_LD(state, cache)
             ldq = assemble_LDQ(state, cache)
             theta = rng.uniform(0.0, 3.0, m)
             eta = rng.uniform(0.0, 1.0, m)
-            a_theta = np.diag(a_dense(cache)) * theta
-            a_theta[1:] += np.diag(a_dense(cache), -1) * theta[:-1]
-            a_theta[:-1] += np.diag(a_dense(cache), 1) * theta[1:]
-            phi_next = phi(theta, eta, BASE_PARAMS)
-            g = (a_theta + grid.lambda_s * assemble_P(theta, BASE_PARAMS)
-                 - 2.0 * grid.k * phi_next - ld)
+            lam_f = grid.lambda_s * (p.u * p.theta0) * theta / (theta + p.theta0)
+            off = np.diag(a, 1)
+            g = np.diag(a) * theta
+            g[1:] += off * theta[:-1] - lam_f[:-1]
+            g[:-1] += off * theta[1:] + lam_f[1:]
+            g[-1] += off[-1] * theta[-2] + lam_f[-2]
+            phi_next = phi(theta, eta, p)
+            g = g - 2.0 * grid.k * phi_next - ld
             q = 2.0 * eta - grid.k * phi_next - ldq
             res, _ = residual(np.concatenate((theta, eta)), cache, np.concatenate((ld, ldq)))
             np.testing.assert_array_equal(res[:m], g)
             np.testing.assert_array_equal(res[m:], q)
+
+    @pytest.mark.parametrize("m", [2, 3, 17])
+    @pytest.mark.parametrize("mode", [MNCP, NCP])
+    def test_within_rounding_of_the_paper_expression(self, mode, m):
+        # the unfused G = A theta + lambda_s P(theta) - 2k Phi - LD from
+        # flux(), phi() and the dense A, with Phi at eta(theta) in MNCP mode;
+        # every row within 8 eps of the sum of its terms' magnitudes, where
+        # the Neumann row's P_M = F_{M+1} - F_{M-1} counts both mirrored fluxes
+        rng = np.random.default_rng(100 + m)
+        for p in CONSTANT_PARAMS:
+            grid = base_grid(m)
+            cache = assemble_matrices(grid, p)
+            a = a_dense(cache)
+            lam, k = grid.lambda_s, grid.k
+            for _ in range(20):
+                state = State(theta=rng.uniform(0.0, 3.0, m), eta=rng.uniform(0.0, 0.9, m))
+                ld = assemble_LD(state, cache)
+                ldq = assemble_LDQ(state, cache)
+                theta = rng.uniform(0.0, 3.0, m)
+                if mode == MNCP:
+                    k_beta_e = -k * phi_deta(theta, p)
+                    eta = (ldq + k_beta_e) / (2.0 + k_beta_e)
+                    res, _ = residual(theta, cache, theta_level_of(state, cache))
+                else:
+                    eta = rng.uniform(0.0, 1.0, m)
+                    res, _ = residual(np.concatenate((theta, eta)), cache, level_of(state, cache))
+                f = flux(theta, p)
+                f_pad = np.concatenate(([0.0], f, [f[-2]]))   # F(THETA_B) = 0, mirror F_{M+1}
+                phi_next = phi(theta, eta, p)
+                g = a @ theta + lam * (f_pad[2:] - f_pad[:-2]) - 2.0 * k * phi_next - ld
+                size = (np.abs(a) @ np.abs(theta) + lam * (np.abs(f_pad[2:]) + np.abs(f_pad[:-2]))
+                        + 2.0 * k * np.abs(phi_next) + np.abs(ld))
+                expected, bound = [g], [size]
+                if mode == NCP:
+                    expected.append(2.0 * eta - k * phi_next - ldq)
+                    bound.append(2.0 * np.abs(eta) + k * np.abs(phi_next) + np.abs(ldq))
+                err = np.abs(res - np.concatenate(expected))
+                assert np.all(err <= 8.0 * EPS * np.concatenate(bound))
 
     @pytest.mark.parametrize("row, node", [(0, 1), (7, 3), (3, 4), (9, 5)])
     def test_non_finite_entry_names_its_node(self, row, node):
@@ -336,7 +382,7 @@ class TestResidual:
             eta = (assemble_LDQ(state, cache) + k_beta_e) / (2.0 + k_beta_e)
             g, terms = residual(theta, cache, theta_level_of(state, cache))
             r, _ = residual(np.concatenate((theta, eta)), cache, level_of(state, cache))
-            assert g.shape == (8,) and len(terms) == 6
+            assert g.shape == (8,) and len(terms) == 5
             np.testing.assert_allclose(g, r[:8], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(r[8:], 0.0, atol=1e-14)
 
@@ -429,11 +475,15 @@ class TestJacobian:
     @pytest.mark.parametrize("p", CONSTANT_PARAMS)
     def test_pointwise_factors_match_model_bit_for_bit(self, p):
         # the Jacobian shares one exponential between phi_theta, phi_eta and
-        # F'; the result must equal the single-purpose model functions exactly
+        # the theta problem's diagonal term: the stacked Jacobian's blocks
+        # equal their form through phi_dtheta() and phi_deta() exactly, the
+        # flux bands are a_off -/+ lambda_s u theta0^2 / s^2 and the theta
+        # problem's diagonal is a_diag - Phi (4k e_act) / s^2 / q_eta
         rng = np.random.default_rng(5)
         m = 40
         grid = base_grid(m)
         cache = assemble_matrices(grid, p)
+        a = a_dense(cache)
         k = grid.k
         for _ in range(20):
             theta = rng.uniform(0.0, 5.0, m)
@@ -441,14 +491,63 @@ class TestJacobian:
             jac = jacobian(stacked_terms(theta, eta, cache), cache)
             pt = phi_dtheta(theta, eta, p)
             pe = phi_deta(theta, p)
-            fd = flux_d(theta, p)
-            np.testing.assert_array_equal(jac.diag, np.diag(a_dense(cache)) - 2.0 * k * pt)
+            s2 = (theta + p.theta0) ** 2
+            lam_fd = grid.lambda_s * (p.u * p.theta0**2) / s2
+            np.testing.assert_array_equal(jac.diag, np.diag(a) - 2.0 * k * pt)
             np.testing.assert_array_equal(jac.g_eta, -2.0 * k * pe)
             np.testing.assert_array_equal(jac.q_theta, -k * pt)
             np.testing.assert_array_equal(jac.q_eta, 2.0 - k * pe)
-            np.testing.assert_array_equal(jac.sup, np.diag(a_dense(cache), 1) + grid.lambda_s * fd[1:])
-            np.testing.assert_array_equal(jac.sub[:-1],
-                                          np.diag(a_dense(cache), -1)[:-1] - grid.lambda_s * fd[:-2])
+            np.testing.assert_array_equal(jac.sup, np.diag(a, 1) + lam_fd[1:])
+            np.testing.assert_array_equal(jac.sub[:-1], np.diag(a, -1)[:-1] - lam_fd[:-2])
+            np.testing.assert_array_equal(jac.sub[-1], np.diag(a, -1)[-1])
+            terms = residual(theta, cache, rng.uniform(0.0, 2.0, 2 * m))[1]
+            theta_jac = jacobian(terms, cache)
+            np.testing.assert_array_equal(
+                theta_jac.diag, np.diag(a) - terms[2] * (4.0 * k * p.e_act) / s2 / terms[4])
+            np.testing.assert_array_equal(theta_jac.sup, jac.sup)
+            np.testing.assert_array_equal(theta_jac.sub, jac.sub)
+
+    @pytest.mark.parametrize("m", [2, 3, 17])
+    @pytest.mark.parametrize("mode", [MNCP, NCP])
+    def test_within_rounding_of_the_model_derivatives(self, mode, m):
+        # every entry against A + lambda_s dP/dtheta - 2k diag(phi_theta) and
+        # the eta blocks from phi_dtheta(), phi_deta() and flux_d(), or
+        # A + lambda_s dP/dtheta - 4k diag(phi_theta / q_eta) at eta(theta) in
+        # MNCP mode; each within 8 eps of the sum of its terms' magnitudes
+        rng = np.random.default_rng(200 + m)
+        for p in CONSTANT_PARAMS:
+            grid = base_grid(m)
+            cache = assemble_matrices(grid, p)
+            a = a_dense(cache)
+            lam, k = grid.lambda_s, grid.k
+            for _ in range(20):
+                state = State(theta=rng.uniform(0.0, 3.0, m), eta=rng.uniform(0.0, 0.9, m))
+                theta = rng.uniform(0.0, 3.0, m)
+                pe = phi_deta(theta, p)
+                q_eta = 2.0 - k * pe
+                if mode == MNCP:
+                    eta = (assemble_LDQ(state, cache) - k * pe) / q_eta
+                    jac = jacobian(residual(theta, cache, theta_level_of(state, cache))[1], cache)
+                else:
+                    eta = rng.uniform(0.0, 1.0, m)
+                    jac = jacobian(stacked_terms(theta, eta, cache), cache)
+                pt = phi_dtheta(theta, eta, p)
+                lam_fd = lam * flux_d(theta, p)
+                up, down = np.diag(a, 1), np.diag(a, -1).copy()
+                down[:-1] -= lam_fd[:-2]
+                pairs = [(jac.sup, up + lam_fd[1:], np.abs(up) + lam_fd[1:]),
+                         (jac.sub, down, np.abs(np.diag(a, -1)) + np.append(lam_fd[:-2], 0.0))]
+                if mode == MNCP:
+                    pairs.append((jac.diag, np.diag(a) - 4.0 * k * pt / q_eta,
+                                  np.abs(np.diag(a)) + 4.0 * k * np.abs(pt / q_eta)))
+                else:
+                    pairs += [(jac.diag, np.diag(a) - 2.0 * k * pt,
+                               np.abs(np.diag(a)) + 2.0 * k * np.abs(pt)),
+                              (jac.g_eta, -2.0 * k * pe, 2.0 * k * np.abs(pe)),
+                              (jac.q_theta, -k * pt, k * np.abs(pt)),
+                              (jac.q_eta, q_eta, 2.0 + k * np.abs(pe))]
+                for got, expected, size in pairs:
+                    assert np.all(np.abs(got - expected) <= 8.0 * EPS * size)
 
 
 def zero_pivot_jacobian(g_eta=0.0):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from combust import timestepper
-from combust.discretization import Grid, assemble_LD, assemble_LDQ, assemble_matrices, residual
-from combust.model import flux, phi
+from combust.discretization import Grid, assemble_LD, assemble_LDQ, assemble_matrices
+from combust.model import phi
 from combust.timestepper import MNCP, NCP, initial_state, run, step
 
 from conftest import CONSTANT_PARAMS, base_config, stacked_terms, to_dense
@@ -71,9 +71,9 @@ def test_long_run_matches_fresh_assembly(monkeypatch, method):
 
 
 def test_shared_closure_terms_equal_the_single_purpose_functions():
-    # the residual forms Phi and F from the one exponential it shares with
-    # the Jacobian: at a stacked point both equal phi() and flux(), and at
-    # theta F does (the Jacobian's factors: test_discretization)
+    # the residual forms Phi from the one exponential it shares with the
+    # Jacobian: at a stacked point it equals phi() (the Jacobian's factors:
+    # test_discretization)
     rng = np.random.default_rng(5)
     theta = rng.uniform(0.0, 3.0, 64)
     eta = rng.uniform(0.0, 1.0, 64)
@@ -81,9 +81,6 @@ def test_shared_closure_terms_equal_the_single_purpose_functions():
         cache = assemble_matrices(Grid(length=0.05, m=64, k=1e-5, n_steps=1), p)
         terms = stacked_terms(theta, eta, cache)
         np.testing.assert_array_equal(terms[2], phi(theta, eta, p))
-        np.testing.assert_array_equal(terms[3], flux(theta, p))
-        theta_terms = residual(theta, cache, np.ones(128))[1]
-        np.testing.assert_array_equal(theta_terms[3], flux(theta, p))
 
 
 @pytest.mark.parametrize("method", [MNCP, NCP])

@@ -6,7 +6,6 @@ from combust.discretization import NumericError
 from combust.mncp import (
     InfeasibleStart,
     MaxIterations,
-    MncpProblem,
     SolverOptions,
     direction,
     line_search,
@@ -16,7 +15,7 @@ from combust.mncp import (
     solve,
 )
 
-from conftest import dense, evaluated
+from conftest import MncpProblem, dense, evaluated
 
 
 def scalar_affine(slope=1.0, offset=2.0):

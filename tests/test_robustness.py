@@ -10,11 +10,11 @@ import pytest
 from combust import mncp, timestepper
 from combust.cli import main
 from combust.discretization import Grid, State
-from combust.mncp import LineSearchStall, MaxIterations, MncpProblem, SolverOptions, solve
+from combust.mncp import LineSearchStall, MaxIterations, SolverOptions, solve
 from combust.model import BASE_PARAMS
 from combust.timestepper import MNCP, NCP, RunConfig, StepFailed, run
 
-from conftest import base_config, dense
+from conftest import MncpProblem, base_config, dense
 
 STATE_TEXT = re.compile(
     r"max\|H\| = \S+, natural residual = \S+, worst pair row (\d+): z = \S+, r = \S+")

@@ -5,7 +5,7 @@ import pytest
 
 from combust import timestepper
 from combust.discretization import Grid, State, assemble_matrices, residual
-from combust.mncp import MaxIterations, MncpProblem, SolverOptions, merit_vector, solve
+from combust.mncp import MaxIterations, SolverOptions, merit_vector, solve
 from combust.model import BASE_PARAMS, phi
 from combust.timestepper import (
     MNCP,
@@ -19,7 +19,7 @@ from combust.timestepper import (
     step,
 )
 
-from conftest import DenseJacobian, to_dense
+from conftest import DenseJacobian, MncpProblem, to_dense
 
 
 def tiny_config(m=10, n_steps=5, method=MNCP, record_times=()):
@@ -319,7 +319,7 @@ class TestRun:
 
 
 def _records():
-    """One of each of the solver's named-tuple records, by class name, as a run builds them."""
+    """One of each of the solver's immutable records, by class name, as a run builds them."""
     config = tiny_config(m=4, n_steps=1)
     cache = assemble_matrices(config.grid, config.params)
     equations = StepEquations(cache, NCP, initial_state(config.grid))
@@ -332,7 +332,7 @@ def _records():
 def test_solver_records_are_immutable(name):
     # no field of these records can be rebound
     record = _records()[name]
-    fields = type(record).__annotations__
+    fields = getattr(type(record), "_fields", None) or type(record).__slots__
     assert fields
     for field in fields:
         before = getattr(record, field)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from combust import mncp, timestepper
-from combust.mncp import InfeasibleStart, MncpProblem, SolverOptions, restore_feasibility, solve
+from combust.mncp import InfeasibleStart, SolverOptions, restore_feasibility, solve
 from combust.timestepper import run
 
-from conftest import base_config, dense
+from conftest import MncpProblem, base_config, dense
 
 
 def counted(residual):
